@@ -207,9 +207,11 @@ def _validate_sampling(args: argparse.Namespace) -> None:
 
 def _print_point_summary(point: Dict[str, object]) -> None:
     hazard = point["hazard_audit"]
-    pieces = [f"t={point['t']:g}:", f"hazard bound {point['hazard_bound']['bound']:.6g} [{hazard['verdict']}]"]
-    if point["hazard_exact_tail"] is not None:
-        pieces.append(f"exact {point['hazard_exact_tail']:.6g}")
+    pieces = [
+        f"t={point['t']:g}:",
+        f"hazard bound {point['hazard_bound']['bound']:.6g} [{hazard['verdict']}]",
+        f"exact {point['hazard_exact_tail']:.6g}",
+    ]
     for mode, record in point["reliability_bound"].items():
         pieces.append(f"reliability[{mode}] {record['bound']['bound']:.6g} [{record['audit']['verdict']}]")
     pieces.append(f"reference {point['reference_bound']['bound']:.6g} [{point['reference_audit']['verdict']}]")

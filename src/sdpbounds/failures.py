@@ -3,7 +3,10 @@
 Each of the ``l`` predicted-clean modules is a Bernoulli trial that is
 actually defective with probability ``p`` (the false omission rate), so the
 latent failure count ``X`` is binomial(l, p).  This module provides the exact
-distribution (PMF/CDF in log space), its expectation, and seeded sampling.
+distribution, its expectation, and seeded sampling.  The PMF is evaluated in
+log space (Loader's saddle-point form); the tail Pr[X < threshold] is a
+regularized incomplete beta function, so the exact oracle costs the same at
+every l.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "FailurePopulation",
@@ -169,20 +173,19 @@ def binomial_cdf_below(pop: FailurePopulation, threshold: float) -> float:
     The deviation-bound events downstream are strict, so an integer threshold
     excludes the threshold value itself: Pr[X < 3] sums k in {0, 1, 2}.
     Returns 0.0 for threshold <= 0 (X is non-negative) and 1.0 for
-    threshold > l.  The term sum runs over ascending k and is accumulated
-    exactly with math.fsum.
+    threshold > l.  Otherwise, with k the largest integer below the threshold,
+    Pr[X <= k] = 1 - I_p(k + 1, l - k), the complemented regularized
+    incomplete beta (DiDonato & Morris, ACM TOMS Alg. 708).  Evaluating the
+    complement at p, rather than I_{1-p}(l - k, k + 1), avoids rounding 1 - p,
+    which costs relative accuracy when p is tiny and l is large.
     """
     if threshold <= 0.0:
         return 0.0
     if threshold > pop.l:
         return 1.0
     # Largest k with k < threshold; strict inequality drops an integral threshold.
-    k_max = math.ceil(threshold) - 1
-    if k_max < 0:
-        return 0.0
-    k_max = min(k_max, pop.l)
-    terms = np.exp(_log_pmf_array(np.arange(k_max + 1, dtype=float), pop.l, pop.p))
-    return min(1.0, math.fsum(terms))
+    k = math.ceil(threshold) - 1
+    return float(special.betaincc(k + 1, pop.l - k, pop.p))
 
 
 def sample_failures(pop: FailurePopulation, rng: np.random.Generator, *, per_indicator: bool = False) -> int:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .failures import FailurePopulation
 
@@ -214,6 +213,8 @@ def reliability_by_integration(
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     if t == 0.0:
         return 1.0
+    from scipy import integrate  # deferred: only this oracle needs quadrature
+
     result = integrate.quad(hazard, 0.0, t, epsabs=tolerance, epsrel=0.0, limit=200, full_output=1)
     integral, abs_err = result[0], result[1]
     if len(result) > 3 or abs_err > tolerance:

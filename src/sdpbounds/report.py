@@ -48,7 +48,6 @@ from .montecarlo import (
 )
 
 __all__ = [
-    "EXACT_ORACLE_MAX_L",
     "PLOT_SELECTORS",
     "SweepGrid",
     "derive_point_seed",
@@ -63,10 +62,6 @@ __all__ = [
     "plot_series",
     "plot_series_text",
 ]
-
-# Largest population for which the auditor uses the exact binomial CDF rather
-# than sampling.
-EXACT_ORACLE_MAX_L = 10**6
 
 PLOT_SELECTORS = ("hazard", "reliability", "bound_t1", "bound_t2", "exact_tail")
 
@@ -204,23 +199,18 @@ def _audit_against_oracle(
     samples: int,
     seed: int,
     workers: int,
-) -> Tuple[AuditVerdict, Optional[float], Optional[MonteCarloEstimate]]:
-    """Audit a tail bound: exact CDF when affordable, otherwise Monte Carlo.
+) -> Tuple[AuditVerdict, float, Optional[MonteCarloEstimate]]:
+    """Audit a tail bound against the exact binomial CDF.
 
-    Returns (verdict, exact probability or None, MC estimate or None); the MC
-    estimate is also produced alongside an exact audit when sampling is
-    enabled, as independent confirmation.
+    Returns (verdict, exact probability, MC estimate or None).  The verdict
+    always comes from the exact tail; with sampling enabled, a Monte Carlo
+    estimate is produced alongside as independent confirmation.
     """
-    exact: Optional[float] = None
     estimate: Optional[MonteCarloEstimate] = None
     if samples:
         estimate = estimate_tail_probability(pop, report.event_threshold, samples, seed, workers)
-    if pop.l <= EXACT_ORACLE_MAX_L:
-        exact = binomial_cdf_below(pop, report.event_threshold)
-        return audit_bound(report, exact), exact, estimate
-    if estimate is None:
-        estimate = estimate_tail_probability(pop, report.event_threshold, max(samples, 1000), seed, workers)
-    return audit_bound(report, estimate), exact, estimate
+    exact = binomial_cdf_below(pop, report.event_threshold)
+    return audit_bound(report, exact), exact, estimate
 
 
 def analyze_point(
@@ -278,7 +268,7 @@ def analyze_point(
         rel_audit, rel_exact, rel_mc = _audit_against_oracle(
             rel_report, pop, samples, tail_seed, workers
         )
-        reliability_exact = rel_exact if rel_exact is not None else reliability_exact
+        reliability_exact = rel_exact
         reliability[mode] = {
             "bound": _report_dict(rel_report),
             "audit": _audit_dict(rel_audit),

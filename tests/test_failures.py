@@ -140,6 +140,51 @@ def test_cdf_cross_check_scipy() -> None:
             assert binomial_cdf_below(pop, thr) == pytest.approx(want, rel=1e-10)
 
 
+def _mp_cdf_below(l: int, p: float, threshold: float):
+    """Pr[X < threshold] as a 40-digit mpmath sum of the PMF recurrence."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    p_mp = mpmath.mpf(p)
+    ratio = p_mp / (1 - p_mp)
+    term = (1 - p_mp) ** l
+    total = term
+    for j in range(math.ceil(threshold) - 1):
+        term = term * (l - j) / (j + 1) * ratio
+        total += term
+    return total
+
+
+def test_cdf_accuracy_large_l() -> None:
+    # Complementing at p (not evaluating at 1 - p) keeps full precision at l = 1e9.
+    cases = [(10**9, 1e-6, 990.0, 1e-13), (10**9, 1e-5, 9800.0, 1e-13), (10**8, 1e-4, 9900.0, 1e-13)]
+    # With fewer than 40 terms below the cutoff, the incomplete beta's error
+    # grows with l, to about 2e-11 near l = 1e9.
+    # The second case is the worst one a random scan found.
+    cases += [
+        (10**9, 1e-8, 6.0, 5e-11),
+        (738_300_431, 1.7918564571921285e-08, 6.0, 5e-11),
+        (10**9, 3e-8, 16.0, 5e-11),
+        (10**8, 1e-6, 2.0, 5e-11),
+    ]
+    for l, p, threshold, tol in cases:
+        exact = _mp_cdf_below(l, p, threshold)
+        got = binomial_cdf_below(FailurePopulation(l, p), threshold)
+        assert abs(got - float(exact)) / float(exact) <= tol, (l, p, threshold)
+
+
+def test_cdf_matches_pmf_sum() -> None:
+    # The log-space PMF is an independent route; scipy.stats shares the oracle's ibeta.
+    cases = []
+    for l, p in [(10, 0.3), (1000, 0.3), (1000, 0.01), (10**6, 0.01), (10**6, 0.3)]:
+        mean, sd = l * p, math.sqrt(l * p * (1 - p))
+        cases += [(l, p, thr) for thr in (mean, mean + 0.5, mean - 3 * sd, mean - 6 * sd) if thr > 0]
+    cases += [(10**9, 1e-6, 900.0), (10**9, 1e-6, 950.5)]
+    for l, p, thr in cases:
+        pop = FailurePopulation(l, p)
+        want = math.fsum(binomial_pmf(pop, np.arange(math.ceil(thr))))
+        assert binomial_cdf_below(pop, thr) == pytest.approx(want, rel=1e-12), (l, p, thr)
+
+
 class _ForcedRng:
     """Degenerate uniform source driving every Bernoulli indicator one way."""
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sdpbounds
 from sdpbounds.cli import main
 from sdpbounds.report import (
     SweepGrid,
@@ -335,3 +339,28 @@ def test_cli_usage_error_exit_1(capsys) -> None:
     with pytest.raises(SystemExit) as info:
         main(["analyze", "--l", "100"])  # missing required flags
     assert info.value.code == 1
+
+
+def test_cli_analyze_large_l_audits_are_exact(tmp_path) -> None:
+    # Above l = 1e6 the exact tail still decides every verdict; no sampling fallback.
+    out = tmp_path / "big.json"
+    code = main([
+        "analyze", "--l", "2000000", "--p", "0.01", "--K", "19000", "--m", "0",
+        "--K-hat", "1", "--m-hat", "0", "--t", "1", "--samples", "0", "--out", str(out),
+    ])
+    assert code == 0
+    point = read_report(str(out))["points"][0]
+    assert point["hazard_exact_tail"] == pytest.approx(3.58e-13, rel=1e-2)
+    audits = [point["hazard_audit"], point["reference_audit"]]
+    audits += [record["audit"] for record in point["reliability_bound"].values()]
+    for audit in audits:
+        assert audit["empirical_is_exact"] is True
+        assert audit["estimate"] is None
+    assert point["reference_audit"]["verdict"] == "holds"
+
+
+def test_cli_import_skips_quadrature_and_stats() -> None:
+    code = "import sys, sdpbounds.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdpbounds.__file__))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
