@@ -201,6 +201,8 @@ def _validate_sampling(args: argparse.Namespace) -> None:
         raise ValueError("--samples must be 0 or >= 1000")
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
+    if args.seed >= 2**64:
+        raise ValueError("--seed must be < 2**64")
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
 
@@ -218,17 +220,14 @@ def _print_point_summary(point: Dict[str, object]) -> None:
     print(" ".join(pieces))
 
 
-def _count_violations(points: Sequence[Dict[str, object]]) -> int:
-    violations = 0
-    for point in points:
-        if point["hazard_audit"]["verdict"] == "violated":
-            violations += 1
-        for record in point["reliability_bound"].values():
-            if record["audit"]["verdict"] == "violated":
-                violations += 1
-        if point["reference_audit"]["verdict"] == "violated":
-            violations += 1
-    return violations
+def _audit_exit_code(report: Dict[str, object], strict: bool) -> int:
+    """Report violated audits on stderr; with --strict they set the exit code."""
+    violations = sum(tallies.get("violated", 0) for tallies in report["summary"]["audits"].values())
+    if violations:
+        print(f"audit violations: {violations}", file=sys.stderr)
+        if strict:
+            return EXIT_STRICT
+    return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -247,12 +246,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         json.dump(report, sys.stdout, indent=1)
         print()
-    violations = _count_violations(report["points"])
-    if violations:
-        print(f"audit violations: {violations}", file=sys.stderr)
-        if args.strict:
-            return EXIT_STRICT
-    return EXIT_OK
+    return _audit_exit_code(report, args.strict)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -291,12 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         for violation in mono["violations"]:
             print(f"  non-monotone at {violation['axes']}: {violation['bounds_by_l']}")
-    violations = _count_violations(report["points"])
-    if violations:
-        print(f"audit violations: {violations}", file=sys.stderr)
-        if args.strict:
-            return EXIT_STRICT
-    return EXIT_OK
+    return _audit_exit_code(report, args.strict)
 
 
 def _points_from_sweep_csv(path: str) -> List[Dict[str, object]]:

@@ -59,10 +59,10 @@ class WeibullParams:
     shape_m: float
 
     def __post_init__(self) -> None:
-        if not (self.scale_k > 0.0):
-            raise ValueError(f"scale_k must be > 0, got {self.scale_k}")
-        if not (self.shape_m > -1.0):
-            raise ValueError(f"shape_m must be > -1, got {self.shape_m}")
+        if not (0.0 < self.scale_k < math.inf):
+            raise ValueError(f"scale_k must be finite and > 0, got {self.scale_k}")
+        if not (-1.0 < self.shape_m < math.inf):
+            raise ValueError(f"shape_m must be finite and > -1, got {self.shape_m}")
 
 
 @dataclass(frozen=True)
@@ -86,19 +86,29 @@ class QuadratureError(RuntimeError):
 
 
 def _require_positive_time(t: float) -> None:
-    if not (t > 0.0):
-        raise ValueError(f"time t must be > 0 for hazard evaluation, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"time t must be finite and > 0 for hazard evaluation, got {t}")
 
 
 def _require_nonnegative_time(t: float) -> None:
-    if not (t >= 0.0):
-        raise ValueError(f"time t must be >= 0, got {t}")
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"time t must be finite and >= 0, got {t}")
+
+
+def _scaled_power(params: WeibullParams, t: float, exponent: float) -> float:
+    """scale_k * t**exponent, with an overflow reported as a domain error."""
+    try:
+        return params.scale_k * t**exponent
+    except OverflowError:
+        raise ValueError(
+            f"scale_k * t**{exponent} overflows at time t={t} (shape_m={params.shape_m})"
+        ) from None
 
 
 def weibull_hazard(params: WeibullParams, t: float) -> float:
     """Instantaneous hazard rate scale_k * t**shape_m at time t > 0."""
     _require_positive_time(t)
-    return params.scale_k * t**params.shape_m
+    return _scaled_power(params, t, params.shape_m)
 
 
 def weibull_cumulative_hazard(params: WeibullParams, t: float) -> float:
@@ -106,7 +116,7 @@ def weibull_cumulative_hazard(params: WeibullParams, t: float) -> float:
     _require_nonnegative_time(t)
     if t == 0.0:
         return 0.0
-    return params.scale_k * t ** (params.shape_m + 1.0) / (params.shape_m + 1.0)
+    return _scaled_power(params, t, params.shape_m + 1.0) / (params.shape_m + 1.0)
 
 
 def weibull_reliability(params: WeibullParams, t: float) -> float:

@@ -5,6 +5,10 @@ Determinism contract: the sample index space is split into fixed-size blocks;
 block i draws from an independent substream derived from (seed, i), and block
 statistics are merged in index order with compensated accumulation.  Results
 are therefore bit-identical for any worker count and across runs.
+
+Tail events share one seeded stream: estimate_tail_probabilities draws each
+block once and counts X < c for every cutoff c, so the hazard and reliability
+tails of a point come from the same draws and one pass over them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "VERDICT_EXACT_ZERO",
     "wilson_interval",
     "estimate_tail_probability",
+    "estimate_tail_probabilities",
     "estimate_expected_reliability",
     "estimate_reliability_exceedance",
     "tail_event_indicators",
@@ -140,28 +145,46 @@ def _kahan_sum(values: Sequence[float]) -> float:
     return total
 
 
-def _tail_estimate(
+def estimate_tail_probabilities(
     pop: FailurePopulation,
-    threshold: float,
+    thresholds: Sequence[float],
     n: int,
     seed: int,
-    workers: int,
-) -> MonteCarloEstimate:
+    workers: int = 1,
+) -> Tuple[MonteCarloEstimate, ...]:
+    """Fraction of n seeded defect-count draws with X < c for each cutoff c, Wilson CIs.
+
+    Every cutoff counts the same draws: one pass over the seed's blocks counts
+    each distinct cutoff once, and the estimates come back in the order of
+    ``thresholds``.  A cutoff <= 0 describes an impossible event (X >= 0) and
+    gets a degenerate zero estimate; no block is drawn unless some cutoff is
+    positive.
+    """
     _validate_sampling_args(n, seed)
-    if threshold <= 0.0:
-        # X >= 0 almost surely; no sampling needed, degenerate interval.
-        return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
+    # A NaN cutoff is live: it is drawn and never hit.
+    live = list(dict.fromkeys(c for c in thresholds if not c <= 0.0))
+    hits: Dict[float, int] = {}
+    if live:
 
-    def block_fn(i: int, size: int) -> int:
-        x = _draw_block(pop, seed, i, size)
-        return int(np.count_nonzero(x < threshold))
+        def block_fn(i: int, size: int) -> List[int]:
+            x = _draw_block(pop, seed, i, size)
+            return [int(np.count_nonzero(x < c)) for c in live]
 
-    counts = _map_blocks(n, workers, block_fn)
-    hits = sum(counts)
-    p_hat = hits / n
-    ci_low, ci_high = wilson_interval(hits, n)
-    std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
+        hits = dict(zip(live, map(sum, zip(*_map_blocks(n, workers, block_fn)))))
+
+    estimates = []
+    for threshold in thresholds:
+        if threshold <= 0.0:
+            estimates.append(MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold))
+            continue
+        count = hits[threshold]
+        p_hat = count / n
+        ci_low, ci_high = wilson_interval(count, n)
+        std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
+        estimates.append(
+            MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
+        )
+    return tuple(estimates)
 
 
 def estimate_tail_probability(
@@ -172,7 +195,7 @@ def estimate_tail_probability(
     workers: int = 1,
 ) -> MonteCarloEstimate:
     """Fraction of n seeded defect-count draws with X < threshold, Wilson CI."""
-    return _tail_estimate(pop, threshold, n, seed, workers)
+    return estimate_tail_probabilities(pop, (threshold,), n, seed, workers)[0]
 
 
 def estimate_expected_reliability(
@@ -222,7 +245,7 @@ def estimate_reliability_exceedance(
     if not (t > 0.0):
         raise ValueError(f"time t must be > 0, got {t}")
     threshold = reliability_event_threshold(manual, model.residual, t)
-    return _tail_estimate(model.population, threshold, n, seed, workers)
+    return estimate_tail_probability(model.population, threshold, n, seed, workers)
 
 
 def tail_event_indicators(

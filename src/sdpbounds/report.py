@@ -44,7 +44,7 @@ from .montecarlo import (
     MonteCarloEstimate,
     audit_bound,
     estimate_expected_reliability,
-    estimate_tail_probability,
+    estimate_tail_probabilities,
 )
 
 __all__ = [
@@ -130,6 +130,8 @@ class SweepGrid:
             raise ValueError(f"samples must be 0 (disabled) or >= 1000, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
@@ -147,8 +149,14 @@ class SweepGrid:
 
 def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
                       k_hat: float, m_hat: float, t: float, purpose: str) -> int:
-    """Content-addressed substream seed: position-independent and stable."""
-    payload = struct.pack("<Q", base_seed & (2**64 - 1))
+    """Content-addressed substream seed: position-independent and stable.
+
+    ``base_seed`` must lie in [0, 2**64); distinct base seeds give distinct
+    payloads, so no two of them share a substream by construction.
+    """
+    if not 0 <= base_seed < 2**64:
+        raise ValueError(f"seed must be >= 0 and < 2**64, got {base_seed}")
+    payload = struct.pack("<Q", base_seed)
     payload += struct.pack("<q6d", l, p, k, m, k_hat, m_hat, t)
     payload += purpose.encode("utf-8")
     digest = hashlib.sha256(payload).digest()
@@ -193,26 +201,6 @@ def _audit_dict(verdict: AuditVerdict) -> Dict[str, object]:
     }
 
 
-def _audit_against_oracle(
-    report: BoundReport,
-    pop: FailurePopulation,
-    samples: int,
-    seed: int,
-    workers: int,
-) -> Tuple[AuditVerdict, float, Optional[MonteCarloEstimate]]:
-    """Audit a tail bound against the exact binomial CDF.
-
-    Returns (verdict, exact probability, MC estimate or None).  The verdict
-    always comes from the exact tail; with sampling enabled, a Monte Carlo
-    estimate is produced alongside as independent confirmation.
-    """
-    estimate: Optional[MonteCarloEstimate] = None
-    if samples:
-        estimate = estimate_tail_probability(pop, report.event_threshold, samples, seed, workers)
-    exact = binomial_cdf_below(pop, report.event_threshold)
-    return audit_bound(report, exact), exact, estimate
-
-
 def analyze_point(
     l: int,
     p: float,
@@ -250,37 +238,45 @@ def analyze_point(
         mode: expected_sdp_reliability_bound(model, t, mode) for mode in modes
     }
 
-    tail_seed = derive_point_seed(seed, l, p, k, m, k_hat, m_hat, t, "tail")
-
     hazard_report = hazard_shortfall_bound(pop, manual, residual, t)
-    hazard_audit, hazard_exact, hazard_mc = _audit_against_oracle(
-        hazard_report, pop, samples, tail_seed, workers
-    )
-    point["hazard_bound"] = _report_dict(hazard_report)
-    point["hazard_exact_tail"] = hazard_exact
-    point["hazard_audit"] = _audit_dict(hazard_audit)
-    point["hazard_tail_mc"] = _estimate_dict(hazard_mc)
-
-    reliability: Dict[str, object] = {}
-    reliability_exact: Optional[float] = None
-    for mode in modes:
-        rel_report = reliability_excess_bound(pop, manual, residual, t, mode)
-        rel_audit, rel_exact, rel_mc = _audit_against_oracle(
-            rel_report, pop, samples, tail_seed, workers
-        )
-        reliability_exact = rel_exact
-        reliability[mode] = {
-            "bound": _report_dict(rel_report),
-            "audit": _audit_dict(rel_audit),
-            "exceedance_mc": _estimate_dict(rel_mc),
-        }
-    point["reliability_bound"] = reliability
-    point["reliability_exact_tail"] = reliability_exact
-
+    reliability_reports = {
+        mode: reliability_excess_bound(pop, manual, residual, t, mode) for mode in modes
+    }
     reference_report = reference_chernoff_bound(pop, hazard_report.event_threshold)
-    reference_audit, _, _ = _audit_against_oracle(reference_report, pop, 0, tail_seed, workers)
+
+    # A point has at most two tail events, paired with the audits by position:
+    # the reference audit shares the hazard cutoff and every mode shares the
+    # reliability cutoff.  Each distinct cutoff value gets one exact tail and,
+    # with sampling on, one count in a single draw pass.  The estimates stay
+    # positional, so each carries its own cutoff even where 0.0 == -0.0.
+    cutoffs = [hazard_report.event_threshold]
+    if modes:
+        cutoffs.append(reliability_reports[modes[0]].event_threshold)
+    oracle = {c: binomial_cdf_below(pop, c) for c in dict.fromkeys(cutoffs)}
+    exact_tails = [oracle[c] for c in cutoffs]
+    if samples:
+        tail_seed = derive_point_seed(seed, l, p, k, m, k_hat, m_hat, t, "tail")
+        tail_mc = estimate_tail_probabilities(pop, cutoffs, samples, tail_seed, workers)
+    else:
+        tail_mc = (None,) * len(cutoffs)
+
+    point["hazard_bound"] = _report_dict(hazard_report)
+    point["hazard_exact_tail"] = exact_tails[0]
+    point["hazard_audit"] = _audit_dict(audit_bound(hazard_report, exact_tails[0]))
+    point["hazard_tail_mc"] = _estimate_dict(tail_mc[0])
+
+    point["reliability_bound"] = {
+        mode: {
+            "bound": _report_dict(rel_report),
+            "audit": _audit_dict(audit_bound(rel_report, exact_tails[1])),
+            "exceedance_mc": _estimate_dict(tail_mc[1]),
+        }
+        for mode, rel_report in reliability_reports.items()
+    }
+    point["reliability_exact_tail"] = exact_tails[1] if modes else None
+
     point["reference_bound"] = _report_dict(reference_report)
-    point["reference_audit"] = _audit_dict(reference_audit)
+    point["reference_audit"] = _audit_dict(audit_bound(reference_report, exact_tails[0]))
 
     if samples:
         mean_seed = derive_point_seed(seed, l, p, k, m, k_hat, m_hat, t, "reliability-mean")

@@ -13,6 +13,7 @@ from sdpbounds.bounds import (
     reference_chernoff_bound,
     reliability_event_threshold,
 )
+from sdpbounds.cli import main
 from sdpbounds.failures import FailurePopulation, binomial_cdf_below
 from sdpbounds.hazards import (
     CombinedHazardModel,
@@ -29,6 +30,7 @@ from sdpbounds.montecarlo import (
     tail_event_indicators,
     wilson_interval,
 )
+from sdpbounds.report import SweepGrid, analyze_point, derive_point_seed
 
 
 def test_wilson_interval_contains_p_hat() -> None:
@@ -243,3 +245,74 @@ def test_audit_verdict_invariants_with_ci() -> None:
         assert est.ci_high <= report.bound
     else:
         assert est.ci_low <= report.bound <= est.ci_high
+
+
+def test_shared_tail_pass_equals_single_cutoff_calls() -> None:
+    # Cutoffs <= 0, a repeat and an unsorted order, over several blocks.
+    pop = FailurePopulation(100, 0.1)
+    thresholds = (12.0, -1.0, 8.0, 0.0, 8.0, 3.5)
+    n = mc.BLOCK_SIZE * 2 + 17
+    singles = tuple(estimate_tail_probability(pop, c, n, seed=77) for c in thresholds)
+    for c, single in zip(thresholds, singles):
+        if c > 0.0:
+            assert single.estimate == np.count_nonzero(tail_event_indicators(pop, c, n, seed=77)) / n
+    for workers in (1, 4):
+        assert mc.estimate_tail_probabilities(pop, thresholds, n, seed=77, workers=workers) == singles
+
+
+def test_one_draw_pass_per_seed(monkeypatch) -> None:
+    calls = []
+    draw = mc._draw_block
+
+    def counting_draw(pop, seed, i, size):
+        calls.append(seed)
+        return draw(pop, seed, i, size)
+
+    monkeypatch.setattr(mc, "_draw_block", counting_draw)
+    point = analyze_point(100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, samples=10_000, seed=3)
+    assert point["hazard_bound"]["event_threshold"] > 0.0
+    assert point["reliability_exact_tail"] > 0.0
+    assert len(calls) == 2  # one tail pass for both cutoffs, one mean pass
+    assert len(set(calls)) == 2
+
+    calls.clear()
+    estimates = mc.estimate_tail_probabilities(FailurePopulation(10, 0.5), (0.0, -2.0), 10_000, seed=1)
+    assert [e.estimate for e in estimates] == [0.0, 0.0]
+    assert calls == []
+
+
+def _assert_one_line_error(argv, capsys, needle: str) -> None:
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+_POINT_ARGS = ["--l", "10", "--p", "0.1", "--K-hat", "1", "--m-hat", "0", "--samples", "0"]
+
+
+def test_cli_rejects_non_finite_parameters(capsys) -> None:
+    for flags, needle in [
+        (["--K", "inf", "--m", "0", "--t", "1"], "scale_k"),
+        (["--K", "1", "--m", "inf", "--t", "1"], "shape_m"),
+        (["--K", "1", "--m", "0", "--t", "inf"], "time t"),
+    ]:
+        _assert_one_line_error(["analyze", *_POINT_ARGS, *flags], capsys, needle)
+
+
+def test_cli_power_overflow_is_domain_error(capsys) -> None:
+    _assert_one_line_error(
+        ["analyze", *_POINT_ARGS, "--K", "1", "--m", "2", "--t", "1e200"], capsys, "t=1e+200"
+    )
+
+
+def test_seeds_at_or_above_2_64_are_rejected(capsys) -> None:
+    grid_args = ["--l", "10", "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1"]
+    for command in ("analyze", "sweep"):
+        _assert_one_line_error([command, *grid_args, "--seed", str(2**64 + 5)], capsys, "< 2**64")
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,), seed=2**64)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        derive_point_seed(2**64 + 5, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
+    largest = derive_point_seed(2**64 - 1, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
+    assert largest != derive_point_seed(5, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
