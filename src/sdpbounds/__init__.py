@@ -5,121 +5,28 @@ this toolkit models the hidden failures among predicted-clean modules as a
 binomial count, combines them with a power-law residual hazard, evaluates the
 deviation bounds comparing SDP-tested against manually tested software, and
 audits every bound against exact tail probabilities and seeded Monte Carlo.
+
+The package root re-exports the library surface shown in the README; every
+other public name is imported from its submodule (``sdpbounds.report``,
+``sdpbounds.ingest``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundReport,
-    chernoff_lower_tail,
-    hazard_event_threshold,
-    hazard_shortfall_bound,
-    reference_chernoff_bound,
-    reliability_event_threshold,
-    reliability_excess_bound,
-)
-from .failures import (
-    FailurePopulation,
-    binomial_cdf_below,
-    binomial_log_pmf,
-    binomial_pmf,
-    expected_failures,
-    sample_failures,
-)
-from .hazards import (
-    AS_STATED,
-    MODES,
-    SIGN_CORRECTED,
-    CombinedHazardModel,
-    QuadratureError,
-    WeibullParams,
-    combined_hazard,
-    expected_combined_hazard,
-    expected_sdp_reliability_bound,
-    expected_sdp_reliability_exact,
-    reliability_by_integration,
-    sdp_reliability,
-    weibull_hazard,
-    weibull_reliability,
-)
-from .ingest import (
-    ConfusionCounts,
-    ParseError,
-    PredictionRecord,
-    ProjectSummary,
-    ValidationVerdict,
-    false_omission_rate,
-    load_confusion,
-    load_records,
-    parse_confusion,
-    parse_records,
-    summarize_project,
-    tally_confusion,
-    validate_assumptions,
-)
-from .montecarlo import (
-    AuditVerdict,
-    MonteCarloEstimate,
-    audit_bound,
-    estimate_expected_reliability,
-    estimate_reliability_exceedance,
-    estimate_tail_probability,
-    wilson_interval,
-)
-from .report import SweepGrid, analyze, analyze_point, plot_series, sweep
+from .bounds import hazard_shortfall_bound, reference_chernoff_bound, reliability_excess_bound
+from .failures import FailurePopulation, binomial_cdf_below
+from .hazards import CombinedHazardModel, WeibullParams
+from .montecarlo import audit_bound, estimate_tail_probability
 
 __all__ = [
     "__version__",
-    "AS_STATED",
-    "MODES",
-    "SIGN_CORRECTED",
-    "AuditVerdict",
-    "BoundReport",
-    "CombinedHazardModel",
-    "ConfusionCounts",
     "FailurePopulation",
-    "MonteCarloEstimate",
-    "ParseError",
-    "PredictionRecord",
-    "ProjectSummary",
-    "QuadratureError",
-    "SweepGrid",
-    "ValidationVerdict",
     "WeibullParams",
-    "analyze",
-    "analyze_point",
-    "audit_bound",
+    "CombinedHazardModel",
     "binomial_cdf_below",
-    "binomial_log_pmf",
-    "binomial_pmf",
-    "chernoff_lower_tail",
-    "combined_hazard",
-    "estimate_expected_reliability",
-    "estimate_reliability_exceedance",
-    "estimate_tail_probability",
-    "expected_combined_hazard",
-    "expected_failures",
-    "expected_sdp_reliability_bound",
-    "expected_sdp_reliability_exact",
-    "false_omission_rate",
-    "hazard_event_threshold",
     "hazard_shortfall_bound",
-    "load_confusion",
-    "load_records",
-    "parse_confusion",
-    "parse_records",
-    "plot_series",
-    "reference_chernoff_bound",
-    "reliability_by_integration",
-    "reliability_event_threshold",
     "reliability_excess_bound",
-    "sample_failures",
-    "sdp_reliability",
-    "summarize_project",
-    "sweep",
-    "tally_confusion",
-    "validate_assumptions",
-    "weibull_hazard",
-    "weibull_reliability",
-    "wilson_interval",
+    "reference_chernoff_bound",
+    "audit_bound",
+    "estimate_tail_probability",
 ]

@@ -25,7 +25,7 @@ from .hazards import (
     SIGN_CORRECTED,
     CombinedHazardModel,
     WeibullParams,
-    log_expected_sdp_reliability_bound,
+    expected_sdp_reliability_bound,
     weibull_hazard,
 )
 
@@ -178,22 +178,15 @@ def reliability_excess_bound(
     if not (t > 0.0):
         raise ValueError(f"time t must be > 0, got {t}")
     threshold = reliability_event_threshold(manual, residual, t)
-    model = CombinedHazardModel(residual, pop)
-    log_mu = log_expected_sdp_reliability_bound(model, t, mode)
-    mu = math.exp(log_mu)
+    mu = expected_sdp_reliability_bound(CombinedHazardModel(residual, pop), t, mode)
 
     notes = [
         f"expectation proxy mode: {mode}",
         "count-scale cutoff compared against a reliability-scale mean",
     ]
-    if mu > 0.0 and math.isfinite(mu):
+    if mu > 0.0:
         delta = 1.0 - threshold / mu
         log_bound = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)
-    elif math.isinf(mu):
-        # exp overflow: the proxy exceeds double range, bound underflows to 0.
-        delta = 1.0
-        log_bound = -math.inf
-        notes.append("expectation proxy overflowed double precision")
     else:
         # exp underflow: proxy rounded to 0; the limit of the formula applies.
         delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)

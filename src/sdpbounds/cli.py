@@ -164,32 +164,26 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
     p: Optional[float] = args.p
     if args.confusion and args.records:
         raise ValueError("give at most one of --confusion and --records")
+    counts: Optional[ConfusionCounts] = None
     if args.confusion:
         counts = load_confusion(args.confusion)
+        provenance = {"source": "confusion-file", "path": args.confusion}
+    elif args.records:
+        records = load_records(args.records)
+        provenance = {"source": "records-file", "path": args.records}
+        if records[0].actual is not None:
+            counts = tally_confusion(records)
+        else:
+            summary = summarize_project(records)
+            l = summary.l_clean if l is None else l
+            provenance.update(n_total=summary.n_total, l_clean=summary.l_clean)
+    if counts is not None:
         verdict = validate_assumptions(counts)
         if not verdict.ok:
             raise ValueError("; ".join(verdict.violations))
         p = false_omission_rate(counts) if p is None else p
         l = (counts.fn_count + counts.tn_count) if l is None else l
-        provenance = {"source": "confusion-file", "path": args.confusion,
-                      "fn": counts.fn_count, "tn": counts.tn_count}
-    elif args.records:
-        records = load_records(args.records)
-        has_actuals = records[0].actual is not None
-        if has_actuals:
-            counts = tally_confusion(records)
-            verdict = validate_assumptions(counts)
-            if not verdict.ok:
-                raise ValueError("; ".join(verdict.violations))
-            p = false_omission_rate(counts) if p is None else p
-            l = (counts.fn_count + counts.tn_count) if l is None else l
-            provenance = {"source": "records-file", "path": args.records,
-                          "fn": counts.fn_count, "tn": counts.tn_count}
-        else:
-            summary = summarize_project(records)
-            l = summary.l_clean if l is None else l
-            provenance = {"source": "records-file", "path": args.records,
-                          "n_total": summary.n_total, "l_clean": summary.l_clean}
+        provenance.update(fn=counts.fn_count, tn=counts.tn_count)
     if l is None or p is None:
         raise ValueError("l and p must be resolvable from --l/--p or an input file")
     FailurePopulation(l, p)  # domain check with a precise message

@@ -3,10 +3,10 @@
 Each of the ``l`` predicted-clean modules is a Bernoulli trial that is
 actually defective with probability ``p`` (the false omission rate), so the
 latent failure count ``X`` is binomial(l, p).  This module provides the exact
-distribution, its expectation, and seeded sampling.  The PMF is evaluated in
-log space (Loader's saddle-point form); the tail Pr[X < threshold] is a
-regularized incomplete beta function, so the exact oracle costs the same at
-every l.
+distribution and its expectation; seeded sampling lives in ``montecarlo``.
+The PMF is evaluated in log space (Loader's saddle-point form); the tail
+Pr[X < threshold] is a regularized incomplete beta function, so the exact
+oracle costs the same at every l.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "binomial_log_pmf",
     "binomial_pmf",
     "binomial_cdf_below",
-    "sample_failures",
 ]
 
 
@@ -186,16 +185,3 @@ def binomial_cdf_below(pop: FailurePopulation, threshold: float) -> float:
     # Largest k with k < threshold; strict inequality drops an integral threshold.
     k = math.ceil(threshold) - 1
     return float(special.betaincc(k + 1, pop.l - k, pop.p))
-
-
-def sample_failures(pop: FailurePopulation, rng: np.random.Generator, *, per_indicator: bool = False) -> int:
-    """Draw one realization of X from binomial(l, p).
-
-    The default path uses the generator's exact binomial sampler.  With
-    ``per_indicator=True`` the draw is assembled from l explicit Bernoulli
-    indicators (one uniform per module, failure when u < p), which is slower
-    but mirrors the per-module failure story and admits forced test doubles.
-    """
-    if per_indicator:
-        return int(np.count_nonzero(rng.random(pop.l) < pop.p))
-    return int(rng.binomial(pop.l, pop.p))

@@ -29,7 +29,6 @@ __all__ = [
     "weibull_hazard",
     "weibull_cumulative_hazard",
     "weibull_reliability",
-    "combined_hazard",
     "expected_combined_hazard",
     "sdp_cumulative_hazard",
     "sdp_reliability",
@@ -96,13 +95,17 @@ def _require_nonnegative_time(t: float) -> None:
 
 
 def _scaled_power(params: WeibullParams, t: float, exponent: float) -> float:
-    """scale_k * t**exponent, with an overflow reported as a domain error."""
+    """scale_k * t**exponent, with an overflow reported as a domain error.
+
+    The power raises OverflowError; the product overflows silently to inf.
+    """
     try:
-        return params.scale_k * t**exponent
+        value = params.scale_k * t**exponent
     except OverflowError:
-        raise ValueError(
-            f"scale_k * t**{exponent} overflows at time t={t} (shape_m={params.shape_m})"
-        ) from None
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"scale_k * t**{exponent} overflows at time t={t} (shape_m={params.shape_m})")
+    return value
 
 
 def weibull_hazard(params: WeibullParams, t: float) -> float:
@@ -122,14 +125,6 @@ def weibull_cumulative_hazard(params: WeibullParams, t: float) -> float:
 def weibull_reliability(params: WeibullParams, t: float) -> float:
     """Probability of failure-free operation on [0, t]; exactly 1 at t = 0."""
     return math.exp(-weibull_cumulative_hazard(params, t))
-
-
-def combined_hazard(model: CombinedHazardModel, x: float, t: float) -> float:
-    """Hazard rate with x realized hidden defects: x + residual hazard at t."""
-    _require_positive_time(t)
-    if not (0 <= x <= model.population.l):
-        raise ValueError(f"x must lie in [0, {model.population.l}], got {x}")
-    return x + weibull_hazard(model.residual, t)
 
 
 def expected_combined_hazard(model: CombinedHazardModel, t: float) -> float:
@@ -199,8 +194,18 @@ def log_expected_sdp_reliability_bound(model: CombinedHazardModel, t: float, mod
 
 
 def expected_sdp_reliability_bound(model: CombinedHazardModel, t: float, mode: str = SIGN_CORRECTED) -> float:
-    """Closed-form upper bound on the expected reliability (see log variant)."""
-    return math.exp(log_expected_sdp_reliability_bound(model, t, mode))
+    """Closed-form upper bound on the expected reliability (see log variant).
+
+    The as-stated exponent grows with t; a bound beyond double range is
+    reported as a domain error.
+    """
+    try:
+        value = math.exp(log_expected_sdp_reliability_bound(model, t, mode))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"expected-reliability proxy ({mode}) overflows at time t={t}")
+    return value
 
 
 def reliability_by_integration(

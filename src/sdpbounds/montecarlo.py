@@ -3,8 +3,9 @@ auditor that compares bound reports against empirical or exact probabilities.
 
 Determinism contract: the sample index space is split into fixed-size blocks;
 block i draws from an independent substream derived from (seed, i), and block
-statistics are merged in index order with compensated accumulation.  Results
-are therefore bit-identical for any worker count and across runs.
+statistics are merged in index order, float sums with the exactly rounded
+``math.fsum``.  Results are therefore bit-identical for any worker count and
+across runs.
 
 Tail events share one seeded stream: estimate_tail_probabilities draws each
 block once and counts X < c for every cutoff c, so the hazard and reliability
@@ -134,17 +135,6 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
         return [f.result() for f in futures]
 
 
-def _kahan_sum(values: Sequence[float]) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def estimate_tail_probabilities(
     pop: FailurePopulation,
     thresholds: Sequence[float],
@@ -217,8 +207,8 @@ def estimate_expected_reliability(
         return float(np.sum(r)), float(np.sum(r * r))
 
     stats = _map_blocks(n, workers, block_fn)
-    total = _kahan_sum([s[0] for s in stats])
-    total_sq = _kahan_sum([s[1] for s in stats])
+    total = math.fsum(s[0] for s in stats)
+    total_sq = math.fsum(s[1] for s in stats)
     mean = total / n
     variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     std_error = math.sqrt(variance / n)

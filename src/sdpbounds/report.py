@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,7 @@ from .hazards import (
     SIGN_CORRECTED,
     CombinedHazardModel,
     WeibullParams,
+    _require_positive_time,
     expected_combined_hazard,
     expected_sdp_reliability_bound,
     expected_sdp_reliability_exact,
@@ -96,36 +98,24 @@ class SweepGrid:
     seed: int = 0
     modes: Tuple[str, ...] = MODES
 
+    @property
+    def axes(self) -> Tuple[Tuple, ...]:
+        """The seven axis value tuples, in PARAM_NAMES order."""
+        return (self.l_values, self.p_values, self.k_values, self.m_values,
+                self.k_hat_values, self.m_hat_values, self.t_values)
+
     def __post_init__(self) -> None:
-        axes = {
-            "l": self.l_values,
-            "p": self.p_values,
-            "K": self.k_values,
-            "m": self.m_values,
-            "K_hat": self.k_hat_values,
-            "m_hat": self.m_hat_values,
-            "t": self.t_values,
-        }
-        for name, values in axes.items():
+        for name, values in zip(PARAM_NAMES, self.axes):
             if not values:
                 raise ValueError(f"grid axis {name} is empty")
-        for l in self.l_values:
-            if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-                raise ValueError(f"l values must be integers >= 1, got {l!r}")
-        for p in self.p_values:
-            if not (0.0 < p < 1.0):
-                raise ValueError(f"p values must lie in (0, 1), got {p}")
-        for name, values in (("K", self.k_values), ("K_hat", self.k_hat_values)):
-            for v in values:
-                if not (v > 0.0):
-                    raise ValueError(f"{name} values must be > 0, got {v}")
-        for name, values in (("m", self.m_values), ("m_hat", self.m_hat_values)):
-            for v in values:
-                if not (v > -1.0):
-                    raise ValueError(f"{name} values must be > -1, got {v}")
+        # The domain types own the value checks; every axis value meets them.
+        for l, p in itertools.product(self.l_values, self.p_values):
+            FailurePopulation(l, p)
+        for k, m in itertools.product([*self.k_values, *self.k_hat_values],
+                                      [*self.m_values, *self.m_hat_values]):
+            WeibullParams(k, m)
         for t in self.t_values:
-            if not (t > 0.0):
-                raise ValueError(f"t values must be > 0, got {t}")
+            _require_positive_time(t)
         if self.samples and self.samples < 1000:
             raise ValueError(f"samples must be 0 (disabled) or >= 1000, got {self.samples}")
         if self.seed < 0:
@@ -137,14 +127,7 @@ class SweepGrid:
                 raise ValueError(f"unknown mode {mode!r}")
 
     def points(self) -> Iterable[Tuple[int, float, float, float, float, float, float]]:
-        for l in self.l_values:
-            for p in self.p_values:
-                for k in self.k_values:
-                    for m in self.m_values:
-                        for k_hat in self.k_hat_values:
-                            for m_hat in self.m_hat_values:
-                                for t in self.t_values:
-                                    yield (l, p, k, m, k_hat, m_hat, t)
+        return itertools.product(*self.axes)
 
 
 def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
@@ -357,15 +340,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
         "seed": grid.seed,
         "samples": grid.samples,
         "modes": list(grid.modes),
-        "grid": {
-            "l": list(grid.l_values),
-            "p": list(grid.p_values),
-            "K": list(grid.k_values),
-            "m": list(grid.m_values),
-            "K_hat": list(grid.k_hat_values),
-            "m_hat": list(grid.m_hat_values),
-            "t": list(grid.t_values),
-        },
+        "grid": {name: list(values) for name, values in zip(PARAM_NAMES, grid.axes)},
         "points": points,
         "summary": summary,
     }

@@ -15,7 +15,6 @@ from sdpbounds.failures import (
     binomial_log_pmf,
     binomial_pmf,
     expected_failures,
-    sample_failures,
 )
 
 
@@ -185,28 +184,12 @@ def test_cdf_matches_pmf_sum() -> None:
         assert binomial_cdf_below(pop, thr) == pytest.approx(want, rel=1e-12), (l, p, thr)
 
 
-class _ForcedRng:
-    """Degenerate uniform source driving every Bernoulli indicator one way."""
-
-    def __init__(self, value: float) -> None:
-        self._value = value
-
-    def random(self, n: int) -> np.ndarray:
-        return np.full(n, self._value)
-
-
-def test_sampling_forced_extremes() -> None:
-    pop = FailurePopulation(5, 0.5)
-    assert sample_failures(pop, _ForcedRng(0.0), per_indicator=True) == 5
-    assert sample_failures(pop, _ForcedRng(0.99999), per_indicator=True) == 0
-
-
 def test_sampling_mean_clt() -> None:
     pop = FailurePopulation(10, 0.5)
     rng = np.random.default_rng(20240817)
     n = 10**6
     draws = rng.binomial(pop.l, pop.p, size=n)
-    # Same generator contract as sample_failures' exact path.
+    # Same generator contract as the Monte Carlo blocks' draws.
     sd = math.sqrt(pop.l * pop.p * (1 - pop.p))
     assert abs(draws.mean() - 5.0) <= 3.0 * sd / math.sqrt(n)
 
@@ -216,19 +199,10 @@ def test_sampling_matches_cdf_ks() -> None:
     for l, p, seed in [(10, 0.5, 11), (100, 0.1, 12)]:
         pop = FailurePopulation(l, p)
         rng = np.random.default_rng(seed)
-        draws = np.array([sample_failures(pop, rng) for _ in range(1000)])
-        # Exact sampler bulk draw for the large-n KS check.
-        draws = np.concatenate([draws, rng.binomial(l, p, size=n - 1000)])
+        draws = rng.binomial(l, p, size=n)
         ks = 0.0
         for k in range(l + 1):
             empirical = np.count_nonzero(draws <= k) / n
             exact = binomial_cdf_below(pop, k + 1.0)
             ks = max(ks, abs(empirical - exact))
         assert ks <= 0.002, (l, p, ks)
-
-
-def test_per_indicator_mode_distribution() -> None:
-    pop = FailurePopulation(10, 0.5)
-    rng = np.random.default_rng(99)
-    draws = np.array([sample_failures(pop, rng, per_indicator=True) for _ in range(20_000)])
-    assert abs(draws.mean() - 5.0) <= 3.0 * math.sqrt(2.5) / math.sqrt(20_000)

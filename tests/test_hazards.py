@@ -14,7 +14,6 @@ from sdpbounds.hazards import (
     CombinedHazardModel,
     QuadratureError,
     WeibullParams,
-    combined_hazard,
     expected_combined_hazard,
     expected_sdp_reliability_bound,
     expected_sdp_reliability_exact,
@@ -52,16 +51,6 @@ def test_hazard_examples() -> None:
 
 def _model(l: int = 10, p: float = 0.3, k_hat: float = 1.0, m_hat: float = 0.0) -> CombinedHazardModel:
     return CombinedHazardModel(WeibullParams(k_hat, m_hat), FailurePopulation(l, p))
-
-
-def test_combined_hazard_examples() -> None:
-    assert combined_hazard(_model(), 0, 5.0) == 1.0
-    assert combined_hazard(_model(k_hat=1.0, m_hat=0.5), 3, 4.0) == pytest.approx(5.0, rel=1e-15)
-    assert combined_hazard(_model(l=2), 2, 1.0) == 3.0
-    with pytest.raises(ValueError):
-        combined_hazard(_model(l=2), 3, 1.0)
-    with pytest.raises(ValueError):
-        combined_hazard(_model(), 0, 0.0)
 
 
 def test_expected_combined_hazard() -> None:

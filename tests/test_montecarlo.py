@@ -19,6 +19,7 @@ from sdpbounds.hazards import (
     CombinedHazardModel,
     WeibullParams,
     expected_sdp_reliability_exact,
+    sdp_reliability,
     weibull_reliability,
 )
 from sdpbounds.montecarlo import (
@@ -172,12 +173,29 @@ def test_indicators_match_reliability_comparison() -> None:
     draws = np.concatenate(
         [mc._draw_block(pop, 31, i, s) for i, s in enumerate(mc._block_sizes(65_536 + 17))]
     )
-    from sdpbounds.hazards import sdp_reliability
-
     manual_rel = weibull_reliability(manual, t)
     alt = sdp_reliability(model, draws, t) > manual_rel
     assert np.array_equal(indicators, alt)
     assert indicators.mean() == estimate_tail_probability(pop, threshold, n=65_536 + 17, seed=31).estimate
+
+
+def test_expected_reliability_sums_blocks_exactly() -> None:
+    # Four blocks; at t = 1 a compensated (Kahan) running sum of the block
+    # sums misses the exactly rounded total in the standard error's last bit.
+    model = CombinedHazardModel(WeibullParams(1.0, 0.5), FailurePopulation(100, 0.1))
+    n = 100_000
+    for t in (1.0, 4.0):
+        seed = derive_point_seed(1, 100, 0.1, 2.0, 0.5, 1.0, 0.5, t, "reliability-mean")
+        blocks = [
+            sdp_reliability(model, mc._draw_block(model.population, seed, i, size), t)
+            for i, size in enumerate(mc._block_sizes(n))
+        ]
+        mean = math.fsum(float(np.sum(r)) for r in blocks) / n
+        total_sq = math.fsum(float(np.sum(r * r)) for r in blocks)
+        std_error = math.sqrt(max(0.0, (total_sq - n * mean * mean) / (n - 1)) / n)
+        for workers in (1, 3):
+            est = estimate_expected_reliability(model, t, n, seed, workers)
+            assert (est.estimate, est.std_error) == (mean, std_error), (t, workers)
 
 
 def test_audit_holds_case() -> None:
@@ -301,9 +319,15 @@ def test_cli_rejects_non_finite_parameters(capsys) -> None:
 
 
 def test_cli_power_overflow_is_domain_error(capsys) -> None:
-    _assert_one_line_error(
-        ["analyze", *_POINT_ARGS, "--K", "1", "--m", "2", "--t", "1e200"], capsys, "t=1e+200"
-    )
+    for flags, needle in [
+        (["--K", "1", "--m", "2", "--t", "1e200"], "t=1e+200"),
+        # The as-stated expectation proxy exceeds double range (default --mode both).
+        (["--K", "1", "--m", "0", "--t", "800"], "(as-stated) overflows at time t=800.0"),
+        (["--K", "1", "--m", "0", "--t", "1e10"], "(as-stated) overflows at time t=10000000000.0"),
+        # A finite power times a large scale overflows to inf.
+        (["--K", "1e300", "--m", "1", "--t", "1e10", "--mode", "sign-corrected"], "scale_k * t**1.0 overflows"),
+    ]:
+        _assert_one_line_error(["analyze", *_POINT_ARGS, *flags], capsys, needle)
 
 
 def test_seeds_at_or_above_2_64_are_rejected(capsys) -> None:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 
@@ -124,6 +127,19 @@ def test_sweep_grid_validation() -> None:
         SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (0.0,))
     with pytest.raises(ValueError):
         SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,), samples=17)
+
+
+def test_sweep_grid_rejects_non_finite_axes() -> None:
+    inf = math.inf
+    for axes, needle in [
+        (((10,), (0.1,), (inf,), (0.0,), (1.0,), (0.0,), (1.0,)), "scale_k"),
+        (((10,), (0.1,), (1.0,), (0.0,), (inf,), (0.0,), (1.0,)), "scale_k"),
+        (((10,), (0.1,), (1.0,), (inf,), (1.0,), (0.0,), (1.0,)), "shape_m"),
+        (((10,), (0.1,), (1.0,), (0.0,), (1.0,), (inf,), (1.0,)), "shape_m"),
+        (((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (inf,)), "time t"),
+    ]:
+        with pytest.raises(ValueError, match=needle):
+            SweepGrid(*axes)
 
 
 def test_monotonicity_summary_in_sweep() -> None:
@@ -364,3 +380,19 @@ def test_cli_import_skips_quadrature_and_stats() -> None:
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdpbounds.__file__))}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_public_surface_matches_readme() -> None:
+    # The package root re-exports exactly the README's library import block.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"from sdpbounds import \(([^)]*)\)", fh.read()).group(1)
+    documented = {name.strip() for name in block.split(",") if name.strip()}
+    assert set(sdpbounds.__all__) - {"__version__"} == documented
+    # No stale __all__ entry survives a deletion anywhere in the package.
+    for info in pkgutil.iter_modules(sdpbounds.__path__):
+        module = importlib.import_module(f"sdpbounds.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"sdpbounds.{info.name}.{name}"
+    for name in sdpbounds.__all__:
+        assert hasattr(sdpbounds, name), name
