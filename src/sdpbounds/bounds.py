@@ -26,6 +26,7 @@ from .hazards import (
     CombinedHazardModel,
     WeibullParams,
     expected_sdp_reliability_bound,
+    weibull_average_hazard,
     weibull_hazard,
 )
 
@@ -98,9 +99,7 @@ def reliability_event_threshold(manual: WeibullParams, residual: WeibullParams, 
     Dividing the cumulative-hazard comparison by t gives
     K*t**m/(m+1) - K_hat*t**m_hat/(m_hat+1).
     """
-    return weibull_hazard(manual, t) / (manual.shape_m + 1.0) - weibull_hazard(residual, t) / (
-        residual.shape_m + 1.0
-    )
+    return weibull_average_hazard(manual, t) - weibull_average_hazard(residual, t)
 
 
 def _domain_flags(threshold: float, mu: float, log_bound: float) -> frozenset:

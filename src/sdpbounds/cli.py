@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,9 +21,7 @@ from .ingest import (
     ParseError,
     false_omission_rate,
     load_confusion,
-    load_records,
-    summarize_project,
-    tally_confusion,
+    load_record_tally,
     validate_assumptions,
 )
 from .report import (
@@ -135,8 +134,7 @@ def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[s
     if args.confusion:
         counts = load_confusion(args.confusion)
         return counts, {"source": "confusion-file", "path": args.confusion}
-    records = load_records(args.records)
-    counts = tally_confusion(records)
+    counts = load_record_tally(args.records).confusion()
     return counts, {"source": "records-file", "path": args.records}
 
 
@@ -169,12 +167,12 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
         counts = load_confusion(args.confusion)
         provenance = {"source": "confusion-file", "path": args.confusion}
     elif args.records:
-        records = load_records(args.records)
+        tally = load_record_tally(args.records)
         provenance = {"source": "records-file", "path": args.records}
-        if records[0].actual is not None:
-            counts = tally_confusion(records)
+        if tally.unlabelled is None:
+            counts = tally.confusion()
         else:
-            summary = summarize_project(records)
+            summary = tally.summary()
             l = summary.l_clean if l is None else l
             provenance.update(n_total=summary.n_total, l_clean=summary.l_clean)
     if counts is not None:
@@ -342,11 +340,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "plotdata": _cmd_plotdata,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away: send what is still buffered to devnull so the
+        # flush at exit cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError, KeyError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError,
+            json.JSONDecodeError, KeyError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -27,6 +27,7 @@ __all__ = [
     "SIGN_CORRECTED",
     "MODES",
     "weibull_hazard",
+    "weibull_average_hazard",
     "weibull_cumulative_hazard",
     "weibull_reliability",
     "expected_combined_hazard",
@@ -94,17 +95,20 @@ def _require_nonnegative_time(t: float) -> None:
         raise ValueError(f"time t must be finite and >= 0, got {t}")
 
 
-def _scaled_power(params: WeibullParams, t: float, exponent: float) -> float:
-    """scale_k * t**exponent, with an overflow reported as a domain error.
+def _scaled_power(params: WeibullParams, t: float, exponent: float, divisor: float = 1.0) -> float:
+    """scale_k * t**exponent / divisor, with an overflow reported as a domain error.
 
-    The power raises OverflowError; the product overflows silently to inf.
+    The power raises OverflowError; the product, and the quotient by a
+    divisor near 0 (shape_m + 1 for shape_m just above -1), overflow silently
+    to inf.
     """
     try:
-        value = params.scale_k * t**exponent
+        value = params.scale_k * t**exponent / divisor
     except OverflowError:
         value = math.inf
     if value == math.inf:
-        raise ValueError(f"scale_k * t**{exponent} overflows at time t={t} (shape_m={params.shape_m})")
+        quotient = "" if divisor == 1.0 else f" / {divisor}"
+        raise ValueError(f"scale_k * t**{exponent}{quotient} overflows at time t={t} (shape_m={params.shape_m})")
     return value
 
 
@@ -114,12 +118,18 @@ def weibull_hazard(params: WeibullParams, t: float) -> float:
     return _scaled_power(params, t, params.shape_m)
 
 
+def weibull_average_hazard(params: WeibullParams, t: float) -> float:
+    """Average hazard over [0, t], the cumulative hazard over t: scale_k * t**shape_m / (shape_m+1)."""
+    _require_positive_time(t)
+    return _scaled_power(params, t, params.shape_m, params.shape_m + 1.0)
+
+
 def weibull_cumulative_hazard(params: WeibullParams, t: float) -> float:
     """Integral of the hazard over [0, t]: scale_k * t**(shape_m+1) / (shape_m+1)."""
     _require_nonnegative_time(t)
     if t == 0.0:
         return 0.0
-    return _scaled_power(params, t, params.shape_m + 1.0) / (params.shape_m + 1.0)
+    return _scaled_power(params, t, params.shape_m + 1.0, params.shape_m + 1.0)
 
 
 def weibull_reliability(params: WeibullParams, t: float) -> float:

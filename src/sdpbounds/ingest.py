@@ -3,7 +3,9 @@
 Two input shapes are accepted: per-module prediction records (CSV) and a
 pre-tallied confusion matrix (JSON object).  Records may omit the actual
 label entirely (new-project mode), in which case only the predicted-clean
-count can be derived.
+count can be derived.  Records are read as a stream: ``tally_records`` keeps
+only the counts of (predicted, actual) label pairs, so its memory does not
+grow with the number of rows.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "LABELS",
@@ -22,9 +26,12 @@ __all__ = [
     "ConfusionCounts",
     "ProjectSummary",
     "ValidationVerdict",
+    "RecordTally",
     "MODEL_CAVEATS",
     "parse_records",
     "load_records",
+    "tally_records",
+    "load_record_tally",
     "parse_confusion",
     "load_confusion",
     "tally_confusion",
@@ -35,7 +42,10 @@ __all__ = [
 
 LABELS = ("clean", "defective")
 
-_HEADER = ("module_id", "predicted", "actual")
+_HEADERS = (["module_id", "predicted", "actual"], ["module_id", "predicted"])
+
+# (row number, module id, predicted, actual) -> (predicted, actual)
+_LABEL_PAIR = itemgetter(2, 3)
 
 # Model preconditions that cannot be verified from a confusion matrix; they are
 # echoed on every validation verdict so reports state what the numbers assume.
@@ -50,7 +60,11 @@ MODEL_CAVEATS = (
 
 
 class ParseError(ValueError):
-    """Malformed input; carries the 1-based physical row number when known."""
+    """Malformed input; carries the 1-based CSV record number when known.
+
+    The record number counts CSV records, blank ones included; it differs
+    from the line number when a quoted field spans lines.
+    """
 
     def __init__(self, message: str, row: Optional[int] = None) -> None:
         if row is not None:
@@ -108,48 +122,107 @@ def _normalize_label(raw: str, row: int) -> str:
     return label
 
 
-def parse_records(source: Union[str, Iterable[str]]) -> List[PredictionRecord]:
-    """Parse CSV prediction records, preserving row order.
+def _iter_records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str, str, Optional[str]]]:
+    """Yield ``(row_no, module_id, predicted, actual)`` for each data row.
 
-    Layout: ``module_id,predicted[,actual]`` with an optional header row.  The
-    actual column must be present on every data row or on none of them;
-    labels are matched case-insensitively.
+    The layout and its rules are those of tally_records; ``actual`` is None
+    when the file has no actual column.  Each distinct raw label is
+    normalised once.
     """
-    if isinstance(source, str):
-        lines = io.StringIO(source)
-    else:
-        lines = source
-
-    records: List[PredictionRecord] = []
+    lines = io.StringIO(source) if isinstance(source, str) else source
+    labels: Dict[str, str] = {}  # raw label -> normalised label
     arity: Optional[int] = None
-    for row_no, raw in enumerate(csv.reader(lines), start=1):
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue  # blank line
-        fields = [f.strip() for f in raw]
-        if row_no == 1 and [f.lower() for f in fields] in (list(_HEADER), list(_HEADER[:2])):
-            continue
-        if len(fields) not in (2, 3):
-            raise ParseError(f"expected 2 or 3 columns, got {len(fields)}", row_no)
-        if arity is None:
-            arity = len(fields)
-        elif len(fields) != arity:
-            raise ParseError(
-                f"inconsistent column count: file started with {arity} columns, got {len(fields)}",
-                row_no,
-            )
-        module_id = fields[0]
-        predicted = _normalize_label(fields[1], row_no)
-        actual = _normalize_label(fields[2], row_no) if len(fields) == 3 else None
-        records.append(PredictionRecord(module_id, predicted, actual))
-
-    if not records:
+    row_no = 0
+    try:
+        for row_no, raw in enumerate(csv.reader(lines), start=1):
+            if len(raw) != arity:  # not a data row of the width the file started with
+                if not raw or (len(raw) == 1 and not raw[0].strip()):
+                    continue  # blank line
+                if row_no == 1 and [f.strip().lower() for f in raw] in _HEADERS:
+                    continue
+                if len(raw) not in (2, 3):
+                    raise ParseError(f"expected 2 or 3 columns, got {len(raw)}", row_no)
+                if arity is not None:
+                    raise ParseError(
+                        f"inconsistent column count: file started with {arity} columns, got {len(raw)}",
+                        row_no,
+                    )
+                arity = len(raw)
+            predicted = labels.get(raw[1])
+            if predicted is None:
+                predicted = labels[raw[1]] = _normalize_label(raw[1], row_no)
+            actual = None
+            if arity == 3:
+                actual = labels.get(raw[2])
+                if actual is None:
+                    actual = labels[raw[2]] = _normalize_label(raw[2], row_no)
+            yield row_no, raw[0].strip(), predicted, actual
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
+    if arity is None:
         raise ParseError("no data rows in input")
-    return records
+
+
+def parse_records(source: Union[str, Iterable[str]]) -> List[PredictionRecord]:
+    """Parse CSV prediction records, preserving row order (layout: see tally_records)."""
+    return [PredictionRecord(*row[1:]) for row in _iter_records(source)]
 
 
 def load_records(path: Union[str, Path]) -> List[PredictionRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_records(fh)
+
+
+@dataclass(frozen=True)
+class RecordTally:
+    """Prediction records reduced to counts of (predicted, actual) label pairs.
+
+    ``actual`` is None in the pairs of records without an actual label, and
+    ``unlabelled`` holds the 1-based index and module id of the first of them.
+    """
+
+    pairs: Counter[Tuple[str, Optional[str]]]
+    unlabelled: Optional[Tuple[int, str]]
+
+    def confusion(self) -> ConfusionCounts:
+        """Count FN/TN/FP/TP; every record must carry an actual label."""
+        if self.unlabelled is not None:
+            index, module_id = self.unlabelled
+            raise ValueError(
+                f"record {index} (module {module_id!r}) has no actual label; "
+                "confusion tallying needs test-set records"
+            )
+        pairs = self.pairs
+        return ConfusionCounts(
+            fn_count=pairs["clean", "defective"],
+            tn_count=pairs["clean", "clean"],
+            fp_count=pairs["defective", "clean"],
+            tp_count=pairs["defective", "defective"],
+        )
+
+    def summary(self) -> ProjectSummary:
+        """Module count and predicted-clean count (actual labels not needed)."""
+        l_clean = sum(n for (predicted, _), n in self.pairs.items() if predicted == "clean")
+        return ProjectSummary(n_total=sum(self.pairs.values()), l_clean=l_clean)
+
+
+def tally_records(source: Union[str, Iterable[str]]) -> RecordTally:
+    """Count the label pairs of CSV prediction records in one pass.
+
+    Layout: ``module_id,predicted[,actual]`` with an optional header row.  The
+    actual column must be present on every data row or on none of them;
+    labels are matched case-insensitively.  No record list is built.
+    """
+    rows = _iter_records(source)
+    _, first_module, predicted, actual = next(rows)
+    pairs = Counter(map(_LABEL_PAIR, rows))
+    pairs[predicted, actual] += 1
+    return RecordTally(pairs, None if actual is not None else (1, first_module))
+
+
+def load_record_tally(path: Union[str, Path]) -> RecordTally:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return tally_records(fh)
 
 
 def parse_confusion(text: str) -> ConfusionCounts:
@@ -182,28 +255,17 @@ def load_confusion(path: Union[str, Path]) -> ConfusionCounts:
         return parse_confusion(fh.read())
 
 
+def _tally_list(records: List[PredictionRecord]) -> RecordTally:
+    pairs = Counter((r.predicted, r.actual) for r in records)
+    unlabelled = next(((i, r.module_id) for i, r in enumerate(records, start=1) if r.actual is None), None)
+    return RecordTally(pairs, unlabelled)
+
+
 def tally_confusion(records: List[PredictionRecord]) -> ConfusionCounts:
     """Count FN/TN/FP/TP; every record must carry an actual label."""
     if not records:
         raise ValueError("no records to tally")
-    fn = tn = fp = tp = 0
-    for idx, record in enumerate(records, start=1):
-        if record.actual is None:
-            raise ValueError(
-                f"record {idx} (module {record.module_id!r}) has no actual label; "
-                "confusion tallying needs test-set records"
-            )
-        if record.predicted == "clean":
-            if record.actual == "defective":
-                fn += 1
-            else:
-                tn += 1
-        else:
-            if record.actual == "defective":
-                tp += 1
-            else:
-                fp += 1
-    return ConfusionCounts(fn_count=fn, tn_count=tn, fp_count=fp, tp_count=tp)
+    return _tally_list(records).confusion()
 
 
 def false_omission_rate(counts: ConfusionCounts) -> float:
@@ -232,5 +294,4 @@ def validate_assumptions(counts: ConfusionCounts) -> ValidationVerdict:
 
 def summarize_project(records: List[PredictionRecord]) -> ProjectSummary:
     """Module count and predicted-clean count (actual labels not needed)."""
-    l_clean = sum(1 for r in records if r.predicted == "clean")
-    return ProjectSummary(n_total=len(records), l_clean=l_clean)
+    return _tally_list(records).summary()

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import tracemalloc
 
 import pytest
 
+from sdpbounds import ingest
+from sdpbounds.cli import main
 from sdpbounds.ingest import (
     ConfusionCounts,
     ParseError,
@@ -17,6 +22,7 @@ from sdpbounds.ingest import (
     parse_records,
     summarize_project,
     tally_confusion,
+    tally_records,
     validate_assumptions,
 )
 
@@ -181,3 +187,140 @@ def test_file_loaders(tmp_path) -> None:
     confusion_path = tmp_path / "confusion.json"
     confusion_path.write_text('{"fn": 5, "tn": 45}', encoding="utf-8")
     assert load_confusion(confusion_path) == ConfusionCounts(5, 45)
+
+
+# ---------------------------------------------------------------------------
+# Streaming records path: the CLI tallies without building a record list.
+# ---------------------------------------------------------------------------
+
+_SHAPE_ARGS = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "1", "--samples", "0"]
+
+
+def _messy_records(rng: random.Random, with_actual: bool):
+    """A records CSV with a header, blank lines, padded mixed-case labels and
+    duplicated module ids, plus its (predicted, actual) pairs as written."""
+    def label(name: str) -> str:
+        cased = "".join(c.upper() if rng.random() < 0.3 else c for c in name)
+        return " " * rng.randint(0, 2) + cased + " " * rng.randint(0, 2)
+
+    lines = [rng.choice(["module_id,predicted,actual", " Module_ID , PREDICTED , Actual"])
+             if with_actual else rng.choice(["module_id,predicted", "MODULE_ID, predicted "])]
+    pairs = []
+    for _ in range(rng.randint(150, 300)):
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "   "]))
+        module_id = f" m{rng.randint(0, 40)}"  # few distinct ids, so many repeat
+        predicted = rng.choice(["clean", "clean", "defective"])
+        actual = rng.choice(["clean", "defective"]) if with_actual else None
+        fields = [module_id, label(predicted)] + ([label(actual)] if with_actual else [])
+        lines.append(",".join(fields))
+        pairs.append((predicted, actual))
+    if rng.random() < 0.5:
+        lines = lines[1:]
+    return "\n".join(lines) + "\n", pairs
+
+
+def test_cli_streaming_counts_match_record_list(tmp_path, capsys) -> None:
+    path = tmp_path / "records.csv"
+    for seed in range(12):
+        rng = random.Random(seed)
+        with_actual = seed % 2 == 0
+        text, pairs = _messy_records(rng, with_actual)
+        path.write_text(text, encoding="utf-8")
+        records = parse_records(text)
+        assert [(r.predicted, r.actual) for r in records] == pairs
+        summary = summarize_project(records)
+        assert summary == tally_records(text).summary()
+        assert summary.n_total == len(pairs)
+        assert summary.l_clean == sum(predicted == "clean" for predicted, _ in pairs)
+
+        if with_actual:
+            counts = tally_confusion(records)
+            assert counts == tally_records(text).confusion()
+            assert counts.fn_count == pairs.count(("clean", "defective"))
+            assert counts.tp_count == pairs.count(("defective", "defective"))
+            main(["for", "--records", str(path)])
+            out = capsys.readouterr().out
+            assert f"fn={counts.fn_count} tn={counts.tn_count} " in out
+        else:
+            with pytest.raises(ValueError, match="record 1 "):
+                tally_confusion(records)
+
+        report_path = tmp_path / "report.json"
+        assert main(["analyze", "--records", str(path), "--p", "0.1", *_SHAPE_ARGS, "--out", str(report_path)]) == 0
+        capsys.readouterr()
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        provenance = report["for_provenance"]
+        if with_actual:
+            assert (provenance["fn"], provenance["tn"]) == (counts.fn_count, counts.tn_count)
+            assert report["params"]["l"] == counts.fn_count + counts.tn_count
+        else:
+            assert (provenance["n_total"], provenance["l_clean"]) == (summary.n_total, summary.l_clean)
+            assert report["params"]["l"] == summary.l_clean
+
+
+def test_cli_records_parse_error_precedes_missing_actuals(tmp_path, capsys) -> None:
+    path = tmp_path / "records.csv"
+    path.write_text("m1,clean\nm2,clean\nm3,fuzzy\n", encoding="utf-8")
+    assert main(["for", "--records", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "row 3" in err and "no actual label" not in err
+
+    path.write_text("m1,clean\nm2,clean\n", encoding="utf-8")
+    assert main(["for", "--records", str(path)]) == 1
+    assert "record 1 (module 'm1') has no actual label" in capsys.readouterr().err
+
+
+def test_cli_records_paths_build_no_record_list(tmp_path, capsys, monkeypatch) -> None:
+    def no_records(*args, **kwargs):
+        raise AssertionError("a PredictionRecord was built")
+
+    monkeypatch.setattr(ingest, "PredictionRecord", no_records)
+    tested = tmp_path / "tested.csv"
+    tested.write_text("m1,clean,defective\nm2,clean,clean\nm3,defective,clean\n", encoding="utf-8")
+    fresh = tmp_path / "fresh.csv"
+    fresh.write_text("m1,clean\nm2,defective\n", encoding="utf-8")
+    assert main(["for", "--records", str(tested)]) == 0
+    assert main(["analyze", "--records", str(tested), *_SHAPE_ARGS]) == 0
+    assert main(["analyze", "--records", str(fresh), "--p", "0.1", *_SHAPE_ARGS]) == 0
+    capsys.readouterr()
+
+
+def test_cli_records_memory_does_not_grow_with_rows(tmp_path, capsys) -> None:
+    path = tmp_path / "records.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("module_id,predicted,actual\n")
+        fh.writelines(f"m{i},{'clean' if i % 5 else 'defective'},{'defective' if i % 7 == 0 else 'clean'}\n"
+                      for i in range(100_000))
+    tracemalloc.start()
+    try:
+        code = main(["for", "--records", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "fn=11428 tn=68572 " in capsys.readouterr().out
+    assert peak < 4 * 2**20, peak  # a list of 100k records costs tens of MB
+
+
+def test_oversized_csv_field_is_a_parse_error(tmp_path, capsys) -> None:
+    text = "m0,clean,clean\nm1,clean," + "x" * 200_000 + "\n"
+    with pytest.raises(ParseError, match="row 2: malformed CSV: field larger than field limit"):
+        parse_records(text)
+    path = tmp_path / "big.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["for", "--records", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 2: ") and err.count("\n") == 1, err
+
+
+def test_non_utf8_input_is_a_read_error(tmp_path, capsys) -> None:
+    records = tmp_path / "records.csv"
+    records.write_bytes(b"m1,cl\xffean,clean\n")
+    confusion = tmp_path / "confusion.json"
+    confusion.write_bytes(b'{"fn": 5, "tn": 4\xff5}')
+    for argv in (["for", "--records", str(records)], ["for", "--confusion", str(confusion)],
+                 ["analyze", "--records", str(records), *_SHAPE_ARGS]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: cannot read input: 'utf-8' codec can't decode byte 0xff .*\n", err), err

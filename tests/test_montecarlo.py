@@ -20,6 +20,7 @@ from sdpbounds.hazards import (
     WeibullParams,
     expected_sdp_reliability_exact,
     sdp_reliability,
+    weibull_cumulative_hazard,
     weibull_reliability,
 )
 from sdpbounds.montecarlo import (
@@ -326,8 +327,15 @@ def test_cli_power_overflow_is_domain_error(capsys) -> None:
         (["--K", "1", "--m", "0", "--t", "1e10"], "(as-stated) overflows at time t=10000000000.0"),
         # A finite power times a large scale overflows to inf.
         (["--K", "1e300", "--m", "1", "--t", "1e10", "--mode", "sign-corrected"], "scale_k * t**1.0 overflows"),
+        # A finite product over m + 1 for m just above -1 overflows to inf.
+        (["--K", "1e300", "--m", "-0.9999999999999999", "--t", "1"], "overflows at time t=1.0"),
     ]:
         _assert_one_line_error(["analyze", *_POINT_ARGS, *flags], capsys, needle)
+    near_minus_one = WeibullParams(1e300, -0.9999999999999999)
+    with pytest.raises(ValueError, match="overflows at time t=1.0"):
+        weibull_cumulative_hazard(near_minus_one, 1.0)
+    with pytest.raises(ValueError, match="overflows at time t=1.0"):
+        reliability_event_threshold(near_minus_one, WeibullParams(1.0, 0.0), 1.0)
 
 
 def test_seeds_at_or_above_2_64_are_rejected(capsys) -> None:

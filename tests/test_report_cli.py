@@ -16,6 +16,7 @@ import pytest
 import sdpbounds
 from sdpbounds.cli import main
 from sdpbounds.report import (
+    DEFAULT_AUDIT_AXES,
     SweepGrid,
     analyze,
     analyze_point,
@@ -373,6 +374,24 @@ def test_cli_analyze_large_l_audits_are_exact(tmp_path) -> None:
         assert audit["empirical_is_exact"] is True
         assert audit["estimate"] is None
     assert point["reference_audit"]["verdict"] == "holds"
+
+
+def test_cli_closed_stdout_exits_quietly() -> None:
+    # The CSV (about 330 kB) outgrows the pipe buffer, so the write meets the closed pipe.
+    argv = [sys.executable, "-m", "sdpbounds", "sweep", "--samples", "0"]
+    for name, values in DEFAULT_AUDIT_AXES.items():
+        argv += ["--" + name.replace("_", "-"), ",".join(map(str, values))]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdpbounds.__file__))}
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"l,p,K,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_cli_import_skips_quadrature_and_stats() -> None:
