@@ -280,33 +280,53 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _audit_exit_code(report, args.strict)
 
 
+def _point_from_csv_row(row: Dict[str, str]) -> Dict[str, object]:
+    """Rebuild the minimal point structure plot_series needs from one sweep CSV row."""
+    point: Dict[str, object] = {
+        "l": int(row["l"]),
+        "p": float(row["p"]),
+        "K": float(row["K"]),
+        "m": float(row["m"]),
+        "K_hat": float(row["K_hat"]),
+        "m_hat": float(row["m_hat"]),
+        "t": float(row["t"]),
+        "expected_hazard": float(row["expected_hazard"]),
+        "manual_hazard": float(row["manual_hazard"]),
+        "manual_reliability": float(row["manual_reliability"]),
+        "expected_reliability_exact": float(row["expected_reliability_exact"]),
+        "hazard_bound": {"bound": float(row["hazard_bound"])},
+        "hazard_exact_tail": float(row["hazard_exact_tail"]) if row["hazard_exact_tail"] else None,
+    }
+    rel: Dict[str, object] = {}
+    if row["rel_sc_bound"]:
+        rel[SIGN_CORRECTED] = {"bound": {"bound": float(row["rel_sc_bound"])}}
+    if row["rel_as_bound"]:
+        rel[AS_STATED] = {"bound": {"bound": float(row["rel_as_bound"])}}
+    point["reliability_bound"] = rel
+    return point
+
+
 def _points_from_sweep_csv(path: str) -> List[Dict[str, object]]:
-    """Rebuild the minimal point structure plot_series needs from a sweep CSV."""
+    """Points of a sweep CSV; a malformed record is a ParseError with its record number."""
     points: List[Dict[str, object]] = []
+    header: Optional[List[str]] = None
+    row_no = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            point: Dict[str, object] = {
-                "l": int(row["l"]),
-                "p": float(row["p"]),
-                "K": float(row["K"]),
-                "m": float(row["m"]),
-                "K_hat": float(row["K_hat"]),
-                "m_hat": float(row["m_hat"]),
-                "t": float(row["t"]),
-                "expected_hazard": float(row["expected_hazard"]),
-                "manual_hazard": float(row["manual_hazard"]),
-                "manual_reliability": float(row["manual_reliability"]),
-                "expected_reliability_exact": float(row["expected_reliability_exact"]),
-                "hazard_bound": {"bound": float(row["hazard_bound"])},
-                "hazard_exact_tail": float(row["hazard_exact_tail"]) if row["hazard_exact_tail"] else None,
-            }
-            rel: Dict[str, object] = {}
-            if row["rel_sc_bound"]:
-                rel[SIGN_CORRECTED] = {"bound": {"bound": float(row["rel_sc_bound"])}}
-            if row["rel_as_bound"]:
-                rel[AS_STATED] = {"bound": {"bound": float(row["rel_as_bound"])}}
-            point["reliability_bound"] = rel
-            points.append(point)
+        try:
+            for row_no, values in enumerate(csv.reader(fh), start=1):
+                if not values:
+                    continue
+                if header is None:
+                    header = values
+                    continue
+                if len(values) != len(header):
+                    raise ParseError(f"expected {len(header)} columns, got {len(values)}", row_no)
+                try:
+                    points.append(_point_from_csv_row(dict(zip(header, values))))
+                except ValueError as exc:
+                    raise ParseError(f"bad value: {exc}", row_no) from exc
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
     return points
 
 

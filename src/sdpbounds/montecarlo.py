@@ -7,9 +7,12 @@ statistics are merged in index order, float sums with the exactly rounded
 ``math.fsum``.  Results are therefore bit-identical for any worker count and
 across runs.
 
-Tail events share one seeded stream: estimate_tail_probabilities draws each
-block once and counts X < c for every cutoff c, so the hazard and reliability
-tails of a point come from the same draws and one pass over them.
+Each point has one seeded stream, drawn in one pass: every block is drawn
+once, counts X < c for every cutoff c and sums the SDP reliability of its
+draws, so the hazard and reliability tails and the reliability mean of a
+point all come from the same draws.  The tail intervals are Wilson score
+intervals; the mean's is an empirical Bernstein bound, which stays valid
+for a bounded variable whose mean sits in a tail the draws rarely reach.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .bounds import BoundReport, reliability_event_threshold
 from .failures import FailurePopulation
-from .hazards import CombinedHazardModel, WeibullParams, sdp_reliability
+from .hazards import CombinedHazardModel, WeibullParams, sdp_reliability, weibull_reliability
 
 __all__ = [
     "BLOCK_SIZE",
@@ -45,6 +48,9 @@ __all__ = [
 BLOCK_SIZE = 1 << 15
 
 _Z95 = 1.959963984540054
+
+# ln(4 / delta) for the two-sided 95% empirical Bernstein interval.
+_LOG_4_OVER_DELTA = math.log(4.0 / 0.05)
 
 VERDICT_HOLDS = "holds"
 VERDICT_VIOLATED = "violated"
@@ -135,6 +141,77 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
         return [f.result() for f in futures]
 
 
+def _estimate_stream(
+    pop: FailurePopulation,
+    thresholds: Sequence[float],
+    n: int,
+    seed: int,
+    workers: int,
+    model: Optional[CombinedHazardModel] = None,
+    t: float = 0.0,
+) -> Tuple[Tuple[MonteCarloEstimate, ...], Optional[MonteCarloEstimate]]:
+    """One pass over the seed's blocks: a tail estimate per threshold and,
+    given ``model``, the mean SDP reliability at ``t`` of the same draws.
+
+    Each block is drawn once; it counts X < c for every distinct live cutoff
+    and sums r and r*r.  Without ``model`` and with no live cutoff nothing is
+    drawn.
+    """
+    _validate_sampling_args(n, seed)
+    if model is not None and not (t >= 0.0):
+        raise ValueError(f"time t must be >= 0, got {t}")
+    # A NaN cutoff is live: it is drawn and never hit.
+    live = list(dict.fromkeys(c for c in thresholds if not c <= 0.0))
+    blocks: List[object] = []
+    if live or model is not None:
+
+        def block_fn(i: int, size: int) -> Tuple[List[int], float, float]:
+            x = _draw_block(pop, seed, i, size)
+            counts = [int(np.count_nonzero(x < c)) for c in live]
+            if model is None:
+                return counts, 0.0, 0.0
+            r = sdp_reliability(model, x, t)
+            return counts, float(np.sum(r)), float(np.sum(r * r))
+
+        blocks = _map_blocks(n, workers, block_fn)
+    hits = dict(zip(live, map(sum, zip(*(b[0] for b in blocks)))))
+    tails = tuple(_tail_estimate(c, hits.get(c, 0), n, seed) for c in thresholds)
+    if model is None:
+        return tails, None
+    bound = weibull_reliability(model.residual, t)
+    return tails, _mean_estimate(blocks, bound, n, seed)
+
+
+def _tail_estimate(threshold: float, count: int, n: int, seed: int) -> MonteCarloEstimate:
+    """Hit rate with its Wilson interval; a cutoff <= 0 is the impossible event."""
+    if threshold <= 0.0:
+        return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
+    p_hat = count / n
+    ci_low, ci_high = wilson_interval(count, n)
+    std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
+    return MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
+
+
+def _mean_estimate(blocks: Sequence, bound: float, n: int, seed: int) -> MonteCarloEstimate:
+    """Sample mean of r in [0, bound] with a two-sided empirical Bernstein interval.
+
+    Maurer & Pontil (2009), Thm 4, with delta = 0.05 split across the two
+    sides and scaled from [0, 1] to [0, bound].  Unlike mean +- z*se it holds
+    when the draws miss the lower defect-count tail that carries the mean.
+    """
+    total = math.fsum(b[1] for b in blocks)
+    total_sq = math.fsum(b[2] for b in blocks)
+    mean = total / n
+    variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+    std_error = math.sqrt(variance / n)
+    half = (math.sqrt(2.0 * variance * _LOG_4_OVER_DELTA / n)
+            + 7.0 * bound * _LOG_4_OVER_DELTA / (3.0 * (n - 1)))
+    # Rounding can leave the mean of equal draws an ulp outside [0, bound].
+    ci_low = min(max(0.0, mean - half), mean)
+    ci_high = max(min(bound, mean + half), mean)
+    return MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, seed)
+
+
 def estimate_tail_probabilities(
     pop: FailurePopulation,
     thresholds: Sequence[float],
@@ -150,31 +227,7 @@ def estimate_tail_probabilities(
     gets a degenerate zero estimate; no block is drawn unless some cutoff is
     positive.
     """
-    _validate_sampling_args(n, seed)
-    # A NaN cutoff is live: it is drawn and never hit.
-    live = list(dict.fromkeys(c for c in thresholds if not c <= 0.0))
-    hits: Dict[float, int] = {}
-    if live:
-
-        def block_fn(i: int, size: int) -> List[int]:
-            x = _draw_block(pop, seed, i, size)
-            return [int(np.count_nonzero(x < c)) for c in live]
-
-        hits = dict(zip(live, map(sum, zip(*_map_blocks(n, workers, block_fn)))))
-
-    estimates = []
-    for threshold in thresholds:
-        if threshold <= 0.0:
-            estimates.append(MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold))
-            continue
-        count = hits[threshold]
-        p_hat = count / n
-        ci_low, ci_high = wilson_interval(count, n)
-        std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-        estimates.append(
-            MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
-        )
-    return tuple(estimates)
+    return _estimate_stream(pop, thresholds, n, seed, workers)[0]
 
 
 def estimate_tail_probability(
@@ -195,25 +248,14 @@ def estimate_expected_reliability(
     seed: int,
     workers: int = 1,
 ) -> MonteCarloEstimate:
-    """Mean SDP reliability over n seeded defect-count draws, normal CI."""
-    _validate_sampling_args(n, seed)
-    if not (t >= 0.0):
-        raise ValueError(f"time t must be >= 0, got {t}")
-    pop = model.population
+    """Mean SDP reliability over n seeded defect-count draws.
 
-    def block_fn(i: int, size: int) -> Tuple[float, float]:
-        x = _draw_block(pop, seed, i, size)
-        r = sdp_reliability(model, x, t)
-        return float(np.sum(r)), float(np.sum(r * r))
-
-    stats = _map_blocks(n, workers, block_fn)
-    total = math.fsum(s[0] for s in stats)
-    total_sq = math.fsum(s[1] for s in stats)
-    mean = total / n
-    variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    std_error = math.sqrt(variance / n)
-    half = _Z95 * std_error
-    return MonteCarloEstimate(mean, std_error, mean - half, mean + half, n, seed)
+    The interval is the empirical Bernstein bound for r in
+    [0, weibull_reliability(residual, t)]; ``std_error`` is the sample
+    standard error.  At a point's tail seed this is the estimate that
+    analyze_point reports, drawn in the same pass as the tail counts.
+    """
+    return _estimate_stream(model.population, (), n, seed, workers, model, t)[1]
 
 
 def estimate_reliability_exceedance(

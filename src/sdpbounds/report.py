@@ -41,13 +41,7 @@ from .hazards import (
     weibull_hazard,
     weibull_reliability,
 )
-from .montecarlo import (
-    AuditVerdict,
-    MonteCarloEstimate,
-    audit_bound,
-    estimate_expected_reliability,
-    estimate_tail_probabilities,
-)
+from .montecarlo import AuditVerdict, MonteCarloEstimate, _estimate_stream, audit_bound
 
 __all__ = [
     "PLOT_SELECTORS",
@@ -230,8 +224,9 @@ def analyze_point(
     # A point has at most two tail events, paired with the audits by position:
     # the reference audit shares the hazard cutoff and every mode shares the
     # reliability cutoff.  Each distinct cutoff value gets one exact tail and,
-    # with sampling on, one count in a single draw pass.  The estimates stay
-    # positional, so each carries its own cutoff even where 0.0 == -0.0.
+    # with sampling on, one count in the point's single draw pass, which also
+    # gives the reliability mean.  The estimates stay positional, so each
+    # carries its own cutoff even where 0.0 == -0.0.
     cutoffs = [hazard_report.event_threshold]
     if modes:
         cutoffs.append(reliability_reports[modes[0]].event_threshold)
@@ -239,9 +234,9 @@ def analyze_point(
     exact_tails = [oracle[c] for c in cutoffs]
     if samples:
         tail_seed = derive_point_seed(seed, l, p, k, m, k_hat, m_hat, t, "tail")
-        tail_mc = estimate_tail_probabilities(pop, cutoffs, samples, tail_seed, workers)
+        tail_mc, mean_mc = _estimate_stream(pop, cutoffs, samples, tail_seed, workers, model, t)
     else:
-        tail_mc = (None,) * len(cutoffs)
+        tail_mc, mean_mc = (None,) * len(cutoffs), None
 
     point["hazard_bound"] = _report_dict(hazard_report)
     point["hazard_exact_tail"] = exact_tails[0]
@@ -261,13 +256,7 @@ def analyze_point(
     point["reference_bound"] = _report_dict(reference_report)
     point["reference_audit"] = _audit_dict(audit_bound(reference_report, exact_tails[0]))
 
-    if samples:
-        mean_seed = derive_point_seed(seed, l, p, k, m, k_hat, m_hat, t, "reliability-mean")
-        point["expected_reliability_mc"] = _estimate_dict(
-            estimate_expected_reliability(model, t, samples, mean_seed, workers)
-        )
-    else:
-        point["expected_reliability_mc"] = None
+    point["expected_reliability_mc"] = _estimate_dict(mean_mc)
     return point
 
 
@@ -318,12 +307,16 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
 
     Points may be evaluated concurrently; assembly is in deterministic grid
     order and every per-point record is reproducible by analyze_point alone.
+    A point's domain error is raised with all seven coordinates in front.
     """
     coords = list(grid.points())
 
     def evaluate(coord: Tuple) -> Dict[str, object]:
-        l, p, k, m, k_hat, m_hat, t = coord
-        return analyze_point(l, p, k, m, k_hat, m_hat, t, grid.samples, grid.seed, 1, grid.modes)
+        try:
+            return analyze_point(*coord, grid.samples, grid.seed, 1, grid.modes)
+        except ValueError as exc:
+            where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
+            raise ValueError(f"{where}: {exc}") from exc
 
     if workers > 1 and len(coords) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,14 @@ from sdpbounds.montecarlo import (
     tail_event_indicators,
     wilson_interval,
 )
-from sdpbounds.report import SweepGrid, analyze_point, derive_point_seed
+from sdpbounds.report import (
+    DEFAULT_AUDIT_AXES,
+    PARAM_NAMES,
+    SweepGrid,
+    analyze_point,
+    derive_point_seed,
+    sweep,
+)
 
 
 def test_wilson_interval_contains_p_hat() -> None:
@@ -193,10 +201,48 @@ def test_expected_reliability_sums_blocks_exactly() -> None:
         ]
         mean = math.fsum(float(np.sum(r)) for r in blocks) / n
         total_sq = math.fsum(float(np.sum(r * r)) for r in blocks)
-        std_error = math.sqrt(max(0.0, (total_sq - n * mean * mean) / (n - 1)) / n)
+        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+        std_error = math.sqrt(variance / n)
+        # Two-sided empirical Bernstein interval for r in [0, b], delta = 0.05.
+        b, log_term = weibull_reliability(model.residual, t), math.log(4.0 / 0.05)
+        half = math.sqrt(2.0 * variance * log_term / n) + 7.0 * b * log_term / (3.0 * (n - 1))
+        interval = (max(0.0, mean - half), min(b, mean + half))
         for workers in (1, 3):
             est = estimate_expected_reliability(model, t, n, seed, workers)
             assert (est.estimate, est.std_error) == (mean, std_error), (t, workers)
+            assert (est.ci_low, est.ci_high) == interval, (t, workers)
+
+
+def test_analyze_point_reports_the_public_estimators() -> None:
+    # Tails and mean come from one pass; each equals its own estimator at the tail seed.
+    l, p, k, m, k_hat, m_hat, t = 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0
+    n = 2 * mc.BLOCK_SIZE + 17
+    pop = FailurePopulation(l, p)
+    model = CombinedHazardModel(WeibullParams(k_hat, m_hat), pop)
+    tail_seed = derive_point_seed(9, l, p, k, m, k_hat, m_hat, t, "tail")
+    for workers in (1, 3):
+        point = analyze_point(l, p, k, m, k_hat, m_hat, t, samples=n, seed=9, workers=workers)
+        cutoffs = (point["hazard_bound"]["event_threshold"],
+                   point["reliability_bound"]["sign-corrected"]["bound"]["event_threshold"])
+        assert all(c > 0.0 for c in cutoffs)
+        tails = mc.estimate_tail_probabilities(pop, cutoffs, n, tail_seed, workers)
+        assert point["hazard_tail_mc"] == dataclasses.asdict(tails[0])
+        for record in point["reliability_bound"].values():
+            assert record["exceedance_mc"] == dataclasses.asdict(tails[1])
+        mean = estimate_expected_reliability(model, t, n, tail_seed, workers)
+        assert point["expected_reliability_mc"] == dataclasses.asdict(mean)
+
+
+def test_reliability_mean_interval_covers_exact_on_default_grid() -> None:
+    # The normal interval missed the exact mean at a third of these points.
+    grid = SweepGrid(*(tuple(DEFAULT_AUDIT_AXES[name]) for name in PARAM_NAMES), samples=10_000, seed=0)
+    points = sweep(grid)["points"]
+    covered = sum(
+        pt["expected_reliability_mc"]["ci_low"] <= pt["expected_reliability_exact"]
+        <= pt["expected_reliability_mc"]["ci_high"]
+        for pt in points
+    )
+    assert covered >= 0.95 * len(points), covered
 
 
 def test_audit_holds_case() -> None:
@@ -291,8 +337,8 @@ def test_one_draw_pass_per_seed(monkeypatch) -> None:
     point = analyze_point(100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, samples=10_000, seed=3)
     assert point["hazard_bound"]["event_threshold"] > 0.0
     assert point["reliability_exact_tail"] > 0.0
-    assert len(calls) == 2  # one tail pass for both cutoffs, one mean pass
-    assert len(set(calls)) == 2
+    assert len(calls) == 1  # one pass for both cutoffs and the reliability mean
+    assert calls == [derive_point_seed(3, 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, "tail")]
 
     calls.clear()
     estimates = mc.estimate_tail_probabilities(FailurePopulation(10, 0.5), (0.0, -2.0), 10_000, seed=1)

@@ -345,6 +345,43 @@ def test_cli_sweep_csv_and_plotdata(tmp_path, capsys) -> None:
     assert ys[0] > ys[1] > ys[2]
 
 
+def test_cli_plotdata_malformed_sweep_csv_is_parse_error(tmp_path, capsys) -> None:
+    csv_path = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--l", "10,100", "--p", "0.1", "--K", "2", "--m", "0.5",
+        "--K-hat", "1", "--m-hat", "0.5", "--t", "4", "--samples", "0", "--out", str(csv_path),
+    ]) == 0
+    capsys.readouterr()
+    header, first, second = csv_path.read_text(encoding="utf-8").splitlines()
+    cells = second.split(",")
+    cells[header.split(",").index("l")] = "abc"
+    oversized = ",".join(['"' + "x" * 140_000 + '"', *first.split(",")[1:]])
+    for rows, needle in [
+        ([header, first, ",".join(cells)], "row 3: bad value: invalid literal for int()"),
+        ([header, oversized, second], "row 2: malformed CSV: field larger than field limit"),
+        ([header, first, "1,2,3"], "row 3: expected"),
+    ]:
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["plotdata", str(bad), "--selector", "hazard"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err
+
+
+def test_cli_sweep_domain_error_names_the_point(capsys) -> None:
+    code = main([
+        "sweep", "--l", "10,100", "--p", "0.1", "--K", "1,1e300", "--m", "1",
+        "--K-hat", "1", "--m-hat", "0", "--t", "1,1e10", "--samples", "0", "--mode", "sign-corrected",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: l=10, p=0.1, K=1e+300, m=1.0, K_hat=1.0, m_hat=0.0, t=10000000000.0: "
+        "scale_k * t**1.0 overflows at time t=10000000000.0 (shape_m=1.0)\n"
+    )
+
+
 def test_cli_plotdata_unknown_selector(tmp_path, capsys) -> None:
     report = analyze(**CANONICAL, t_values=[4.0], samples=0)
     path = tmp_path / "r.json"
