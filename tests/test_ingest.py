@@ -6,88 +6,82 @@ import json
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from sdpbounds import ingest
 from sdpbounds.cli import main
 from sdpbounds.ingest import (
     ConfusionCounts,
     ParseError,
-    PredictionRecord,
     false_omission_rate,
     load_confusion,
-    load_records,
+    load_record_tally,
     parse_confusion,
-    parse_records,
-    summarize_project,
-    tally_confusion,
     tally_records,
     validate_assumptions,
 )
 
 
 def test_parse_basic_records() -> None:
-    records = parse_records("m1,clean,defective\nm2,CLEAN,clean\n")
-    assert records[0] == PredictionRecord("m1", "clean", "defective")
-    assert records[1] == PredictionRecord("m2", "clean", "clean")
+    tally = tally_records("m1,clean,defective\nm2,CLEAN,clean\n")
+    assert tally.pairs == Counter({("clean", "defective"): 1, ("clean", "clean"): 1})
+    assert tally.unlabelled is None
+    assert tally.confusion() == ConfusionCounts(fn_count=1, tn_count=1, fp_count=0, tp_count=0)
 
 
 def test_parse_new_project_mode() -> None:
-    records = parse_records("m1,clean\nm2,defective\n")
-    assert records[0] == PredictionRecord("m1", "clean", None)
-    assert records[1].actual is None
+    tally = tally_records("m1,clean\nm2,defective\n")
+    assert tally.pairs == Counter({("clean", None): 1, ("defective", None): 1})
+    assert tally.unlabelled == "m1"
+    assert (tally.summary().n_total, tally.summary().l_clean) == (2, 1)
 
 
 def test_parse_header_skipped() -> None:
-    with_header = parse_records("module_id,predicted,actual\nm1,clean,clean\n")
-    assert len(with_header) == 1
-    two_col = parse_records("module_id,predicted\nm1,defective\n")
-    assert len(two_col) == 1
+    with_header = tally_records("module_id,predicted,actual\nm1,clean,clean\n")
+    assert with_header.summary().n_total == 1
+    two_col = tally_records("module_id,predicted\nm1,defective\n")
+    assert two_col.summary().n_total == 1
 
 
 def test_parse_unknown_label_names_row() -> None:
     with pytest.raises(ParseError, match="row 1"):
-        parse_records("m1,fuzzy,clean\n")
+        tally_records("m1,fuzzy,clean\n")
     with pytest.raises(ParseError, match="row 3"):
-        parse_records("m1,clean,clean\nm2,clean,clean\nm3,clean,oops\n")
+        tally_records("m1,clean,clean\nm2,clean,clean\nm3,clean,oops\n")
 
 
 def test_parse_arity_errors() -> None:
     with pytest.raises(ParseError, match="columns"):
-        parse_records("m1,clean,defective,extra\n")
+        tally_records("m1,clean,defective,extra\n")
     with pytest.raises(ParseError, match="row 2"):
-        parse_records("m1,clean,defective\nm2,clean\n")
+        tally_records("m1,clean,defective\nm2,clean\n")
 
 
 def test_parse_empty_input() -> None:
     with pytest.raises(ParseError, match="no data rows"):
-        parse_records("")
+        tally_records("")
     with pytest.raises(ParseError, match="no data rows"):
-        parse_records("module_id,predicted,actual\n")
-
-
-def test_parse_preserves_order_and_duplicates() -> None:
-    records = parse_records("m1,clean,clean\nm1,clean,defective\n")
-    assert [r.module_id for r in records] == ["m1", "m1"]
+        tally_records("module_id,predicted,actual\n")
 
 
 def test_tally_confusion_counts() -> None:
     rows = ["m%d,clean,defective" % i for i in range(5)]
     rows += ["c%d,clean,clean" % i for i in range(45)]
-    counts = tally_confusion(parse_records("\n".join(rows)))
+    counts = tally_records("\n".join(rows)).confusion()
     assert counts == ConfusionCounts(fn_count=5, tn_count=45, fp_count=0, tp_count=0)
 
-    single = tally_confusion(parse_records("m1,defective,defective\n"))
+    single = tally_records("m1,defective,defective\n").confusion()
     assert (single.fn_count, single.tn_count, single.tp_count, single.fp_count) == (0, 0, 1, 0)
+
+    # A repeated module id is a separate record and is counted twice.
+    duplicates = tally_records("m1,clean,clean\nm1,clean,defective\nm1,clean,clean\n").confusion()
+    assert (duplicates.fn_count, duplicates.tn_count) == (1, 2)
 
 
 def test_tally_requires_actual() -> None:
-    records = parse_records("m1,clean\n")
     with pytest.raises(ValueError, match="m1"):
-        tally_confusion(records)
-    with pytest.raises(ValueError):
-        tally_confusion([])
+        tally_records("m1,clean\n").confusion()
 
 
 def test_false_omission_rate_examples() -> None:
@@ -111,12 +105,12 @@ def test_rate_matches_independent_count_and_is_order_invariant() -> None:
                 fn += 1
             else:
                 tn += 1
-    baseline = false_omission_rate(tally_confusion(parse_records("\n".join(rows))))
+    baseline = false_omission_rate(tally_records("\n".join(rows)).confusion())
     assert baseline == fn / (fn + tn)
     for seed in range(5):
         shuffled = rows[:]
         random.Random(seed).shuffle(shuffled)
-        again = false_omission_rate(tally_confusion(parse_records("\n".join(shuffled))))
+        again = false_omission_rate(tally_records("\n".join(shuffled)).confusion())
         assert again == baseline
 
 
@@ -150,15 +144,13 @@ def test_counts_validation() -> None:
 
 
 def test_summarize_project() -> None:
-    records = parse_records("\n".join(f"m{i},clean" for i in range(7)) + "\nm7,defective\nm8,defective\nm9,defective")
-    summary = summarize_project(records)
+    tally = tally_records("\n".join(f"m{i},clean" for i in range(7)) + "\nm7,defective\nm8,defective\nm9,defective")
+    summary = tally.summary()
     assert (summary.n_total, summary.l_clean) == (10, 7)
-    assert summarize_project([]) == type(summary)(0, 0)
-    all_defective = summarize_project(parse_records("a,defective\nb,defective\n"))
+    all_defective = tally_records("a,defective\nb,defective\n").summary()
     assert all_defective.l_clean == 0
     # clean + defective partition the records.
-    defective = sum(1 for r in records if r.predicted == "defective")
-    assert summary.l_clean + defective == summary.n_total
+    assert summary.l_clean + tally.pairs["defective", None] == summary.n_total
 
 
 def test_parse_confusion_json() -> None:
@@ -181,8 +173,9 @@ def test_parse_confusion_json() -> None:
 def test_file_loaders(tmp_path) -> None:
     records_path = tmp_path / "records.csv"
     records_path.write_text("module_id,predicted,actual\nm1,clean,defective\nm2,clean,clean\n", encoding="utf-8")
-    records = load_records(records_path)
-    assert len(records) == 2
+    tally = load_record_tally(records_path)
+    assert tally.summary().n_total == 2
+    assert tally.confusion() == ConfusionCounts(fn_count=1, tn_count=1, fp_count=0, tp_count=0)
 
     confusion_path = tmp_path / "confusion.json"
     confusion_path.write_text('{"fn": 5, "tn": 45}', encoding="utf-8")
@@ -227,16 +220,14 @@ def test_cli_streaming_counts_match_record_list(tmp_path, capsys) -> None:
         with_actual = seed % 2 == 0
         text, pairs = _messy_records(rng, with_actual)
         path.write_text(text, encoding="utf-8")
-        records = parse_records(text)
-        assert [(r.predicted, r.actual) for r in records] == pairs
-        summary = summarize_project(records)
-        assert summary == tally_records(text).summary()
+        tally = tally_records(text)
+        assert tally.pairs == Counter(pairs)
+        summary = tally.summary()
         assert summary.n_total == len(pairs)
         assert summary.l_clean == sum(predicted == "clean" for predicted, _ in pairs)
 
         if with_actual:
-            counts = tally_confusion(records)
-            assert counts == tally_records(text).confusion()
+            counts = tally.confusion()
             assert counts.fn_count == pairs.count(("clean", "defective"))
             assert counts.tp_count == pairs.count(("defective", "defective"))
             main(["for", "--records", str(path)])
@@ -244,7 +235,7 @@ def test_cli_streaming_counts_match_record_list(tmp_path, capsys) -> None:
             assert f"fn={counts.fn_count} tn={counts.tn_count} " in out
         else:
             with pytest.raises(ValueError, match="record 1 "):
-                tally_confusion(records)
+                tally.confusion()
 
         report_path = tmp_path / "report.json"
         assert main(["analyze", "--records", str(path), "--p", "0.1", *_SHAPE_ARGS, "--out", str(report_path)]) == 0
@@ -271,21 +262,6 @@ def test_cli_records_parse_error_precedes_missing_actuals(tmp_path, capsys) -> N
     assert "record 1 (module 'm1') has no actual label" in capsys.readouterr().err
 
 
-def test_cli_records_paths_build_no_record_list(tmp_path, capsys, monkeypatch) -> None:
-    def no_records(*args, **kwargs):
-        raise AssertionError("a PredictionRecord was built")
-
-    monkeypatch.setattr(ingest, "PredictionRecord", no_records)
-    tested = tmp_path / "tested.csv"
-    tested.write_text("m1,clean,defective\nm2,clean,clean\nm3,defective,clean\n", encoding="utf-8")
-    fresh = tmp_path / "fresh.csv"
-    fresh.write_text("m1,clean\nm2,defective\n", encoding="utf-8")
-    assert main(["for", "--records", str(tested)]) == 0
-    assert main(["analyze", "--records", str(tested), *_SHAPE_ARGS]) == 0
-    assert main(["analyze", "--records", str(fresh), "--p", "0.1", *_SHAPE_ARGS]) == 0
-    capsys.readouterr()
-
-
 def test_cli_records_memory_does_not_grow_with_rows(tmp_path, capsys) -> None:
     path = tmp_path / "records.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -306,7 +282,7 @@ def test_cli_records_memory_does_not_grow_with_rows(tmp_path, capsys) -> None:
 def test_oversized_csv_field_is_a_parse_error(tmp_path, capsys) -> None:
     text = "m0,clean,clean\nm1,clean," + "x" * 200_000 + "\n"
     with pytest.raises(ParseError, match="row 2: malformed CSV: field larger than field limit"):
-        parse_records(text)
+        tally_records(text)
     path = tmp_path / "big.csv"
     path.write_text(text, encoding="utf-8")
     assert main(["for", "--records", str(path)]) == 2
