@@ -38,7 +38,6 @@ __all__ = [
     "FLAG_VACUOUS",
     "BoundReport",
     "chernoff_lower_tail",
-    "hazard_event_threshold",
     "reliability_event_threshold",
     "hazard_shortfall_bound",
     "reliability_excess_bound",
@@ -88,11 +87,6 @@ def chernoff_lower_tail(mu: float, delta: float) -> float:
     return math.exp(-mu * delta * delta / 2.0)
 
 
-def hazard_event_threshold(manual: WeibullParams, residual: WeibullParams, t: float) -> float:
-    """Cutoff c in Pr[X < c] for the hazard comparison: K*t**m - K_hat*t**m_hat."""
-    return weibull_hazard(manual, t) - weibull_hazard(residual, t)
-
-
 def reliability_event_threshold(manual: WeibullParams, residual: WeibullParams, t: float) -> float:
     """Cutoff c in Pr[X < c] for the reliability comparison.
 
@@ -125,6 +119,21 @@ def _domain_flags(threshold: float, mu: float, log_bound: float) -> frozenset:
     return frozenset(flags)
 
 
+def _bound_report(threshold: float, mu: float, log_bound: float,
+                  delta: Optional[float] = None, notes: Tuple[str, ...] = ()) -> BoundReport:
+    """The report on Pr[X < threshold] with mean mu; delta defaults to 1 - threshold/mu."""
+    return BoundReport(
+        event_threshold=threshold,
+        delta=1.0 - threshold / mu if delta is None else delta,
+        mu_used=mu,
+        log_bound=log_bound,
+        bound=math.exp(log_bound),
+        domain_flags=_domain_flags(threshold, mu, log_bound),
+        exact_probability=0.0 if threshold <= 0.0 else None,
+        notes=notes,
+    )
+
+
 def hazard_shortfall_bound(
     pop: FailurePopulation,
     manual: WeibullParams,
@@ -135,25 +144,18 @@ def hazard_shortfall_bound(
     fewer instantaneous hazards than the manually tested one at time t.
 
     With A = K_hat*t**m_hat, B = K*t**m and mu = A + l*p the closed form is
-    exp(-(l*p - B + 2*A)**2 / (2*(A + l*p))).
+    exp(-(l*p - B + 2*A)**2 / (2*(A + l*p))).  A 2*mu beyond double range,
+    where the closed form would read inf/inf, is reported as a domain error.
     """
     residual_hazard = weibull_hazard(residual, t)
     manual_hazard = weibull_hazard(manual, t)
     lp = pop.l * pop.p
     mu = residual_hazard + lp
+    if 2.0 * mu == math.inf:
+        raise ValueError(f"hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t={t}")
     threshold = manual_hazard - residual_hazard
-    delta = 1.0 - threshold / mu
     numerator = lp - manual_hazard + 2.0 * residual_hazard
-    log_bound = -(numerator * numerator) / (2.0 * mu)
-    return BoundReport(
-        event_threshold=threshold,
-        delta=delta,
-        mu_used=mu,
-        log_bound=log_bound,
-        bound=math.exp(log_bound),
-        domain_flags=_domain_flags(threshold, mu, log_bound),
-        exact_probability=0.0 if threshold <= 0.0 else None,
-    )
+    return _bound_report(threshold, mu, -(numerator * numerator) / (2.0 * mu))
 
 
 def reliability_excess_bound(
@@ -174,34 +176,21 @@ def reliability_excess_bound(
     while the proxy mu lives on the reliability scale.  The construction is
     evaluated verbatim and left to the auditor.
     """
-    if not (t > 0.0):
-        raise ValueError(f"time t must be > 0, got {t}")
     threshold = reliability_event_threshold(manual, residual, t)
     mu = expected_sdp_reliability_bound(CombinedHazardModel(residual, pop), t, mode)
 
-    notes = [
+    notes = (
         f"expectation proxy mode: {mode}",
         "count-scale cutoff compared against a reliability-scale mean",
-    ]
-    if mu > 0.0:
-        delta = 1.0 - threshold / mu
-        log_bound = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)
-    else:
-        # exp underflow: proxy rounded to 0; the limit of the formula applies.
-        delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)
-        log_bound = -0.0 if threshold == 0.0 else -math.inf
-        notes.append("expectation proxy underflowed double precision")
-
-    return BoundReport(
-        event_threshold=threshold,
-        delta=delta,
-        mu_used=mu,
-        log_bound=log_bound,
-        bound=math.exp(log_bound),
-        domain_flags=_domain_flags(threshold, mu, log_bound),
-        exact_probability=0.0 if threshold <= 0.0 else None,
-        notes=tuple(notes),
     )
+    if mu > 0.0:
+        log_bound = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)
+        return _bound_report(threshold, mu, log_bound, notes=notes)
+    # exp underflow: proxy rounded to 0; the limit of the formula applies.
+    delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)
+    log_bound = -0.0 if threshold == 0.0 else -math.inf
+    return _bound_report(threshold, mu, log_bound, delta,
+                         notes + ("expectation proxy underflowed double precision",))
 
 
 def reference_chernoff_bound(pop: FailurePopulation, threshold: float) -> BoundReport:
@@ -213,19 +202,6 @@ def reference_chernoff_bound(pop: FailurePopulation, threshold: float) -> BoundR
     """
     mu = pop.l * pop.p
     delta = 1.0 - threshold / mu
-    if threshold >= mu:
-        # Event includes the bulk of the distribution; only the trivial bound holds.
-        log_bound = 0.0
-        bound = 1.0
-    else:
-        log_bound = -mu * delta * delta / 2.0
-        bound = math.exp(log_bound)
-    return BoundReport(
-        event_threshold=threshold,
-        delta=delta,
-        mu_used=mu,
-        log_bound=log_bound,
-        bound=bound,
-        domain_flags=_domain_flags(threshold, mu, log_bound),
-        exact_probability=0.0 if threshold <= 0.0 else None,
-    )
+    # With the bulk of the distribution inside the event only the trivial bound holds.
+    log_bound = 0.0 if threshold >= mu else -mu * delta * delta / 2.0
+    return _bound_report(threshold, mu, log_bound, delta)

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or domain error, 2 input parse error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -27,9 +26,8 @@ from .ingest import (
 from .report import (
     PLOT_SELECTORS,
     SweepGrid,
+    _plotdata_text,
     analyze,
-    plot_series_text,
-    read_report,
     sweep,
     sweep_csv_text,
     write_report,
@@ -280,67 +278,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _audit_exit_code(report, args.strict)
 
 
-def _point_from_csv_row(row: Dict[str, str]) -> Dict[str, object]:
-    """Rebuild the minimal point structure plot_series needs from one sweep CSV row."""
-    point: Dict[str, object] = {
-        "l": int(row["l"]),
-        "p": float(row["p"]),
-        "K": float(row["K"]),
-        "m": float(row["m"]),
-        "K_hat": float(row["K_hat"]),
-        "m_hat": float(row["m_hat"]),
-        "t": float(row["t"]),
-        "expected_hazard": float(row["expected_hazard"]),
-        "manual_hazard": float(row["manual_hazard"]),
-        "manual_reliability": float(row["manual_reliability"]),
-        "expected_reliability_exact": float(row["expected_reliability_exact"]),
-        "hazard_bound": {"bound": float(row["hazard_bound"])},
-        "hazard_exact_tail": float(row["hazard_exact_tail"]) if row["hazard_exact_tail"] else None,
-    }
-    rel: Dict[str, object] = {}
-    if row["rel_sc_bound"]:
-        rel[SIGN_CORRECTED] = {"bound": {"bound": float(row["rel_sc_bound"])}}
-    if row["rel_as_bound"]:
-        rel[AS_STATED] = {"bound": {"bound": float(row["rel_as_bound"])}}
-    point["reliability_bound"] = rel
-    return point
-
-
-def _points_from_sweep_csv(path: str) -> List[Dict[str, object]]:
-    """Points of a sweep CSV; a malformed record is a ParseError with its record number."""
-    points: List[Dict[str, object]] = []
-    header: Optional[List[str]] = None
-    row_no = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            for row_no, values in enumerate(csv.reader(fh), start=1):
-                if not values:
-                    continue
-                if header is None:
-                    header = values
-                    continue
-                if len(values) != len(header):
-                    raise ParseError(f"expected {len(header)} columns, got {len(values)}", row_no)
-                try:
-                    points.append(_point_from_csv_row(dict(zip(header, values))))
-                except ValueError as exc:
-                    raise ParseError(f"bad value: {exc}", row_no) from exc
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
-    return points
-
-
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     if args.selector not in PLOT_SELECTORS:
         raise ValueError(f"unknown selector {args.selector!r}; expected one of {PLOT_SELECTORS}")
-    if args.report.endswith(".csv"):
-        points = _points_from_sweep_csv(args.report)
-    else:
-        document = read_report(args.report)
-        if "points" not in document:
-            raise ParseError(f"{args.report} is not a sdpbounds report")
-        points = document["points"]
-    text = plot_series_text(points, args.selector)
+    text = _plotdata_text(args.report, args.selector)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -3,9 +3,8 @@
 Each of the ``l`` predicted-clean modules is a Bernoulli trial that is
 actually defective with probability ``p`` (the false omission rate), so the
 latent failure count ``X`` is binomial(l, p).  This module provides its
-expectation and the exact lower tail Pr[X < threshold], one regularized
-incomplete beta function that costs the same at every l; seeded sampling
-lives in ``montecarlo``.
+exact lower tail Pr[X < threshold], one regularized incomplete beta function
+that costs the same at every l; seeded sampling lives in ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from scipy import special
 
 __all__ = [
     "FailurePopulation",
-    "expected_failures",
     "binomial_cdf_below",
 ]
 
@@ -41,11 +39,6 @@ class FailurePopulation:
             raise ValueError(f"l must be >= 1, got {self.l}")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must satisfy 0 < p < 1, got {self.p}")
-
-
-def expected_failures(pop: FailurePopulation) -> float:
-    """Expected number of hidden failures, ``l * p``."""
-    return pop.l * pop.p
 
 
 def binomial_cdf_below(pop: FailurePopulation, threshold: float) -> float:

@@ -30,8 +30,6 @@ __all__ = [
     "weibull_average_hazard",
     "weibull_cumulative_hazard",
     "weibull_reliability",
-    "expected_combined_hazard",
-    "sdp_cumulative_hazard",
     "sdp_reliability",
     "log_expected_sdp_reliability_exact",
     "expected_sdp_reliability_exact",
@@ -137,15 +135,8 @@ def weibull_reliability(params: WeibullParams, t: float) -> float:
     return math.exp(-weibull_cumulative_hazard(params, t))
 
 
-def expected_combined_hazard(model: CombinedHazardModel, t: float) -> float:
-    """Mean combined hazard rate l*p + residual hazard at t."""
-    _require_positive_time(t)
-    pop = model.population
-    return pop.l * pop.p + weibull_hazard(model.residual, t)
-
-
-def sdp_cumulative_hazard(model: CombinedHazardModel, x, t: float):
-    """Cumulative combined hazard on [0, t] with x frozen: x*t + residual integral.
+def sdp_reliability(model: CombinedHazardModel, x, t: float):
+    """Reliability with x realized hidden defects: exp(-(x*t + residual integral)).
 
     x may be a scalar or an array of realized defect counts.
     """
@@ -153,15 +144,7 @@ def sdp_cumulative_hazard(model: CombinedHazardModel, x, t: float):
     x_arr = np.asarray(x, dtype=float)
     if np.any((x_arr < 0) | (x_arr > model.population.l)):
         raise ValueError(f"x must lie in [0, {model.population.l}]")
-    out = x_arr * t + weibull_cumulative_hazard(model.residual, t)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def sdp_reliability(model: CombinedHazardModel, x, t: float):
-    """Reliability with x realized hidden defects: exp(-(x*t + residual integral))."""
-    out = np.exp(-np.asarray(sdp_cumulative_hazard(model, x, t)))
+    out = np.exp(-(x_arr * t + weibull_cumulative_hazard(model.residual, t)))
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -174,7 +157,6 @@ def log_expected_sdp_reliability_exact(model: CombinedHazardModel, t: float) -> 
     factor is 1 + p*(e**-t - 1), evaluated through log1p/expm1 so nothing is
     lost when t is tiny.
     """
-    _require_nonnegative_time(t)
     pop = model.population
     residual_integral = weibull_cumulative_hazard(model.residual, t)
     return -residual_integral + pop.l * math.log1p(pop.p * math.expm1(-t))
@@ -192,7 +174,6 @@ def log_expected_sdp_reliability_bound(model: CombinedHazardModel, t: float, mod
     exponent; the residual integral enters negatively (sign-corrected) or
     positively (as-stated).
     """
-    _require_nonnegative_time(t)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     pop = model.population

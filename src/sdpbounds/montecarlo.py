@@ -281,8 +281,6 @@ def estimate_reliability_exceedance(
     scale so this estimator shares draws *and* indicators with
     estimate_tail_probability at the same seed.
     """
-    if not (t > 0.0):
-        raise ValueError(f"time t must be > 0, got {t}")
     threshold = reliability_event_threshold(manual, model.residual, t)
     return estimate_tail_probability(model.population, threshold, n, seed, workers)
 

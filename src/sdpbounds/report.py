@@ -27,7 +27,7 @@ from .bounds import (
     reference_chernoff_bound,
     reliability_excess_bound,
 )
-from .failures import FailurePopulation, binomial_cdf_below, expected_failures
+from .failures import FailurePopulation, binomial_cdf_below
 from .hazards import (
     AS_STATED,
     MODES,
@@ -35,12 +35,11 @@ from .hazards import (
     CombinedHazardModel,
     WeibullParams,
     _require_positive_time,
-    expected_combined_hazard,
-    expected_sdp_reliability_bound,
     expected_sdp_reliability_exact,
     weibull_hazard,
     weibull_reliability,
 )
+from .ingest import ParseError
 from .montecarlo import AuditVerdict, MonteCarloEstimate, _estimate_stream, audit_bound
 
 __all__ = [
@@ -58,8 +57,6 @@ __all__ = [
     "plot_series",
     "plot_series_text",
 ]
-
-PLOT_SELECTORS = ("hazard", "reliability", "bound_t1", "bound_t2", "exact_tail")
 
 PARAM_NAMES = ("l", "p", "K", "m", "K_hat", "m_hat", "t")
 
@@ -201,6 +198,16 @@ def analyze_point(
     residual = WeibullParams(k_hat, m_hat)
     model = CombinedHazardModel(residual, pop)
 
+    # The expectations are the means the bound reports substitute.
+    manual_hazard = weibull_hazard(manual, t)
+    hazard_report = hazard_shortfall_bound(pop, manual, residual, t)
+    manual_reliability = weibull_reliability(manual, t)
+    reliability_exact = expected_sdp_reliability_exact(model, t)
+    reliability_reports = {
+        mode: reliability_excess_bound(pop, manual, residual, t, mode) for mode in modes
+    }
+    reference_report = reference_chernoff_bound(pop, hazard_report.event_threshold)
+
     point: Dict[str, object] = {
         "l": l,
         "p": p,
@@ -209,21 +216,13 @@ def analyze_point(
         "K_hat": k_hat,
         "m_hat": m_hat,
         "t": t,
+        "expected_failures": reference_report.mu_used,
+        "manual_hazard": manual_hazard,
+        "expected_hazard": hazard_report.mu_used,
+        "manual_reliability": manual_reliability,
+        "expected_reliability_exact": reliability_exact,
+        "expected_reliability_bound": {mode: r.mu_used for mode, r in reliability_reports.items()},
     }
-    point["expected_failures"] = expected_failures(pop)
-    point["manual_hazard"] = weibull_hazard(manual, t)
-    point["expected_hazard"] = expected_combined_hazard(model, t)
-    point["manual_reliability"] = weibull_reliability(manual, t)
-    point["expected_reliability_exact"] = expected_sdp_reliability_exact(model, t)
-    point["expected_reliability_bound"] = {
-        mode: expected_sdp_reliability_bound(model, t, mode) for mode in modes
-    }
-
-    hazard_report = hazard_shortfall_bound(pop, manual, residual, t)
-    reliability_reports = {
-        mode: reliability_excess_bound(pop, manual, residual, t, mode) for mode in modes
-    }
-    reference_report = reference_chernoff_bound(pop, hazard_report.event_threshold)
 
     # A point has at most two tail events, paired with the audits by position:
     # the reference audit shares the hazard cutoff and every mode shares the
@@ -425,12 +424,63 @@ _CSV_COLUMNS = [
 ]
 
 
+# Plot selector -> (curve name, flat-row column) per curve.  bound_t2 draws the
+# modes the points hold, or one empty curve when they hold none.
+_PLOT_CURVES = {
+    "hazard": [("expected_hazard", "expected_hazard"), ("manual_hazard", "manual_hazard")],
+    "reliability": [("manual_reliability", "manual_reliability"),
+                    ("expected_reliability_exact", "expected_reliability_exact")],
+    "bound_t1": [("hazard_bound", "hazard_bound")],
+    "bound_t2": [(f"reliability_bound[{AS_STATED}]", "rel_as_bound"),
+                 (f"reliability_bound[{SIGN_CORRECTED}]", "rel_sc_bound")],
+    "exact_tail": [("hazard_exact_tail", "hazard_exact_tail")],
+}
+PLOT_SELECTORS = tuple(_PLOT_CURVES)
+
+# The cells a plot reads, parsed back from a sweep CSV; the hazard tail and the
+# cells of a mode (empty when the sweep did not run it) may be empty.
+_PLOTTED = [(i, name) for i, name in enumerate(_CSV_COLUMNS)
+            if name in {*PARAM_NAMES, *(col for curves in _PLOT_CURVES.values() for _, col in curves)}]
+_OPTIONAL_CELLS = ("hazard_exact_tail", "rel_sc_bound", "rel_as_bound")
+
+
 def _fmt(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # str of a float is its shortest round trip
+
+
+def _flat_row(pt: Dict[str, object]) -> list:
+    """A report point's values in _CSV_COLUMNS order; a mode it lacks gives None."""
+    erb = pt["expected_reliability_bound"]
+    rel = pt["reliability_bound"]
+    sc = rel.get(SIGN_CORRECTED)
+    as_ = rel.get(AS_STATED)
+    rel_any = sc or as_
+    hazard = pt["hazard_bound"]
+    return [
+        *(pt[name] for name in PARAM_NAMES),
+        pt["expected_hazard"],
+        pt["manual_hazard"],
+        pt["manual_reliability"],
+        pt["expected_reliability_exact"],
+        erb.get(SIGN_CORRECTED),
+        erb.get(AS_STATED),
+        hazard["event_threshold"],
+        hazard["delta"],
+        hazard["mu_used"],
+        hazard["bound"],
+        hazard["log_bound"],
+        "|".join(hazard["domain_flags"]),
+        pt["hazard_exact_tail"],
+        pt["hazard_audit"]["verdict"],
+        rel_any["bound"]["event_threshold"] if rel_any else None,
+        sc["bound"]["bound"] if sc else None,
+        sc["audit"]["verdict"] if sc else None,
+        as_["bound"]["bound"] if as_ else None,
+        as_["audit"]["verdict"] if as_ else None,
+        pt["reliability_exact_tail"],
+        pt["reference_bound"]["bound"],
+        pt["reference_audit"]["verdict"],
+    ]
 
 
 def sweep_csv_text(points: Sequence[Dict[str, object]]) -> str:
@@ -439,41 +489,45 @@ def sweep_csv_text(points: Sequence[Dict[str, object]]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for pt in points:
-        erb = pt["expected_reliability_bound"]
-        rel = pt["reliability_bound"]
-        sc = rel.get(SIGN_CORRECTED)
-        as_ = rel.get(AS_STATED)
-        rel_any = sc or as_
-        writer.writerow(
-            [
-                _fmt(pt[name]) for name in PARAM_NAMES
-            ]
-            + [
-                _fmt(pt["expected_hazard"]),
-                _fmt(pt["manual_hazard"]),
-                _fmt(pt["manual_reliability"]),
-                _fmt(pt["expected_reliability_exact"]),
-                _fmt(erb.get(SIGN_CORRECTED)),
-                _fmt(erb.get(AS_STATED)),
-                _fmt(pt["hazard_bound"]["event_threshold"]),
-                _fmt(pt["hazard_bound"]["delta"]),
-                _fmt(pt["hazard_bound"]["mu_used"]),
-                _fmt(pt["hazard_bound"]["bound"]),
-                _fmt(pt["hazard_bound"]["log_bound"]),
-                "|".join(pt["hazard_bound"]["domain_flags"]),
-                _fmt(pt["hazard_exact_tail"]),
-                pt["hazard_audit"]["verdict"],
-                _fmt(rel_any["bound"]["event_threshold"] if rel_any else None),
-                _fmt(sc["bound"]["bound"] if sc else None),
-                sc["audit"]["verdict"] if sc else "",
-                _fmt(as_["bound"]["bound"] if as_ else None),
-                as_["audit"]["verdict"] if as_ else "",
-                _fmt(pt["reliability_exact_tail"]),
-                _fmt(pt["reference_bound"]["bound"]),
-                pt["reference_audit"]["verdict"],
-            ]
-        )
+        writer.writerow([_fmt(value) for value in _flat_row(pt)])
     return buffer.getvalue()
+
+
+def _cell(name: str, text: str) -> object:
+    if not text and name in _OPTIONAL_CELLS:
+        return None
+    return int(text) if name == "l" else float(text)
+
+
+def _rows_from_sweep_csv(path: str) -> List[list]:
+    """Flat rows of a sweep CSV, plotted cells parsed and the others None.
+
+    A malformed record is a ParseError with its record number.
+    """
+    rows: List[list] = []
+    header: Optional[List[str]] = None
+    row_no = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            for row_no, values in enumerate(csv.reader(fh), start=1):
+                if not values:
+                    continue
+                if header is None:
+                    header = values
+                    where = {name: i for i, name in enumerate(header)}
+                    continue
+                if len(values) != len(header):
+                    raise ParseError(f"expected {len(header)} columns, got {len(values)}", row_no)
+                row: list = [None] * len(_CSV_COLUMNS)
+                try:
+                    for i, name in _PLOTTED:
+                        row[i] = _cell(name, values[where[name]])
+                except ValueError as exc:
+                    raise ParseError(f"bad value: {exc}", row_no) from exc
+                rows.append(row)
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +535,43 @@ def sweep_csv_text(points: Sequence[Dict[str, object]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_axis(points: Sequence[Dict[str, object]]) -> str:
-    """The single varying parameter if exactly one varies, else t."""
-    varying = [name for name in PARAM_NAMES if len({pt[name] for pt in points}) > 1]
-    if len(varying) == 1:
-        return varying[0]
-    return "t"
+def _series(rows: Sequence[list], selector: str) -> Tuple[str, List[Tuple[str, List[Tuple[float, float]]]]]:
+    """The x axis and the series of plot_series, from flat rows."""
+    if selector not in PLOT_SELECTORS:
+        raise ValueError(f"unknown selector {selector!r}; expected one of {PLOT_SELECTORS}")
+    # x is the single varying parameter, else t; the others that vary split the curves.
+    varying = [i for i in range(len(PARAM_NAMES)) if len({row[i] for row in rows}) > 1]
+    axis = varying[0] if len(varying) == 1 else PARAM_NAMES.index("t")
+    off_axis = [i for i in varying if i != axis]
+    groups: Dict[Tuple, List[list]] = {} if rows else {(): []}  # no rows: each curve once, empty
+    for row in rows:
+        groups.setdefault(tuple(row[i] for i in off_axis), []).append(row)
+
+    curves = [(name, _CSV_COLUMNS.index(col)) for name, col in _PLOT_CURVES[selector]]
+    if selector == "bound_t2":
+        held = [(name, col) for name, col in curves if any(row[col] is not None for row in rows)]
+        # With no mode held, the one empty curve reads a column no row holds.
+        curves = held or [("reliability_bound", curves[0][1])]
+
+    def label(name: str, key: Tuple) -> str:
+        suffix = ",".join(f"{PARAM_NAMES[i]}={value:g}" for i, value in zip(off_axis, key))
+        return f"{name} [{suffix}]" if suffix else name
+
+    return PARAM_NAMES[axis], [
+        (label(name, key), [(float(row[axis]), float(row[col])) for row in group if row[col] is not None])
+        for name, col in curves
+        for key, group in groups.items()
+    ]
+
+
+def _series_text(rows: Sequence[list], selector: str) -> str:
+    axis, series = _series(rows, selector)
+    blocks = []
+    for name, pairs in series:
+        lines = [f"# curve: {name}", f"# x: {axis}"]
+        lines += [f"{repr(x)} {repr(y)}" for x, y in pairs]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def plot_series(
@@ -499,78 +584,20 @@ def plot_series(
     distinct combination becomes its own curve, labelled with the varying
     values, so generic plotting tools never see interleaved series.
     """
-    if selector not in PLOT_SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}; expected one of {PLOT_SELECTORS}")
-    axis = _sweep_axis(points) if points else "t"
-    off_axis = [
-        name
-        for name in PARAM_NAMES
-        if name != axis and len({pt[name] for pt in points}) > 1
-    ]
-
-    groups: List[Tuple[Tuple, List[Dict[str, object]]]] = []
-    index: Dict[Tuple, List[Dict[str, object]]] = {}
-    for pt in points:
-        key = tuple(pt[name] for name in off_axis)
-        if key not in index:
-            index[key] = []
-            groups.append((key, index[key]))
-        index[key].append(pt)
-
-    def label(base: str, key: Tuple) -> str:
-        if not off_axis:
-            return base
-        suffix = ",".join(f"{name}={value:g}" for name, value in zip(off_axis, key))
-        return f"{base} [{suffix}]"
-
-    def xy(group: Sequence[Dict[str, object]], value_fn) -> List[Tuple[float, float]]:
-        out = []
-        for pt in group:
-            y = value_fn(pt)
-            if y is None:
-                continue
-            out.append((float(pt[axis]), float(y)))
-        return out
-
-    if selector == "hazard":
-        quantities = [
-            ("expected_hazard", lambda pt: pt["expected_hazard"]),
-            ("manual_hazard", lambda pt: pt["manual_hazard"]),
-        ]
-    elif selector == "reliability":
-        quantities = [
-            ("manual_reliability", lambda pt: pt["manual_reliability"]),
-            ("expected_reliability_exact", lambda pt: pt["expected_reliability_exact"]),
-        ]
-    elif selector == "bound_t1":
-        quantities = [("hazard_bound", lambda pt: pt["hazard_bound"]["bound"])]
-    elif selector == "bound_t2":
-        modes_present = sorted({mode for pt in points for mode in pt["reliability_bound"]})
-        quantities = [
-            (
-                f"reliability_bound[{mode}]",
-                lambda pt, mode=mode: pt["reliability_bound"][mode]["bound"]["bound"],
-            )
-            for mode in modes_present
-        ] or [("reliability_bound", lambda pt: None)]
-    else:  # exact_tail
-        quantities = [("hazard_exact_tail", lambda pt: pt["hazard_exact_tail"])]
-
-    if not points:
-        return [(name, []) for name, _ in quantities]
-    return [
-        (label(name, key), xy(group, value_fn))
-        for name, value_fn in quantities
-        for key, group in groups
-    ]
+    return _series([_flat_row(pt) for pt in points], selector)[1]
 
 
 def plot_series_text(points: Sequence[Dict[str, object]], selector: str) -> str:
     """Two-column (x, y) text blocks, one block per curve."""
-    axis = _sweep_axis(points) if points else "t"
-    blocks = []
-    for name, pairs in plot_series(points, selector):
-        lines = [f"# curve: {name}", f"# x: {axis}"]
-        lines += [f"{repr(x)} {repr(y)}" for x, y in pairs]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    return _series_text([_flat_row(pt) for pt in points], selector)
+
+
+def _plotdata_text(path: str, selector: str) -> str:
+    """plot_series_text of a sweep CSV or of an analyze or sweep JSON report."""
+    if path.endswith(".csv"):
+        return _series_text(_rows_from_sweep_csv(path), selector)
+    document = read_report(path)
+    try:
+        return _series_text([_flat_row(pt) for pt in document["points"]], selector)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path} is not a sdpbounds report") from exc

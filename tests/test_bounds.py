@@ -13,7 +13,6 @@ from sdpbounds.bounds import (
     FLAG_THRESHOLD_POSITIVE,
     FLAG_VACUOUS,
     chernoff_lower_tail,
-    hazard_event_threshold,
     hazard_shortfall_bound,
     reference_chernoff_bound,
     reliability_event_threshold,
@@ -55,12 +54,15 @@ def test_chernoff_lower_tail_examples() -> None:
 
 
 def test_hazard_event_threshold_examples() -> None:
-    assert hazard_event_threshold(CANONICAL_MANUAL, CANONICAL_RESIDUAL, 4.0) == pytest.approx(2.0, rel=1e-15)
+    def threshold(manual: WeibullParams, residual: WeibullParams, t: float) -> float:
+        return hazard_shortfall_bound(CANONICAL_POP, manual, residual, t).event_threshold
+
+    assert threshold(CANONICAL_MANUAL, CANONICAL_RESIDUAL, 4.0) == pytest.approx(2.0, rel=1e-15)
     same = WeibullParams(1.3, 0.7)
-    assert hazard_event_threshold(same, same, 2.5) == 0.0
-    assert hazard_event_threshold(WeibullParams(1.0, 0.0), WeibullParams(5.0, 0.0), 1.0) < 0.0
+    assert threshold(same, same, 2.5) == 0.0
+    assert threshold(WeibullParams(1.0, 0.0), WeibullParams(5.0, 0.0), 1.0) < 0.0
     with pytest.raises(ValueError):
-        hazard_event_threshold(same, same, 0.0)
+        threshold(same, same, 0.0)
 
 
 def test_reliability_event_threshold_examples() -> None:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sdpbounds.failures import FailurePopulation, binomial_cdf_below, expected_failures
+from sdpbounds.bounds import reference_chernoff_bound
+from sdpbounds.failures import FailurePopulation, binomial_cdf_below
 
 
 def pmf_fraction(l: int, p: Fraction, k: int) -> Fraction:
@@ -30,6 +31,9 @@ def test_population_validation() -> None:
 
 
 def test_expected_failures() -> None:
+    def expected_failures(pop: FailurePopulation) -> float:
+        return reference_chernoff_bound(pop, 0.0).mu_used
+
     assert expected_failures(FailurePopulation(10, 0.3)) == pytest.approx(3.0, abs=0)
     assert expected_failures(FailurePopulation(1, 0.5)) == 0.5
     assert expected_failures(FailurePopulation(100, 0.1)) == pytest.approx(10.0, rel=1e-15)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sdpbounds.bounds import hazard_shortfall_bound
 from sdpbounds.failures import FailurePopulation
 from sdpbounds.hazards import (
     AS_STATED,
@@ -14,7 +15,6 @@ from sdpbounds.hazards import (
     CombinedHazardModel,
     QuadratureError,
     WeibullParams,
-    expected_combined_hazard,
     expected_sdp_reliability_bound,
     expected_sdp_reliability_exact,
     log_expected_sdp_reliability_bound,
@@ -51,6 +51,12 @@ def test_hazard_examples() -> None:
 
 def _model(l: int = 10, p: float = 0.3, k_hat: float = 1.0, m_hat: float = 0.0) -> CombinedHazardModel:
     return CombinedHazardModel(WeibullParams(k_hat, m_hat), FailurePopulation(l, p))
+
+
+def expected_combined_hazard(model: CombinedHazardModel, t: float) -> float:
+    """Mean combined hazard l*p + K_hat*t**m_hat: the hazard bound's substituted mean."""
+    manual = WeibullParams(1.0, 0.0)  # the mean does not depend on the manual hazard
+    return hazard_shortfall_bound(model.population, manual, model.residual, t).mu_used
 
 
 def test_expected_combined_hazard() -> None:

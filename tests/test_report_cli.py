@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -14,9 +15,13 @@ import sys
 import pytest
 
 import sdpbounds
+from sdpbounds.bounds import hazard_shortfall_bound, reference_chernoff_bound, reliability_excess_bound
 from sdpbounds.cli import main
+from sdpbounds.failures import FailurePopulation
+from sdpbounds.hazards import CombinedHazardModel, WeibullParams, expected_sdp_reliability_bound, weibull_hazard
 from sdpbounds.report import (
     DEFAULT_AUDIT_AXES,
+    PLOT_SELECTORS,
     SweepGrid,
     analyze,
     analyze_point,
@@ -61,6 +66,41 @@ def test_analyze_point_identical_hazards_zero_event() -> None:
     assert point["hazard_audit"]["verdict"] == "exact-zero-event"
     for record in point["reliability_bound"].values():
         assert record["audit"]["verdict"] == "exact-zero-event"
+
+
+def _bound_fields(report) -> dict:
+    return {
+        "event_threshold": report.event_threshold,
+        "delta": report.delta,
+        "mu_used": report.mu_used,
+        "log_bound": report.log_bound,
+        "bound": report.bound,
+        "domain_flags": sorted(report.domain_flags),
+        "exact_probability": report.exact_probability,
+        "notes": list(report.notes),
+    }
+
+
+def test_report_matches_library_bit_for_bit_on_default_grid() -> None:
+    def same(a, b) -> bool:
+        # Floats print as their shortest round trip, so equal text is equal bits.
+        return json.dumps(a) == json.dumps(b)
+
+    axes = [DEFAULT_AUDIT_AXES[name] for name in ("l", "p", "K", "m", "K_hat", "m_hat", "t")]
+    for pt in sweep(SweepGrid(*axes, samples=0))["points"]:
+        pop = FailurePopulation(pt["l"], pt["p"])
+        manual, residual, t = WeibullParams(pt["K"], pt["m"]), WeibullParams(pt["K_hat"], pt["m_hat"]), pt["t"]
+        hazard = hazard_shortfall_bound(pop, manual, residual, t)
+        assert same(pt["manual_hazard"], weibull_hazard(manual, t))
+        assert same(pt["expected_hazard"], pt["l"] * pt["p"] + weibull_hazard(residual, t))
+        assert same(pt["expected_failures"], pt["l"] * pt["p"])
+        assert same(pt["hazard_bound"], _bound_fields(hazard))
+        assert same(pt["reference_bound"], _bound_fields(reference_chernoff_bound(pop, hazard.event_threshold)))
+        assert sorted(pt["reliability_bound"]) == ["as-stated", "sign-corrected"]
+        for mode, record in pt["reliability_bound"].items():
+            proxy = expected_sdp_reliability_bound(CombinedHazardModel(residual, pop), t, mode)
+            assert same(pt["expected_reliability_bound"][mode], proxy)
+            assert same(record["bound"], _bound_fields(reliability_excess_bound(pop, manual, residual, t, mode)))
 
 
 def test_analyze_report_shape_and_roundtrip(tmp_path) -> None:
@@ -367,6 +407,61 @@ def test_cli_plotdata_malformed_sweep_csv_is_parse_error(tmp_path, capsys) -> No
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert needle in err
+
+
+def test_cli_plotdata_non_report_json_is_parse_error(tmp_path, capsys) -> None:
+    path = tmp_path / "bad.json"
+    for text in ['"points"', '{"points": [1, 2]}', '{"points": null}', '{}']:
+        path.write_text(text, encoding="utf-8")
+        assert main(["plotdata", str(path), "--selector", "hazard"]) == 2, text
+        assert capsys.readouterr().err == f"error: {path} is not a sdpbounds report\n"
+
+
+def test_cli_plotdata_reads_sweep_csv_and_json_alike(tmp_path, capsys) -> None:
+    default_grid = [arg for name, values in DEFAULT_AUDIT_AXES.items()
+                    for arg in ("--" + name.replace("_", "-"), ",".join(map(str, values)))]
+    l_sweep = ["--l", "10,100,1000", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "4"]
+    for axes, mode in [(default_grid, "both"), (l_sweep, "as-stated")]:
+        texts = {}
+        for path in (tmp_path / "sweep.csv", tmp_path / "sweep.json"):
+            assert main(["sweep", *axes, "--samples", "0", "--mode", mode, "--out", str(path)]) == 0
+            capsys.readouterr()
+            for selector in PLOT_SELECTORS:
+                assert main(["plotdata", str(path), "--selector", selector]) == 0
+                texts.setdefault(selector, []).append(capsys.readouterr().out)
+        for selector, (from_csv, from_json) in texts.items():
+            assert from_csv == from_json, (mode, selector)
+
+
+def test_cli_hazard_bound_overflow_is_one_line_error(capsys) -> None:
+    # 2 * (K_hat + l*p) overflows; the closed form would read inf/inf and write NaN.
+    assert main([
+        "analyze", "--l", "10", "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1e308", "--m-hat", "0",
+        "--t", "1", "--samples", "0", "--mode", "sign-corrected",
+    ]) == 1
+    assert capsys.readouterr().err == "error: hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t=1.0\n"
+
+
+def test_cli_analyze_reports_no_nan_on_extreme_inputs(capsys) -> None:
+    rng = random.Random(2026)
+    choices = {
+        "--l": ["1", "10", "1000000", "1000000000"],
+        "--p": ["1e-300", "0.1", "0.999999999"],
+        "--K": ["1e-300", "1", "1e300", "1e308"],
+        "--m": ["-0.999", "0", "0.5", "3"],
+        "--K-hat": ["1e-300", "1", "1e300", "1e308", "1.7e308"],
+        "--m-hat": ["-0.999", "0", "0.5", "3"],
+        "--t": ["1e-300", "0.5", "1", "4", "1e100"],
+    }
+    for _ in range(200):
+        argv = ["analyze", "--samples", "0", "--mode", rng.choice(["sign-corrected", "both"])]
+        argv += [token for flag, values in choices.items() for token in (flag, rng.choice(values))]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert "NaN" not in out, argv
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_cli_sweep_domain_error_names_the_point(capsys) -> None:
