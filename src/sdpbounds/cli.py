@@ -24,9 +24,11 @@ from .ingest import (
     validate_assumptions,
 )
 from .report import (
+    PARAM_NAMES,
     PLOT_SELECTORS,
     SweepGrid,
     _plotdata_text,
+    _require_sampling,
     analyze,
     sweep,
     sweep_csv_text,
@@ -91,19 +93,15 @@ def build_parser() -> _Parser:
     p_an.add_argument("--records", help="prediction records CSV (sets l; and p when actuals present)")
     p_an.add_argument("--K", type=float, required=True, help="manual hazard scale")
     p_an.add_argument("--m", type=float, required=True, help="manual hazard shape")
-    p_an.add_argument("--K-hat", type=float, required=True, dest="k_hat", help="residual hazard scale")
-    p_an.add_argument("--m-hat", type=float, required=True, dest="m_hat", help="residual hazard shape")
+    p_an.add_argument("--K-hat", type=float, required=True, help="residual hazard scale")
+    p_an.add_argument("--m-hat", type=float, required=True, help="residual hazard shape")
     p_an.add_argument("--t", type=_float_list, required=True, help="comma-separated time points")
     _add_sampling_flags(p_an)
 
     p_sw = sub.add_parser("sweep", help="Cartesian parameter sweep with audit summary")
-    p_sw.add_argument("--l", type=_int_list, required=True)
-    p_sw.add_argument("--p", type=_float_list, required=True)
-    p_sw.add_argument("--K", type=_float_list, required=True)
-    p_sw.add_argument("--m", type=_float_list, required=True)
-    p_sw.add_argument("--K-hat", type=_float_list, required=True, dest="k_hat")
-    p_sw.add_argument("--m-hat", type=_float_list, required=True, dest="m_hat")
-    p_sw.add_argument("--t", type=_float_list, required=True)
+    for name in PARAM_NAMES:
+        values = _int_list if name == "l" else _float_list
+        p_sw.add_argument("--" + name.replace("_", "-"), type=values, required=True)
     _add_sampling_flags(p_sw)
 
     p_pd = sub.add_parser("plotdata", help="extract plot-ready (x, y) series from a report")
@@ -186,17 +184,6 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
     return l, p, provenance
 
 
-def _validate_sampling(args: argparse.Namespace) -> None:
-    if args.samples < 0 or (args.samples and args.samples < 1000):
-        raise ValueError("--samples must be 0 or >= 1000")
-    if args.seed < 0:
-        raise ValueError("--seed must be non-negative")
-    if args.seed >= 2**64:
-        raise ValueError("--seed must be < 2**64")
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
-
-
 def _print_point_summary(point: Dict[str, object]) -> None:
     hazard = point["hazard_audit"]
     pieces = [
@@ -221,10 +208,10 @@ def _audit_exit_code(report: Dict[str, object], strict: bool) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _validate_sampling(args)
+    _require_sampling(args.samples, args.seed, args.workers)
     l, p, provenance = _population_from_args(args)
     report = analyze(
-        l, p, args.K, args.m, args.k_hat, args.m_hat, args.t,
+        l, p, args.K, args.m, args.K_hat, args.m_hat, args.t,
         samples=args.samples, seed=args.seed, workers=args.workers,
         modes=_resolve_modes(args.mode), provenance=provenance,
     )
@@ -240,15 +227,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _validate_sampling(args)
+    _require_sampling(args.samples, args.seed, args.workers)
     grid = SweepGrid(
-        l_values=tuple(args.l),
-        p_values=tuple(args.p),
-        k_values=tuple(args.K),
-        m_values=tuple(args.m),
-        k_hat_values=tuple(args.k_hat),
-        m_hat_values=tuple(args.m_hat),
-        t_values=tuple(args.t),
+        *(tuple(getattr(args, name)) for name in PARAM_NAMES),
         samples=args.samples,
         seed=args.seed,
         modes=_resolve_modes(args.mode),
@@ -279,8 +260,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    if args.selector not in PLOT_SELECTORS:
-        raise ValueError(f"unknown selector {args.selector!r}; expected one of {PLOT_SELECTORS}")
     text = _plotdata_text(args.report, args.selector)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ that costs the same at every l; seeded sampling lives in ``montecarlo``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy import special
@@ -37,6 +38,8 @@ class FailurePopulation:
             raise ValueError(f"l must be an integer, got {self.l!r}")
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
+        if self.l > sys.float_info.max:
+            raise ValueError(f"l must be <= {sys.float_info.max!r}, got a {len(str(self.l))}-digit integer")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must satisfy 0 < p < 1, got {self.p}")
 

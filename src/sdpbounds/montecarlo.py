@@ -92,14 +92,14 @@ class AuditVerdict:
     margin: float
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion; robust near 0 and 1."""
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion; robust near 0 and 1."""
     if n <= 0:
         raise ValueError("n must be positive")
     p_hat = successes / n
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
+    denom = 1.0 + _Z95 * _Z95 / n
+    center = (p_hat + _Z95 * _Z95 / (2.0 * n)) / denom
+    half = (_Z95 / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + _Z95 * _Z95 / (4.0 * n * n))
     # At the boundary counts the analytic endpoint is exact; rounding in
     # center - half can otherwise push the interval off the observed rate.
     low = 0.0 if successes == 0 else max(0.0, center - half)
@@ -107,11 +107,15 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> Tuple[float, flo
     return low, high
 
 
+def _require_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
+
+
 def _validate_sampling_args(n: int, seed: int) -> None:
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
+    _require_seed(seed)
 
 
 def _block_sizes(n: int) -> List[int]:
@@ -156,8 +160,6 @@ def _estimate_stream(
     sums.  Without ``model`` and with no live cutoff nothing is drawn.
     """
     _validate_sampling_args(n, seed)
-    if model is not None and not (t >= 0.0):
-        raise ValueError(f"time t must be >= 0, got {t}")
     # A NaN cutoff is live: it is drawn and never hit.
     live = list(dict.fromkeys(c for c in thresholds if not c <= 0.0))
     blocks: List[object] = []
@@ -296,11 +298,7 @@ def tail_event_indicators(
     Test hook: reproduces exactly the indicators the tail estimators count.
     """
     _validate_sampling_args(n, seed)
-    parts = [
-        _draw_block(pop, seed, i, size) < threshold
-        for i, size in enumerate(_block_sizes(n))
-    ]
-    return np.concatenate(parts)
+    return np.concatenate(_map_blocks(n, 1, lambda i, size: _draw_block(pop, seed, i, size) < threshold))
 
 
 def audit_bound(report: BoundReport, exact: float) -> AuditVerdict:

@@ -40,7 +40,7 @@ from .hazards import (
     weibull_reliability,
 )
 from .ingest import ParseError
-from .montecarlo import AuditVerdict, MonteCarloEstimate, _estimate_stream, audit_bound
+from .montecarlo import AuditVerdict, MonteCarloEstimate, _estimate_stream, _require_seed, audit_bound
 
 __all__ = [
     "PLOT_SELECTORS",
@@ -107,18 +107,22 @@ class SweepGrid:
             WeibullParams(k, m)
         for t in self.t_values:
             _require_positive_time(t)
-        if self.samples and self.samples < 1000:
-            raise ValueError(f"samples must be 0 (disabled) or >= 1000, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.seed >= 2**64:
-            raise ValueError(f"seed must be < 2**64, got {self.seed}")
+        _require_sampling(self.samples, self.seed)
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
 
     def points(self) -> Iterable[Tuple[int, float, float, float, float, float, float]]:
         return itertools.product(*self.axes)
+
+
+def _require_sampling(samples: int, seed: int, workers: int = 1) -> None:
+    """The sampling contract of a run: samples 0 or >= 1000, a 64-bit seed, workers >= 1."""
+    if samples and samples < 1000:
+        raise ValueError(f"samples must be 0 (disabled) or >= 1000, got {samples}")
+    _require_seed(seed)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
@@ -129,8 +133,7 @@ def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
     seeds give distinct payloads, so no two of them share a substream by
     construction.
     """
-    if not 0 <= base_seed < 2**64:
-        raise ValueError(f"seed must be >= 0 and < 2**64, got {base_seed}")
+    _require_seed(base_seed)
     if l >= 2**63:
         raise ValueError(f"l must be < 2**63 when sampling, got {l}")
     payload = struct.pack("<Q", base_seed)
@@ -141,42 +144,16 @@ def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
 
 
 def _report_dict(report: BoundReport) -> Dict[str, object]:
-    return {
-        "event_threshold": report.event_threshold,
-        "delta": report.delta,
-        "mu_used": report.mu_used,
-        "log_bound": report.log_bound,
-        "bound": report.bound,
-        "domain_flags": sorted(report.domain_flags),
-        "exact_probability": report.exact_probability,
-        "notes": list(report.notes),
-    }
+    return {**vars(report), "domain_flags": sorted(report.domain_flags), "notes": list(report.notes)}
 
 
 def _estimate_dict(est: Optional[MonteCarloEstimate]) -> Optional[Dict[str, object]]:
-    if est is None:
-        return None
-    return {
-        "estimate": est.estimate,
-        "std_error": est.std_error,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "n_samples": est.n_samples,
-        "seed": est.seed,
-        "event_threshold": est.event_threshold,
-    }
+    return None if est is None else dict(vars(est))
 
 
 def _audit_dict(verdict: AuditVerdict) -> Dict[str, object]:
-    return {
-        "verdict": verdict.verdict,
-        "bound_value": verdict.bound_value,
-        "empirical_value": verdict.empirical_value,
-        "margin": verdict.margin,
-        # The exact tail decides every verdict; the keys stay for the report layout.
-        "empirical_is_exact": True,
-        "estimate": None,
-    }
+    # The exact tail decides every verdict; the last two keys stay for the report layout.
+    return {**vars(verdict), "empirical_is_exact": True, "estimate": None}
 
 
 def analyze_point(
@@ -209,13 +186,7 @@ def analyze_point(
     reference_report = reference_chernoff_bound(pop, hazard_report.event_threshold)
 
     point: Dict[str, object] = {
-        "l": l,
-        "p": p,
-        "K": k,
-        "m": m,
-        "K_hat": k_hat,
-        "m_hat": m_hat,
-        "t": t,
+        **dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, t))),
         "expected_failures": reference_report.mu_used,
         "manual_hazard": manual_hazard,
         "expected_hazard": hazard_report.mu_used,
@@ -291,15 +262,7 @@ def analyze(
         "samples": samples,
         "modes": list(modes),
         "for_provenance": provenance or {"source": "literal"},
-        "params": {
-            "l": l,
-            "p": p,
-            "K": k,
-            "m": m,
-            "K_hat": k_hat,
-            "m_hat": m_hat,
-            "t": list(t_values),
-        },
+        "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values)))),
         "points": points,
         "summary": {"audits": audit_summary(points)},
     }
@@ -367,11 +330,10 @@ def monotonicity_in_l(points: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """
     groups: Dict[Tuple, List[Tuple[int, float, bool]]] = {}
     for pt in points:
-        key = (pt["p"], pt["K"], pt["m"], pt["K_hat"], pt["m_hat"], pt["t"])
+        key = tuple(pt[name] for name in PARAM_NAMES[1:])
         lp = pt["l"] * pt["p"]
         residual_hazard = pt["K_hat"] * pt["t"] ** pt["m_hat"]
-        manual_hazard = pt["K"] * pt["t"] ** pt["m"]
-        applicable = lp + 2.0 * residual_hazard - manual_hazard > 0.0
+        applicable = lp + 2.0 * residual_hazard - pt["manual_hazard"] > 0.0
         groups.setdefault(key, []).append((pt["l"], pt["hazard_bound"]["bound"], applicable))
 
     checked = 0
@@ -388,7 +350,7 @@ def monotonicity_in_l(points: Sequence[Dict[str, object]]) -> Dict[str, object]:
         else:
             violations.append(
                 {
-                    "axes": dict(zip(("p", "K", "m", "K_hat", "m_hat", "t"), key)),
+                    "axes": dict(zip(PARAM_NAMES[1:], key)),
                     "bounds_by_l": [[r[0], r[1]] for r in rows],
                 }
             )
@@ -594,10 +556,12 @@ def plot_series_text(points: Sequence[Dict[str, object]], selector: str) -> str:
 
 def _plotdata_text(path: str, selector: str) -> str:
     """plot_series_text of a sweep CSV or of an analyze or sweep JSON report."""
+    if selector not in PLOT_SELECTORS:  # before the file is read
+        raise ValueError(f"unknown selector {selector!r}; expected one of {PLOT_SELECTORS}")
     if path.endswith(".csv"):
         return _series_text(_rows_from_sweep_csv(path), selector)
     document = read_report(path)
     try:
         return _series_text([_flat_row(pt) for pt in document["points"]], selector)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{path} is not a sdpbounds report") from exc

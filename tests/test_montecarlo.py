@@ -369,6 +369,11 @@ def test_seeds_at_or_above_2_64_are_rejected(capsys) -> None:
         derive_point_seed(2**64 + 5, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
     largest = derive_point_seed(2**64 - 1, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
     assert largest != derive_point_seed(5, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
+    pop = FailurePopulation(10, 0.1)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        estimate_tail_probability(pop, 1.0, 1000, seed=2**64)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        estimate_expected_reliability(CombinedHazardModel(WeibullParams(1.0, 0.0), pop), 1.0, 1000, seed=2**64)
 
 
 def test_l_at_or_above_2_63_with_sampling_is_rejected(capsys) -> None:

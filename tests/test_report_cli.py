@@ -49,6 +49,21 @@ def _float_leaves(node, path=""):
         yield path, node
 
 
+def test_report_record_layouts_are_pinned() -> None:
+    point = analyze_point(**CANONICAL, t=4.0, samples=2000, seed=3)
+    assert list(point["hazard_bound"]) == [
+        "event_threshold", "delta", "mu_used", "log_bound", "bound",
+        "domain_flags", "exact_probability", "notes",
+    ]
+    estimate_keys = ["estimate", "std_error", "ci_low", "ci_high", "n_samples", "seed", "event_threshold"]
+    assert list(point["hazard_tail_mc"]) == estimate_keys
+    assert list(point["expected_reliability_mc"]) == estimate_keys
+    assert list(point["hazard_audit"]) == [
+        "verdict", "bound_value", "empirical_value", "margin", "empirical_is_exact", "estimate",
+    ]
+    assert point["hazard_audit"]["empirical_is_exact"] is True and point["hazard_audit"]["estimate"] is None
+
+
 def test_analyze_point_canonical_values() -> None:
     point = analyze_point(**CANONICAL, t=4.0, samples=0)
     assert point["expected_hazard"] == pytest.approx(12.0, rel=1e-15)
@@ -411,7 +426,10 @@ def test_cli_plotdata_malformed_sweep_csv_is_parse_error(tmp_path, capsys) -> No
 
 def test_cli_plotdata_non_report_json_is_parse_error(tmp_path, capsys) -> None:
     path = tmp_path / "bad.json"
-    for text in ['"points"', '{"points": [1, 2]}', '{"points": null}', '{}']:
+    # A report whose first point holds a non-numeric parameter, which then varies.
+    report = analyze(**CANONICAL, t_values=[1.0, 4.0], samples=0)
+    report["points"][0]["p"] = "x"
+    for text in ['"points"', '{"points": [1, 2]}', '{"points": null}', '{}', json.dumps(report)]:
         path.write_text(text, encoding="utf-8")
         assert main(["plotdata", str(path), "--selector", "hazard"]) == 2, text
         assert capsys.readouterr().err == f"error: {path} is not a sdpbounds report\n"
@@ -445,7 +463,7 @@ def test_cli_hazard_bound_overflow_is_one_line_error(capsys) -> None:
 def test_cli_analyze_reports_no_nan_on_extreme_inputs(capsys) -> None:
     rng = random.Random(2026)
     choices = {
-        "--l": ["1", "10", "1000000", "1000000000"],
+        "--l": ["1", "10", "1000000", "1000000000", "1" + "0" * 400],
         "--p": ["1e-300", "0.1", "0.999999999"],
         "--K": ["1e-300", "1", "1e300", "1e308"],
         "--m": ["-0.999", "0", "0.5", "3"],
@@ -462,6 +480,10 @@ def test_cli_analyze_reports_no_nan_on_extreme_inputs(capsys) -> None:
             assert "NaN" not in out, argv
         else:
             assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # An l beyond double range is a domain error in sweep too.
+    code = main(["sweep", "--l", "10," + "1" + "0" * 400, "--p", "0.1", "--K", "1", "--m", "0",
+                 "--K-hat", "1", "--m-hat", "0", "--t", "1", "--samples", "0"])
+    assert code == 1 and capsys.readouterr().err.startswith("error: l must be <= ")
 
 
 def test_cli_sweep_domain_error_names_the_point(capsys) -> None:
