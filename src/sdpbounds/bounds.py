@@ -155,7 +155,9 @@ def hazard_shortfall_bound(
         raise ValueError(f"hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t={t}")
     threshold = manual_hazard - residual_hazard
     numerator = lp - manual_hazard + 2.0 * residual_hazard
-    return _bound_report(threshold, mu, -(numerator * numerator) / (2.0 * mu))
+    square = numerator * numerator  # can overflow where -(numerator / (2*mu)) * numerator is finite
+    log_bound = -square / (2.0 * mu) if square < math.inf else -(numerator / (2.0 * mu)) * numerator
+    return _bound_report(threshold, mu, log_bound)
 
 
 def reliability_excess_bound(

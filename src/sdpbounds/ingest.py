@@ -6,6 +6,12 @@ label entirely (new-project mode), in which case only the predicted-clean
 count can be derived.  Records are read as a stream: ``tally_records`` keeps
 only the counts of (predicted, actual) label pairs, so its memory does not
 grow with the number of rows.
+
+Lines are read in groups of 4,096.  A group of plain ``id,label[,label]``
+lines is counted with string scans, without splitting fields.  A quote, a
+stray CR, a NUL, a padded or mixed-case label, a blank or over-long line, or
+any malformed line sends its group through csv, record by record, which
+alone states the record rules.  The counts and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "LABELS",
@@ -41,6 +48,8 @@ _HEADERS = (["module_id", "predicted", "actual"], ["module_id", "predicted"])
 
 # (row number, module id, predicted, actual) -> (predicted, actual)
 _LABEL_PAIR = itemgetter(2, 3)
+
+_GROUP_LINES = 4096  # lines that tally_records reads and checks at a time
 
 # Model preconditions that cannot be verified from a confusion matrix; they are
 # echoed on every validation verdict so reports state what the numbers assume.
@@ -110,19 +119,19 @@ def _normalize_label(raw: str, row: int) -> str:
     return label
 
 
-def _iter_records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str, str, Optional[str]]]:
+def _iter_records(lines: Iterable[str], start: int = 1,
+                  arity: Optional[int] = None) -> Iterator[Tuple[int, str, str, Optional[str]]]:
     """Yield ``(row_no, module_id, predicted, actual)`` for each data row.
 
     The layout and its rules are those of tally_records; ``actual`` is None
-    when the file has no actual column.  Each distinct raw label is
-    normalised once.
+    when the file has no actual column.  Records are numbered from
+    ``start``; ``arity`` is the data rows' column count once earlier records
+    have fixed it.  Each distinct raw label is normalised once.
     """
-    lines = io.StringIO(source) if isinstance(source, str) else source
     labels: Dict[str, str] = {}  # raw label -> normalised label
-    arity: Optional[int] = None
-    row_no = 0
+    row_no = start - 1
     try:
-        for row_no, raw in enumerate(csv.reader(lines), start=1):
+        for row_no, raw in enumerate(csv.reader(lines), start=start):
             if len(raw) != arity:  # not a data row of the width the file started with
                 if not raw or (len(raw) == 1 and not raw[0].strip()):
                     continue  # blank line
@@ -147,8 +156,33 @@ def _iter_records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str,
             yield row_no, raw[0].strip(), predicted, actual
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
-    if arity is None:
-        raise ParseError("no data rows in input")
+
+
+def _plain_pairs(group: List[str], arity: int) -> Optional[Counter[Tuple[str, Optional[str]]]]:
+    """Label-pair counts of ``group`` if csv would split each line into ``id,label[,label]``.
+
+    That holds when the n lines end in n matches of ``,label[,label]`` plus the
+    group's one line ending (LF, or CRLF on every line) and hold no other comma,
+    quote, NUL, CR or LF, nor more characters than csv's field limit.  Else None.
+    """
+    n = len(group)
+    block = "\0".join(group) + "\0"  # a NUL after each line ties every match below to one line
+    eol = "\r\n" if group[0].endswith("\r\n") else "\n"
+    limit = csv.field_size_limit()
+    if ('"' in block or block.count("\0") != n or block.count("\n") != n
+            or block.count("\r") != (n if eol == "\r\n" else 0)
+            or block.count(",") != (arity - 1) * n
+            or (len(block) > limit and max(map(len, group)) > limit)):
+        return None
+    actuals = LABELS if arity == 3 else (None,)
+    counts = Counter({(p, a): block.count(f",{p}" + (f",{a}" if a else "") + eol + "\0")
+                      for p in LABELS for a in actuals})
+    return +counts if sum(counts.values()) == n else None
+
+
+def _raise_when_read(exc: Exception) -> Iterator[str]:
+    raise exc
+    yield  # a generator: the error surfaces where csv reads the next line
 
 
 @dataclass(frozen=True)
@@ -192,11 +226,39 @@ def tally_records(source: Union[str, Iterable[str]]) -> RecordTally:
     actual column must be present on every data row or on none of them;
     labels are matched case-insensitively.  No record list is built.
     """
-    rows = _iter_records(source)
-    _, first_module, predicted, actual = next(rows)
-    pairs = Counter(map(_LABEL_PAIR, rows))
-    pairs[predicted, actual] += 1
-    return RecordTally(pairs, None if actual is not None else first_module)
+    lines = io.StringIO(source) if isinstance(source, str) else iter(source)
+    pairs: Counter[Tuple[str, Optional[str]]] = Counter()
+    arity: Optional[int] = None
+    first_module = None
+    row = 1  # record number of the group's first line
+    while True:
+        group: List[str] = []
+        try:
+            group.extend(islice(lines, _GROUP_LINES))
+        except UnicodeDecodeError as exc:
+            lines, spans = _raise_when_read(exc), True  # csv reads the lines before the bad byte first
+        else:
+            if not group:
+                break
+            if arity and (plain := _plain_pairs(group, arity)):
+                pairs.update(plain)
+                row += len(group)
+                continue
+            # Without quotes a record is a line; a quoted field may run on past the group.
+            spans = any(isinstance(line, str) and '"' in line for line in group)
+        records = _iter_records(chain(group, lines) if spans else group, row, arity)
+        if arity is None:
+            for _, first_module, predicted, actual in records:
+                arity = 2 if actual is None else 3
+                pairs[predicted, actual] += 1
+                break
+        pairs.update(map(_LABEL_PAIR, records))
+        if spans:
+            break
+        row += len(group)
+    if arity is None:
+        raise ParseError("no data rows in input")
+    return RecordTally(pairs, first_module if arity == 2 else None)
 
 
 def load_record_tally(path: Union[str, Path]) -> RecordTally:

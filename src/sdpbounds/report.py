@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import struct
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -307,17 +308,12 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
 
 def audit_summary(points: Sequence[Dict[str, object]]) -> Dict[str, Dict[str, int]]:
     """Verdict tallies per bound family (and per mode for the reliability one)."""
-    counters: Dict[str, Dict[str, int]] = {}
-
-    def bump(family: str, verdict: str) -> None:
-        counters.setdefault(family, {})
-        counters[family][verdict] = counters[family].get(verdict, 0) + 1
-
+    counters: Dict[str, Counter[str]] = defaultdict(Counter)
     for point in points:
-        bump("hazard", point["hazard_audit"]["verdict"])
+        counters["hazard"][point["hazard_audit"]["verdict"]] += 1
         for mode, record in point["reliability_bound"].items():
-            bump(f"reliability[{mode}]", record["audit"]["verdict"])
-        bump("reference", point["reference_audit"]["verdict"])
+            counters[f"reliability[{mode}]"][record["audit"]["verdict"]] += 1
+        counters["reference"][point["reference_audit"]["verdict"]] += 1
     return {family: dict(sorted(v.items())) for family, v in sorted(counters.items())}
 
 

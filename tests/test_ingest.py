@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import re
@@ -10,8 +12,10 @@ from collections import Counter
 
 import pytest
 
+from sdpbounds import ingest
 from sdpbounds.cli import main
 from sdpbounds.ingest import (
+    LABELS,
     ConfusionCounts,
     ParseError,
     false_omission_rate,
@@ -300,3 +304,156 @@ def test_non_utf8_input_is_a_read_error(tmp_path, capsys) -> None:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: cannot read input: 'utf-8' codec can't decode byte 0xff .*\n", err), err
+
+
+# ---------------------------------------------------------------------------
+# Grouped ingest: plain groups are counted by string scans, the rest by csv.
+# ---------------------------------------------------------------------------
+
+_GROUP = ingest._GROUP_LINES
+
+
+def _reference_tally(lines):
+    """Every record through csv and _iter_records, one at a time."""
+    rows = ingest._iter_records(lines)
+    first = next(rows, None)
+    if first is None:
+        raise ParseError("no data rows in input")
+    _, module, predicted, actual = first
+    pairs = Counter(map(ingest._LABEL_PAIR, rows))
+    pairs[predicted, actual] += 1
+    return ingest.RecordTally(pairs, module if actual is None else None)
+
+
+def _outcome(tally, source):
+    try:
+        result = tally(source)
+    except (ParseError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None)
+    return "ok", dict(result.pairs), result.unlabelled
+
+
+def _plain(rng: random.Random, arity: int, rows: int, eol: str = "\n"):
+    return [f"m{i}," + ",".join(rng.choice(LABELS) for _ in range(arity - 1)) + eol for i in range(rows)]
+
+
+def _ingest_corpus():
+    """Seeded (name, lines) cases around the plain-group checks and the group boundaries."""
+    rng = random.Random(20)
+    limit = csv.field_size_limit()
+    cases = [("empty", []), ("header only", ["module_id,predicted,actual\n"])]
+    for arity in (2, 3):
+        header = "module_id,predicted,actual\n" if arity == 3 else "module_id,predicted\n"
+        odd_header = " MODULE_ID , Predicted ,Actual\r\n" if arity == 3 else "Module_Id,PREDICTED \r\n"
+        for rows in (1, _GROUP - 1, _GROUP, _GROUP + 1, 20_000):
+            lines = _plain(rng, arity, rows)
+            cases += [(f"{arity} cols, {rows} rows", lines),
+                      (f"{arity} cols, {rows} rows, no final newline", lines[:-1] + [lines[-1][:-1]])]
+        base = _plain(rng, arity, 2 * _GROUP + 8)
+        crlf = [line[:-1] + "\r\n" for line in base]
+        cases += [
+            (f"{arity} cols, header", [header] + base),
+            (f"{arity} cols, CRLF, odd header", [odd_header] + crlf),
+            (f"{arity} cols, CRLF then LF", crlf[:_GROUP + 7] + base[_GROUP + 7:]),
+            (f"{arity} cols, alternating endings", [line if i % 2 else crlf[i] for i, line in enumerate(base)]),
+            (f"{arity} cols, blank lines first", ["\n"] * (_GROUP + 5) + base[:_GROUP]),
+            (f"{arity} cols, header, then blank lines", [header] + [" \n"] * (2 * _GROUP) + base[:5]),
+        ]
+        def after_id(line: str) -> str:
+            return line[line.index(","):]
+
+        def quoted_newline(line: str) -> str:  # two lines that each look plain
+            return '"q' + after_id(line) + 'q"' + after_id(line)
+
+        at_boundaries = {
+            "wrong arity": lambda line: line[:-1] + ",clean\n",
+            "unknown label": lambda line: line.rsplit(",", 1)[0] + ",fuzzy\n",
+            "quoted id with newline": quoted_newline,
+        }
+        inside = {
+            "padded label": lambda line: line.rsplit(",", 1)[0] + ", clean\n",
+            "mixed-case label": lambda line: line.rsplit(",", 1)[0] + ",Defective\n",
+            "blank line": lambda line: "\n",
+            "whitespace line": lambda line: "  \t \n",
+            "NUL in id": lambda line: "m\0" + line,
+            "lone CR in id": lambda line: "m\rx" + line,
+            "CRLF line": lambda line: line[:-1] + "\r\n",
+            "quoted id with comma": lambda line: '"m,1"' + after_id(line),
+            "quoted id with newline": quoted_newline,
+            "quote opening a field": lambda line: '"' + line,
+            "id at the field limit": lambda line: "x" * limit + after_id(line),
+            "id over the field limit": lambda line: "x" * (limit + 1) + after_id(line),
+            "header again": lambda line: header,
+        }
+        # Line _GROUP ends the first group, which csv always reads, and line
+        # 2 * _GROUP ends the second: some edits go on either side of both
+        # boundaries, every edit inside the second group.
+        placed = [(name, edit, at) for name, edit in at_boundaries.items()
+                  for at in (_GROUP - 1, _GROUP, 2 * _GROUP - 1, 2 * _GROUP)]
+        placed += [(name, edit, _GROUP + 3) for name, edit in inside.items()]
+        for name, edit, at in placed:
+            lines = base if at > _GROUP + 3 else base[:_GROUP + 8]
+            cases.append((f"{arity} cols, {name} at line {at + 1}", lines[:at] + [edit(lines[at])] + lines[at + 1:]))
+    return cases
+
+
+# Items that are not single lines; only a list of lines can hold them.
+_LIST_ONLY = [
+    ["x,clean,clean\n\0y", ",clean,clean\n"],  # a NUL after a line break
+    ["x\ny,clean,clean\n"],  # a line break inside the id
+    ["x,clean,clean\ny", ",clean,clean\n"],
+    ["x,clean,clean", "y,clean,clean"],  # no line endings
+]
+
+
+def test_grouped_tally_matches_record_by_record_reference(tmp_path) -> None:
+    path = tmp_path / "records.csv"
+    checked = Counter()
+    for name, lines in _ingest_corpus():
+        text = "".join(lines)
+        expected = _outcome(_reference_tally, io.StringIO(text))
+        assert _outcome(tally_records, text) == expected, name
+        checked[expected[0]] += 1
+        # A file splits lines at a lone CR too, as does this list.
+        file_lines = io.StringIO(text, newline="").readlines()
+        expected = _outcome(_reference_tally, file_lines)
+        assert _outcome(tally_records, file_lines) == expected, name
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_record_tally, path) == expected, name
+    rng = random.Random(21)
+    for items in _LIST_ONLY:
+        for lines in (items, _plain(rng, 3, _GROUP + 3) + items + _plain(rng, 3, 9)):
+            assert _outcome(tally_records, lines) == _outcome(_reference_tally, lines), items
+    assert checked["ok"] > 20 and checked["ParseError"] > 20, checked
+
+
+def test_grouped_tally_reads_the_lines_before_a_bad_byte_first(tmp_path) -> None:
+    text = "".join(_plain(random.Random(22), 3, 3 * _GROUP)).encode("utf-8")
+    wrong_arity = text.replace(b"m5000,", b"m5000,x,", 1)
+    path = tmp_path / "records.csv"
+    for data, bad_at in [(text, 150_000), (text, 70_000), (wrong_arity, 150_000), (text, 0)]:
+        path.write_bytes(data[:bad_at] + b"\xff" + data[bad_at + 1:])
+        with open(path, encoding="utf-8", newline="") as fh:
+            expected = _outcome(_reference_tally, fh)
+        assert expected[0] == ("ParseError" if data is wrong_arity else "UnicodeDecodeError")
+        assert _outcome(load_record_tally, path) == expected
+
+
+def test_plain_records_bypass_csv(tmp_path, monkeypatch) -> None:
+    rows_through_csv = 0
+    reader = csv.reader
+
+    def counting_reader(lines):
+        nonlocal rows_through_csv
+        for row in reader(lines):
+            rows_through_csv += 1
+            yield row
+
+    monkeypatch.setattr(ingest.csv, "reader", counting_reader)
+    path = tmp_path / "records.csv"
+    for eol in ("\n", "\r\n"):
+        rows_through_csv = 0
+        path.write_text("module_id,predicted,actual" + eol + "".join(_plain(random.Random(23), 3, 100_000, eol)),
+                        encoding="utf-8", newline="")
+        assert load_record_tally(path).summary().n_total == 100_000
+        assert 0 < rows_through_csv <= _GROUP, (eol, rows_through_csv)

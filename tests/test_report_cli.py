@@ -460,6 +460,16 @@ def test_cli_hazard_bound_overflow_is_one_line_error(capsys) -> None:
     assert capsys.readouterr().err == "error: hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t=1.0\n"
 
 
+def test_cli_hazard_log_bound_is_finite_when_its_square_overflows(capsys) -> None:
+    # l*p = 1.7e306: numerator**2 overflows while 2*mu and -numerator**2 / (2*mu) do not.
+    assert main([
+        "analyze", "--l", "17" + "0" * 307, "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0",
+        "--t", "1", "--samples", "0",
+    ]) == 0
+    log_bound = json.loads(capsys.readouterr().out)["points"][0]["hazard_bound"]["log_bound"]
+    assert math.isfinite(log_bound) and log_bound == pytest.approx(-8.5e306, rel=1e-12)
+
+
 def test_cli_analyze_reports_no_nan_on_extreme_inputs(capsys) -> None:
     rng = random.Random(2026)
     choices = {
