@@ -28,6 +28,7 @@ from .report import (
     PLOT_SELECTORS,
     SweepGrid,
     _plotdata_text,
+    _report_json,
     _require_sampling,
     analyze,
     sweep,
@@ -221,8 +222,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for point in report["points"]:
             _print_point_summary(point)
     else:
-        json.dump(report, sys.stdout, indent=1)
-        print()
+        sys.stdout.write(_report_json(report))
     return _audit_exit_code(report, args.strict)
 
 

@@ -119,6 +119,14 @@ def _normalize_label(raw: str, row: int) -> str:
     return label
 
 
+def _without_nul(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` as they are; a NUL is the csv error that csv itself raises before Python 3.11."""
+    for line in lines:
+        if isinstance(line, str) and "\0" in line:
+            raise csv.Error("line contains NUL")
+        yield line
+
+
 def _iter_records(lines: Iterable[str], start: int = 1,
                   arity: Optional[int] = None) -> Iterator[Tuple[int, str, str, Optional[str]]]:
     """Yield ``(row_no, module_id, predicted, actual)`` for each data row.
@@ -131,7 +139,7 @@ def _iter_records(lines: Iterable[str], start: int = 1,
     labels: Dict[str, str] = {}  # raw label -> normalised label
     row_no = start - 1
     try:
-        for row_no, raw in enumerate(csv.reader(lines), start=start):
+        for row_no, raw in enumerate(csv.reader(_without_nul(lines)), start=start):
             if len(raw) != arity:  # not a data row of the width the file started with
                 if not raw or (len(raw) == 1 and not raw[0].strip()):
                     continue  # blank line

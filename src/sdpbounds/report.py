@@ -15,11 +15,12 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import struct
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .bounds import (
@@ -145,16 +146,15 @@ def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
 
 
 def _report_dict(report: BoundReport) -> Dict[str, object]:
-    return {**vars(report), "domain_flags": sorted(report.domain_flags), "notes": list(report.notes)}
+    record = {**vars(report), "domain_flags": sorted(report.domain_flags), "notes": list(report.notes)}
+    for name in ("delta", "log_bound"):  # beyond double range: JSON has no such number
+        if not math.isfinite(record[name]):
+            record[name] = None
+    return record
 
 
-def _estimate_dict(est: Optional[MonteCarloEstimate]) -> Optional[Dict[str, object]]:
-    return None if est is None else dict(vars(est))
-
-
-def _audit_dict(verdict: AuditVerdict) -> Dict[str, object]:
-    # The exact tail decides every verdict; the last two keys stay for the report layout.
-    return {**vars(verdict), "empirical_is_exact": True, "estimate": None}
+def _fields_dict(record: Union[AuditVerdict, MonteCarloEstimate, None]) -> Optional[Dict[str, object]]:
+    return None if record is None else dict(vars(record))
 
 
 def analyze_point(
@@ -215,23 +215,23 @@ def analyze_point(
 
     point["hazard_bound"] = _report_dict(hazard_report)
     point["hazard_exact_tail"] = exact_tails[0]
-    point["hazard_audit"] = _audit_dict(audit_bound(hazard_report, exact_tails[0]))
-    point["hazard_tail_mc"] = _estimate_dict(tail_mc[0])
+    point["hazard_audit"] = _fields_dict(audit_bound(hazard_report, exact_tails[0]))
+    point["hazard_tail_mc"] = _fields_dict(tail_mc[0])
 
     point["reliability_bound"] = {
         mode: {
             "bound": _report_dict(rel_report),
-            "audit": _audit_dict(audit_bound(rel_report, exact_tails[1])),
-            "exceedance_mc": _estimate_dict(tail_mc[1]),
+            "audit": _fields_dict(audit_bound(rel_report, exact_tails[1])),
+            "exceedance_mc": _fields_dict(tail_mc[1]),
         }
         for mode, rel_report in reliability_reports.items()
     }
     point["reliability_exact_tail"] = exact_tails[1] if modes else None
 
     point["reference_bound"] = _report_dict(reference_report)
-    point["reference_audit"] = _audit_dict(audit_bound(reference_report, exact_tails[0]))
+    point["reference_audit"] = _fields_dict(audit_bound(reference_report, exact_tails[0]))
 
-    point["expected_reliability_mc"] = _estimate_dict(mean_mc)
+    point["expected_reliability_mc"] = _fields_dict(mean_mc)
     return point
 
 
@@ -358,10 +358,16 @@ def monotonicity_in_l(points: Sequence[Dict[str, object]]) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
+def _report_json(report: Dict[str, object]) -> str:
+    """Standard JSON text of a report: compact for a sweep, indented for people to read."""
+    layout = {"separators": (",", ":")} if report["kind"] == "sweep" else {"indent": 1}
+    return json.dumps(report, allow_nan=False, **layout) + "\n"  # json.dump never runs the C encoder
+
+
 def write_report(report: Dict[str, object], path: str) -> None:
+    text = _report_json(report)  # a non-finite value raises here, before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_report(path: str) -> Dict[str, object]:

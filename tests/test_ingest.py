@@ -294,6 +294,25 @@ def test_oversized_csv_field_is_a_parse_error(tmp_path, capsys) -> None:
     assert err.startswith("error: row 2: ") and err.count("\n") == 1, err
 
 
+def test_nul_is_a_parse_error_on_every_python(tmp_path, capsys) -> None:
+    # csv itself rejects a NUL only before Python 3.11; the record rules reject it on all versions.
+    plain = "".join(f"m{i},clean,clean\n" for i in range(2 * ingest._GROUP_LINES))
+    cases = [
+        ("m1,clean,clean\nm\0x,clean,defective\n", 2),
+        ("module_id,predicted\n\0\n", 2),  # a NUL alone on a line is no blank line
+        ('module_id,predicted\n"m\n\0",clean\n', 2),  # inside a quoted field that spans lines
+        (plain + "m,clean,clean\0\n", 2 * ingest._GROUP_LINES + 1),  # a group the string scans would count
+    ]
+    for text, row in cases:
+        for source in (text, io.StringIO(text, newline="").readlines()):
+            with pytest.raises(ParseError, match=f"^row {row}: malformed CSV: line contains NUL$"):
+                tally_records(source)
+    path = tmp_path / "nul.csv"
+    path.write_text(cases[0][0], encoding="utf-8")
+    assert main(["for", "--records", str(path)]) == 2
+    assert capsys.readouterr().err == "error: row 2: malformed CSV: line contains NUL\n"
+
+
 def test_non_utf8_input_is_a_read_error(tmp_path, capsys) -> None:
     records = tmp_path / "records.csv"
     records.write_bytes(b"m1,cl\xffean,clean\n")

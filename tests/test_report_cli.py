@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,6 +50,13 @@ def _float_leaves(node, path=""):
         yield path, node
 
 
+def _standard_json(text: str):
+    """json.loads that rejects the NaN and Infinity tokens RFC 8259 does not allow."""
+    def reject(token: str):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_report_record_layouts_are_pinned() -> None:
     point = analyze_point(**CANONICAL, t=4.0, samples=2000, seed=3)
     assert list(point["hazard_bound"]) == [
@@ -58,10 +66,7 @@ def test_report_record_layouts_are_pinned() -> None:
     estimate_keys = ["estimate", "std_error", "ci_low", "ci_high", "n_samples", "seed", "event_threshold"]
     assert list(point["hazard_tail_mc"]) == estimate_keys
     assert list(point["expected_reliability_mc"]) == estimate_keys
-    assert list(point["hazard_audit"]) == [
-        "verdict", "bound_value", "empirical_value", "margin", "empirical_is_exact", "estimate",
-    ]
-    assert point["hazard_audit"]["empirical_is_exact"] is True and point["hazard_audit"]["estimate"] is None
+    assert list(point["hazard_audit"]) == ["verdict", "bound_value", "empirical_value", "margin"]
 
 
 def test_analyze_point_canonical_values() -> None:
@@ -487,13 +492,71 @@ def test_cli_analyze_reports_no_nan_on_extreme_inputs(capsys) -> None:
         code = main(argv)
         out, err = capsys.readouterr()
         if code == 0:
-            assert "NaN" not in out, argv
+            _standard_json(out)
         else:
             assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     # An l beyond double range is a domain error in sweep too.
     code = main(["sweep", "--l", "10," + "1" + "0" * 400, "--p", "0.1", "--K", "1", "--m", "0",
                  "--K-hat", "1", "--m-hat", "0", "--t", "1", "--samples", "0"])
     assert code == 1 and capsys.readouterr().err.startswith("error: l must be <= ")
+
+
+def _log_uniform(rng: random.Random, low: float, high: float) -> float:
+    return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+
+def test_cli_analyze_invariants_on_a_seeded_extreme_scan(capsys) -> None:
+    rng = random.Random(7)
+    started = time.perf_counter()
+    reports = 0
+    for _ in range(300):
+        l = max(1, round(_log_uniform(rng, 1, 1e9)))
+        p = min(1.0, _log_uniform(rng, 1e-300, 1.0))
+        values = [l, p, _log_uniform(rng, 1e-300, 1e308), rng.uniform(-0.999, 3),
+                  _log_uniform(rng, 1e-300, 1e308), rng.uniform(-0.999, 3), _log_uniform(rng, 1e-300, 1e300)]
+        argv = ["analyze", "--samples", "0", "--mode", rng.choice(["sign-corrected", "as-stated", "both"])]
+        argv += [token for flag, value in zip(["--l", "--p", "--K", "--m", "--K-hat", "--m-hat", "--t"], values)
+                 for token in (flag, repr(value))]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code != 0:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            continue
+        reports += 1
+        point = _standard_json(out)["points"][0]
+        bounds = [point["hazard_bound"], point["reference_bound"]]
+        bounds += [record["bound"] for record in point["reliability_bound"].values()]
+        for bound in bounds:
+            if bound["log_bound"] is not None:
+                assert bound["bound"] == math.exp(bound["log_bound"]), argv
+        for tail in (point["hazard_exact_tail"], point["reliability_exact_tail"]):
+            assert 0.0 <= tail <= 1.0, argv
+        # Pr[X < c] <= exp(-(lp - c)**2 / (2lp)) for 0 < c < lp (Mitzenmacher & Upfal, Thm 4.5).
+        if 0.0 < point["reference_bound"]["event_threshold"] < l * p:
+            assert point["reference_audit"]["verdict"] != "violated", argv
+    assert reports >= 100, reports
+    assert time.perf_counter() - started < 30.0
+
+
+def test_report_json_layout_by_kind(tmp_path, capsys) -> None:
+    path = tmp_path / "sweep.json"
+    assert main(["sweep", "--l", "10,100", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
+                 "--m-hat", "0,0.5", "--t", "1,4", "--samples", "1000", "--seed", "5", "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert data.endswith(b"}\n") and b"\n" not in data[:-1]
+    grid = SweepGrid((10, 100), (0.1,), (2.0,), (0.5,), (1.0,), (0.0, 0.5), (1.0, 4.0), samples=1000, seed=5,
+                     modes=("sign-corrected", "as-stated"))
+    assert read_report(str(path)) == json.loads(json.dumps(sweep(grid)))
+    capsys.readouterr()
+    # analyze reports are for people: indented by one space, to a file and to stdout alike.
+    argv = ["analyze", "--l", "100", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
+            "--m-hat", "0.5", "--t", "1,4", "--samples", "0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+    path = tmp_path / "analyze.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_cli_sweep_domain_error_names_the_point(capsys) -> None:
@@ -534,9 +597,10 @@ def test_cli_analyze_large_l_audits_are_exact(tmp_path) -> None:
     assert point["hazard_exact_tail"] == pytest.approx(3.58e-13, rel=1e-2)
     audits = [point["hazard_audit"], point["reference_audit"]]
     audits += [record["audit"] for record in point["reliability_bound"].values()]
-    for audit in audits:
-        assert audit["empirical_is_exact"] is True
-        assert audit["estimate"] is None
+    tails = [point["hazard_exact_tail"]] * 2 + [point["reliability_exact_tail"]] * len(point["reliability_bound"])
+    for audit, tail in zip(audits, tails, strict=True):
+        assert list(audit) == ["verdict", "bound_value", "empirical_value", "margin"]
+        assert audit["empirical_value"] == tail
     assert point["reference_audit"]["verdict"] == "holds"
 
 
