@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .failures import FailurePopulation
-from .hazards import AS_STATED, SIGN_CORRECTED
+from .hazards import AS_STATED, MODES, SIGN_CORRECTED
 from .ingest import (
     ConfusionCounts,
     ParseError,
@@ -113,12 +113,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_modes(mode: str) -> Tuple[str, ...]:
-    if mode == "both":
-        return (SIGN_CORRECTED, AS_STATED)
-    return (mode,)
-
-
 def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[str, object]]:
     given = [name for name in ("fn", "tn") if getattr(args, name) is not None]
     sources = sum([bool(given), args.confusion is not None, args.records is not None])
@@ -169,9 +163,8 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
         if tally.unlabelled is None:
             counts = tally.confusion()
         else:
-            summary = tally.summary()
-            l = summary.l_clean if l is None else l
-            provenance.update(n_total=summary.n_total, l_clean=summary.l_clean)
+            l = tally.l_clean if l is None else l
+            provenance.update(n_total=tally.n_total, l_clean=tally.l_clean)
     if counts is not None:
         verdict = validate_assumptions(counts)
         if not verdict.ok:
@@ -214,7 +207,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(
         l, p, args.K, args.m, args.K_hat, args.m_hat, args.t,
         samples=args.samples, seed=args.seed, workers=args.workers,
-        modes=_resolve_modes(args.mode), provenance=provenance,
+        modes=MODES if args.mode == "both" else (args.mode,), provenance=provenance,
     )
     if args.out:
         write_report(report, args.out)
@@ -232,7 +225,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         *(tuple(getattr(args, name)) for name in PARAM_NAMES),
         samples=args.samples,
         seed=args.seed,
-        modes=_resolve_modes(args.mode),
+        modes=MODES if args.mode == "both" else (args.mode,),
     )
     report = sweep(grid, workers=args.workers)
     if args.out:

@@ -43,10 +43,10 @@ __all__ = [
 # "as-stated" keeps the positive residual exponent of the historical formula
 # (looser by exp(2 * cumulative residual hazard)), "sign-corrected" flips it to
 # agree with the reliability closed form.  Both are upper bounds on the exact
-# expectation.
+# expectation.  MODES is the order every report lists them in.
 AS_STATED = "as-stated"
 SIGN_CORRECTED = "sign-corrected"
-MODES = (AS_STATED, SIGN_CORRECTED)
+MODES = (SIGN_CORRECTED, AS_STATED)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "LABELS",
     "ParseError",
     "ConfusionCounts",
-    "ProjectSummary",
     "ValidationVerdict",
     "RecordTally",
     "MODEL_CAVEATS",
@@ -93,16 +92,6 @@ class ConfusionCounts:
                 continue
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ProjectSummary:
-    n_total: int
-    l_clean: int
-
-    def __post_init__(self) -> None:
-        if self.l_clean > self.n_total:
-            raise ValueError(f"l_clean {self.l_clean} exceeds n_total {self.n_total}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +189,8 @@ class RecordTally:
     ``actual`` is None in the pairs of records without an actual label.  A
     file has either an actual column or none, so either every record is
     labelled or record 1 is not; ``unlabelled`` holds record 1's module id
-    in the second case.
+    in the second case.  ``n_total`` counts the records and ``l_clean`` the
+    predicted-clean ones; neither needs actual labels.
     """
 
     pairs: Counter[Tuple[str, Optional[str]]]
@@ -221,10 +211,13 @@ class RecordTally:
             tp_count=pairs["defective", "defective"],
         )
 
-    def summary(self) -> ProjectSummary:
-        """Module count and predicted-clean count (actual labels not needed)."""
-        l_clean = sum(n for (predicted, _), n in self.pairs.items() if predicted == "clean")
-        return ProjectSummary(n_total=sum(self.pairs.values()), l_clean=l_clean)
+    @property
+    def n_total(self) -> int:
+        return sum(self.pairs.values())
+
+    @property
+    def l_clean(self) -> int:
+        return sum(n for (predicted, _), n in self.pairs.items() if predicted == "clean")
 
 
 def tally_records(source: Union[str, Iterable[str]]) -> RecordTally:

@@ -375,19 +375,6 @@ def read_report(path: str) -> Dict[str, object]:
         return json.load(fh)
 
 
-_CSV_COLUMNS = [
-    "l", "p", "K", "m", "K_hat", "m_hat", "t",
-    "expected_hazard", "manual_hazard", "manual_reliability",
-    "expected_reliability_exact",
-    "erb_sign_corrected", "erb_as_stated",
-    "hazard_threshold", "hazard_delta", "hazard_mu", "hazard_bound",
-    "hazard_log_bound", "hazard_flags", "hazard_exact_tail", "hazard_verdict",
-    "rel_threshold", "rel_sc_bound", "rel_sc_verdict", "rel_as_bound",
-    "rel_as_verdict", "reliability_exact_tail",
-    "ref_bound", "ref_verdict",
-]
-
-
 # Plot selector -> (curve name, flat-row column) per curve.  bound_t2 draws the
 # modes the points hold, or one empty curve when they hold none.
 _PLOT_CURVES = {
@@ -403,8 +390,7 @@ PLOT_SELECTORS = tuple(_PLOT_CURVES)
 
 # The cells a plot reads, parsed back from a sweep CSV; the hazard tail and the
 # cells of a mode (empty when the sweep did not run it) may be empty.
-_PLOTTED = [(i, name) for i, name in enumerate(_CSV_COLUMNS)
-            if name in {*PARAM_NAMES, *(col for curves in _PLOT_CURVES.values() for _, col in curves)}]
+_PLOTTED = {*PARAM_NAMES, *(col for curves in _PLOT_CURVES.values() for _, col in curves)}
 _OPTIONAL_CELLS = ("hazard_exact_tail", "rel_sc_bound", "rel_as_bound")
 
 
@@ -412,48 +398,45 @@ def _fmt(value: object) -> str:
     return "" if value is None else str(value)  # str of a float is its shortest round trip
 
 
-def _flat_row(pt: Dict[str, object]) -> list:
-    """A report point's values in _CSV_COLUMNS order; a mode it lacks gives None."""
+def _flat_row(pt: Dict[str, object]) -> dict:
+    """A report point as a sweep CSV row, column -> value in column order; a mode it lacks gives None."""
     erb = pt["expected_reliability_bound"]
     rel = pt["reliability_bound"]
     sc = rel.get(SIGN_CORRECTED)
     as_ = rel.get(AS_STATED)
     rel_any = sc or as_
     hazard = pt["hazard_bound"]
-    return [
-        *(pt[name] for name in PARAM_NAMES),
-        pt["expected_hazard"],
-        pt["manual_hazard"],
-        pt["manual_reliability"],
-        pt["expected_reliability_exact"],
-        erb.get(SIGN_CORRECTED),
-        erb.get(AS_STATED),
-        hazard["event_threshold"],
-        hazard["delta"],
-        hazard["mu_used"],
-        hazard["bound"],
-        hazard["log_bound"],
-        "|".join(hazard["domain_flags"]),
-        pt["hazard_exact_tail"],
-        pt["hazard_audit"]["verdict"],
-        rel_any["bound"]["event_threshold"] if rel_any else None,
-        sc["bound"]["bound"] if sc else None,
-        sc["audit"]["verdict"] if sc else None,
-        as_["bound"]["bound"] if as_ else None,
-        as_["audit"]["verdict"] if as_ else None,
-        pt["reliability_exact_tail"],
-        pt["reference_bound"]["bound"],
-        pt["reference_audit"]["verdict"],
-    ]
+    return {
+        **{name: pt[name] for name in (*PARAM_NAMES, "expected_hazard", "manual_hazard", "manual_reliability",
+                                       "expected_reliability_exact")},
+        "erb_sign_corrected": erb.get(SIGN_CORRECTED),
+        "erb_as_stated": erb.get(AS_STATED),
+        "hazard_threshold": hazard["event_threshold"],
+        "hazard_delta": hazard["delta"],
+        "hazard_mu": hazard["mu_used"],
+        "hazard_bound": hazard["bound"],
+        "hazard_log_bound": hazard["log_bound"],
+        "hazard_flags": "|".join(hazard["domain_flags"]),
+        "hazard_exact_tail": pt["hazard_exact_tail"],
+        "hazard_verdict": pt["hazard_audit"]["verdict"],
+        "rel_threshold": rel_any["bound"]["event_threshold"] if rel_any else None,
+        "rel_sc_bound": sc["bound"]["bound"] if sc else None,
+        "rel_sc_verdict": sc["audit"]["verdict"] if sc else None,
+        "rel_as_bound": as_["bound"]["bound"] if as_ else None,
+        "rel_as_verdict": as_["audit"]["verdict"] if as_ else None,
+        "reliability_exact_tail": pt["reliability_exact_tail"],
+        "ref_bound": pt["reference_bound"]["bound"],
+        "ref_verdict": pt["reference_audit"]["verdict"],
+    }
 
 
 def sweep_csv_text(points: Sequence[Dict[str, object]]) -> str:
-    """Flat CSV for sweep points; floats use shortest-round-trip text."""
+    """Flat CSV for sweep points; floats use shortest-round-trip text, and no points give ""."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for pt in points:
-        writer.writerow([_fmt(value) for value in _flat_row(pt)])
+    rows = [_flat_row(pt) for pt in points]
+    writer.writerows(rows[:1])  # the header: a row's keys
+    writer.writerows([_fmt(value) for value in row.values()] for row in rows)
     return buffer.getvalue()
 
 
@@ -463,12 +446,12 @@ def _cell(name: str, text: str) -> object:
     return int(text) if name == "l" else float(text)
 
 
-def _rows_from_sweep_csv(path: str) -> List[list]:
-    """Flat rows of a sweep CSV, plotted cells parsed and the others None.
+def _rows_from_sweep_csv(path: str) -> List[dict]:
+    """The plotted cells of a sweep CSV's rows, parsed, by column name.
 
-    A malformed record is a ParseError with its record number.
+    A missing plotted column is a KeyError; a malformed record, a ParseError with its record number.
     """
-    rows: List[list] = []
+    rows: List[dict] = []
     header: Optional[List[str]] = None
     row_no = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -478,17 +461,17 @@ def _rows_from_sweep_csv(path: str) -> List[list]:
                     continue
                 if header is None:
                     header = values
-                    where = {name: i for i, name in enumerate(header)}
+                    where = {name: i for i, name in enumerate(header) if name in _PLOTTED}
+                    missing = sorted(_PLOTTED - where.keys())
+                    if missing:
+                        raise KeyError(missing[0])
                     continue
                 if len(values) != len(header):
                     raise ParseError(f"expected {len(header)} columns, got {len(values)}", row_no)
-                row: list = [None] * len(_CSV_COLUMNS)
                 try:
-                    for i, name in _PLOTTED:
-                        row[i] = _cell(name, values[where[name]])
+                    rows.append({name: _cell(name, values[i]) for name, i in where.items()})
                 except ValueError as exc:
                     raise ParseError(f"bad value: {exc}", row_no) from exc
-                rows.append(row)
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
     return rows
@@ -499,36 +482,36 @@ def _rows_from_sweep_csv(path: str) -> List[list]:
 # ---------------------------------------------------------------------------
 
 
-def _series(rows: Sequence[list], selector: str) -> Tuple[str, List[Tuple[str, List[Tuple[float, float]]]]]:
+def _series(rows: Sequence[dict], selector: str) -> Tuple[str, List[Tuple[str, List[Tuple[float, float]]]]]:
     """The x axis and the series of plot_series, from flat rows."""
     if selector not in PLOT_SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; expected one of {PLOT_SELECTORS}")
     # x is the single varying parameter, else t; the others that vary split the curves.
-    varying = [i for i in range(len(PARAM_NAMES)) if len({row[i] for row in rows}) > 1]
-    axis = varying[0] if len(varying) == 1 else PARAM_NAMES.index("t")
-    off_axis = [i for i in varying if i != axis]
-    groups: Dict[Tuple, List[list]] = {} if rows else {(): []}  # no rows: each curve once, empty
+    varying = [name for name in PARAM_NAMES if len({row[name] for row in rows}) > 1]
+    axis = varying[0] if len(varying) == 1 else "t"
+    off_axis = [name for name in varying if name != axis]
+    groups: Dict[Tuple, List[dict]] = {} if rows else {(): []}  # no rows: each curve once, empty
     for row in rows:
-        groups.setdefault(tuple(row[i] for i in off_axis), []).append(row)
+        groups.setdefault(tuple(row[name] for name in off_axis), []).append(row)
 
-    curves = [(name, _CSV_COLUMNS.index(col)) for name, col in _PLOT_CURVES[selector]]
+    curves = _PLOT_CURVES[selector]
     if selector == "bound_t2":
         held = [(name, col) for name, col in curves if any(row[col] is not None for row in rows)]
         # With no mode held, the one empty curve reads a column no row holds.
         curves = held or [("reliability_bound", curves[0][1])]
 
     def label(name: str, key: Tuple) -> str:
-        suffix = ",".join(f"{PARAM_NAMES[i]}={value:g}" for i, value in zip(off_axis, key))
+        suffix = ",".join(f"{param}={value:g}" for param, value in zip(off_axis, key))
         return f"{name} [{suffix}]" if suffix else name
 
-    return PARAM_NAMES[axis], [
+    return axis, [
         (label(name, key), [(float(row[axis]), float(row[col])) for row in group if row[col] is not None])
         for name, col in curves
         for key, group in groups.items()
     ]
 
 
-def _series_text(rows: Sequence[list], selector: str) -> str:
+def _series_text(rows: Sequence[dict], selector: str) -> str:
     axis, series = _series(rows, selector)
     blocks = []
     for name, pairs in series:

@@ -38,14 +38,14 @@ def test_parse_new_project_mode() -> None:
     tally = tally_records("m1,clean\nm2,defective\n")
     assert tally.pairs == Counter({("clean", None): 1, ("defective", None): 1})
     assert tally.unlabelled == "m1"
-    assert (tally.summary().n_total, tally.summary().l_clean) == (2, 1)
+    assert (tally.n_total, tally.l_clean) == (2, 1)
 
 
 def test_parse_header_skipped() -> None:
     with_header = tally_records("module_id,predicted,actual\nm1,clean,clean\n")
-    assert with_header.summary().n_total == 1
+    assert with_header.n_total == 1
     two_col = tally_records("module_id,predicted\nm1,defective\n")
-    assert two_col.summary().n_total == 1
+    assert two_col.n_total == 1
 
 
 def test_parse_unknown_label_names_row() -> None:
@@ -149,12 +149,10 @@ def test_counts_validation() -> None:
 
 def test_summarize_project() -> None:
     tally = tally_records("\n".join(f"m{i},clean" for i in range(7)) + "\nm7,defective\nm8,defective\nm9,defective")
-    summary = tally.summary()
-    assert (summary.n_total, summary.l_clean) == (10, 7)
-    all_defective = tally_records("a,defective\nb,defective\n").summary()
-    assert all_defective.l_clean == 0
+    assert (tally.n_total, tally.l_clean) == (10, 7)
+    assert tally_records("a,defective\nb,defective\n").l_clean == 0
     # clean + defective partition the records.
-    assert summary.l_clean + tally.pairs["defective", None] == summary.n_total
+    assert tally.l_clean + tally.pairs["defective", None] == tally.n_total
 
 
 def test_parse_confusion_json() -> None:
@@ -178,7 +176,7 @@ def test_file_loaders(tmp_path) -> None:
     records_path = tmp_path / "records.csv"
     records_path.write_text("module_id,predicted,actual\nm1,clean,defective\nm2,clean,clean\n", encoding="utf-8")
     tally = load_record_tally(records_path)
-    assert tally.summary().n_total == 2
+    assert tally.n_total == 2
     assert tally.confusion() == ConfusionCounts(fn_count=1, tn_count=1, fp_count=0, tp_count=0)
 
     confusion_path = tmp_path / "confusion.json"
@@ -226,9 +224,8 @@ def test_cli_streaming_counts_match_record_list(tmp_path, capsys) -> None:
         path.write_text(text, encoding="utf-8")
         tally = tally_records(text)
         assert tally.pairs == Counter(pairs)
-        summary = tally.summary()
-        assert summary.n_total == len(pairs)
-        assert summary.l_clean == sum(predicted == "clean" for predicted, _ in pairs)
+        assert tally.n_total == len(pairs)
+        assert tally.l_clean == sum(predicted == "clean" for predicted, _ in pairs)
 
         if with_actual:
             counts = tally.confusion()
@@ -250,8 +247,8 @@ def test_cli_streaming_counts_match_record_list(tmp_path, capsys) -> None:
             assert (provenance["fn"], provenance["tn"]) == (counts.fn_count, counts.tn_count)
             assert report["params"]["l"] == counts.fn_count + counts.tn_count
         else:
-            assert (provenance["n_total"], provenance["l_clean"]) == (summary.n_total, summary.l_clean)
-            assert report["params"]["l"] == summary.l_clean
+            assert (provenance["n_total"], provenance["l_clean"]) == (tally.n_total, tally.l_clean)
+            assert report["params"]["l"] == tally.l_clean
 
 
 def test_cli_records_parse_error_precedes_missing_actuals(tmp_path, capsys) -> None:
@@ -474,5 +471,5 @@ def test_plain_records_bypass_csv(tmp_path, monkeypatch) -> None:
         rows_through_csv = 0
         path.write_text("module_id,predicted,actual" + eol + "".join(_plain(random.Random(23), 3, 100_000, eol)),
                         encoding="utf-8", newline="")
-        assert load_record_tally(path).summary().n_total == 100_000
+        assert load_record_tally(path).n_total == 100_000
         assert 0 < rows_through_csv <= _GROUP, (eol, rows_through_csv)

@@ -256,6 +256,34 @@ def test_sweep_csv_contains_points_and_roundtrips_floats() -> None:
     assert record["hazard_verdict"] == "holds"
 
 
+def test_sweep_csv_layout_is_pinned(tmp_path, capsys) -> None:
+    default_grid = [arg for name, values in DEFAULT_AUDIT_AXES.items()
+                    for arg in ("--" + name.replace("_", "-"), ",".join(map(str, values)))]
+    paths = {mode: tmp_path / f"{mode}.csv" for mode in ("both", "as-stated")}
+    for mode, path in paths.items():
+        assert main(["sweep", *default_grid, "--samples", "0", "--mode", mode, "--out", str(path)]) == 0
+    capsys.readouterr()
+    header, *rows = paths["both"].read_text(encoding="utf-8").splitlines()
+    assert header.split(",") == [
+        "l", "p", "K", "m", "K_hat", "m_hat", "t",
+        "expected_hazard", "manual_hazard", "manual_reliability", "expected_reliability_exact",
+        "erb_sign_corrected", "erb_as_stated",
+        "hazard_threshold", "hazard_delta", "hazard_mu", "hazard_bound",
+        "hazard_log_bound", "hazard_flags", "hazard_exact_tail", "hazard_verdict",
+        "rel_threshold", "rel_sc_bound", "rel_sc_verdict", "rel_as_bound",
+        "rel_as_verdict", "reliability_exact_tail",
+        "ref_bound", "ref_verdict",
+    ]
+    assert len(rows) == 972
+    # A mode the sweep did not run leaves its cells empty on every row.
+    as_header, *as_rows = paths["as-stated"].read_text(encoding="utf-8").splitlines()
+    assert as_header == header and len(as_rows) == 972
+    for row in as_rows:
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["rel_sc_bound"] == record["rel_sc_verdict"] == record["erb_sign_corrected"] == "", row
+        assert record["rel_as_bound"] and record["rel_as_verdict"] and record["erb_as_stated"], row
+
+
 def test_plot_series_selectors() -> None:
     report = analyze(**CANONICAL, t_values=[0.5, 1.0, 2.0, 4.0], samples=0)
     points = report["points"]
@@ -339,6 +367,28 @@ def test_cli_for_parse_error_exit_2(tmp_path, capsys) -> None:
     assert main(["for", "--records", str(tmp_path / "missing.csv")]) == 2
 
 
+def test_cli_input_source_errors(tmp_path, capsys) -> None:
+    unlabelled = tmp_path / "new.csv"
+    unlabelled.write_text("m1,clean\nm2,defective\n", encoding="utf-8")
+    confusion = tmp_path / "c.json"
+    confusion.write_text('{"fn": 5, "tn": 45}', encoding="utf-8")
+    shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "1", "--samples", "0"]
+    for argv, message in [
+        (["for", "--fn", "5", "--tn", "45", "--confusion", str(confusion)],
+         "provide exactly one source: --fn/--tn, --confusion, or --records"),
+        (["for", "--fn", "5"], "--fn and --tn must be given together"),
+        (["analyze", "--confusion", str(confusion), "--records", str(unlabelled), *shape],
+         "give at most one of --confusion and --records"),
+        (["analyze", "--records", str(unlabelled), *shape],
+         "l and p must be resolvable from --l/--p or an input file"),
+        (["for", "--records", str(unlabelled)],
+         "record 1 (module 'm1') has no actual label; confusion tallying needs test-set records"),
+    ]:
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), argv
+
+
 def test_cli_analyze_with_confusion_file(tmp_path, capsys) -> None:
     confusion = tmp_path / "c.json"
     confusion.write_text('{"fn": 5, "tn": 45}', encoding="utf-8")
@@ -416,17 +466,25 @@ def test_cli_plotdata_malformed_sweep_csv_is_parse_error(tmp_path, capsys) -> No
     cells = second.split(",")
     cells[header.split(",").index("l")] = "abc"
     oversized = ",".join(['"' + "x" * 140_000 + '"', *first.split(",")[1:]])
+    bad = tmp_path / "bad.csv"
     for rows, needle in [
         ([header, first, ",".join(cells)], "row 3: bad value: invalid literal for int()"),
         ([header, oversized, second], "row 2: malformed CSV: field larger than field limit"),
         ([header, first, "1,2,3"], "row 3: expected"),
     ]:
-        bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
         assert main(["plotdata", str(bad), "--selector", "hazard"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert needle in err
+    # A sweep CSV without a plotted column fails on read, whichever curve is asked for.
+    for column in ("hazard_bound", "t"):
+        drop = header.split(",").index(column)
+        rows = [",".join(c for i, c in enumerate(line.split(",")) if i != drop) for line in (header, first, second)]
+        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for selector in PLOT_SELECTORS:
+            assert main(["plotdata", str(bad), "--selector", selector]) == 2
+            assert capsys.readouterr().err == f"error: cannot read input: {column!r}\n", (column, selector)
 
 
 def test_cli_plotdata_non_report_json_is_parse_error(tmp_path, capsys) -> None:
@@ -544,8 +602,7 @@ def test_report_json_layout_by_kind(tmp_path, capsys) -> None:
                  "--m-hat", "0,0.5", "--t", "1,4", "--samples", "1000", "--seed", "5", "--out", str(path)]) == 0
     data = path.read_bytes()
     assert data.endswith(b"}\n") and b"\n" not in data[:-1]
-    grid = SweepGrid((10, 100), (0.1,), (2.0,), (0.5,), (1.0,), (0.0, 0.5), (1.0, 4.0), samples=1000, seed=5,
-                     modes=("sign-corrected", "as-stated"))
+    grid = SweepGrid((10, 100), (0.1,), (2.0,), (0.5,), (1.0,), (0.0, 0.5), (1.0, 4.0), samples=1000, seed=5)
     assert read_report(str(path)) == json.loads(json.dumps(sweep(grid)))
     capsys.readouterr()
     # analyze reports are for people: indented by one space, to a file and to stdout alike.
@@ -557,6 +614,19 @@ def test_report_json_layout_by_kind(tmp_path, capsys) -> None:
     path = tmp_path / "analyze.json"
     assert main([*argv, "--out", str(path)]) == 0
     assert path.read_text(encoding="utf-8") == out
+
+
+def test_library_and_cli_share_the_mode_order(tmp_path, capsys) -> None:
+    path = tmp_path / "x.json"
+    assert main(["sweep", "--l", "10", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
+                 "--m-hat", "0.5", "--t", "1,4", "--samples", "0", "--mode", "both", "--out", str(path)]) == 0
+    capsys.readouterr()
+    from_cli = read_report(str(path))
+    from_library = sweep(SweepGrid((10,), (0.1,), (2.0,), (0.5,), (1.0,), (0.5,), (1.0, 4.0)))
+    assert from_cli["modes"] == from_library["modes"]
+    for cli_point, library_point in zip(from_cli["points"], from_library["points"], strict=True):
+        assert list(cli_point["reliability_bound"]) == list(library_point["reliability_bound"])
+    assert from_library["modes"] == analyze(**CANONICAL, t_values=[1.0])["modes"]
 
 
 def test_cli_sweep_domain_error_names_the_point(capsys) -> None:
