@@ -12,7 +12,7 @@ other public name is imported from its submodule (``sdpbounds.report``,
 ``sdpbounds.ingest``, ...).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bounds import hazard_shortfall_bound, reference_chernoff_bound, reliability_excess_bound
 from .failures import FailurePopulation, binomial_cdf_below

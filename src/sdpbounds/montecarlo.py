@@ -3,17 +3,19 @@ auditor that compares bound reports against exact event probabilities.  The
 estimates are reported beside the exact values; they decide no verdict.
 
 Determinism contract: the sample index space is split into fixed-size blocks;
-block i draws from an independent substream derived from (seed, i), and block
-statistics are merged in index order, float sums with the exactly rounded
-``math.fsum``.  Results are therefore bit-identical for any worker count and
-across runs.
+block i draws from an independent substream derived from (seed, i), and the
+blocks' defect counts are merged with integer counts into one histogram, the
+distinct values drawn and their multiplicities.  Results are therefore
+bit-identical for any worker count and across runs.
 
-Each point has one seeded stream, drawn in one pass: every block is drawn
-once, counts X < c for every cutoff c and sums the SDP reliability of its
-draws, so the hazard and reliability tails and the reliability mean of a
-point all come from the same draws.  The tail intervals are Wilson score
-intervals; the mean's is an empirical Bernstein bound, which stays valid
-for a bounded variable whose mean sits in a tail the draws rarely reach.
+The defect count depends on the population (l, p) alone, so a report draws
+one stream per population, once, and keeps it as its histogram: every point
+and every t of that population count X < c in it for each cutoff c and sum
+the SDP reliability over its distinct values.  The hazard and reliability
+tails and the reliability mean of all those points come from the same draws,
+so their checks are not independent.  The tail intervals are Wilson score
+intervals; the mean's is an empirical Bernstein bound, which stays valid for
+a bounded variable whose mean sits in a tail the draws rarely reach.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,73 +144,73 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
         return [f.result() for f in futures]
 
 
+class _Draws(NamedTuple):
+    """A seed's n draws as a histogram: distinct defect counts, ascending, and their multiplicities."""
+
+    values: np.ndarray
+    counts: np.ndarray
+    n: int
+    seed: int
+
+
+def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
+    """The seed's stream, block by block, merged into one histogram."""
+    _validate_sampling_args(n, seed)
+    blocks = _map_blocks(
+        n, workers, lambda i, size: np.unique(_draw_block(pop, seed, i, size), return_counts=True))
+    values, where = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
+    counts = np.zeros(len(values), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([b[1] for b in blocks]))
+    return _Draws(values, counts, n, seed)
+
+
 def _estimate_stream(
-    pop: FailurePopulation,
+    draws: _Draws,
     thresholds: Sequence[float],
-    n: int,
-    seed: int,
-    workers: int,
     model: Optional[CombinedHazardModel] = None,
     t: float = 0.0,
 ) -> Tuple[Tuple[MonteCarloEstimate, ...], Optional[MonteCarloEstimate]]:
-    """One pass over the seed's blocks: a tail estimate per threshold and,
-    given ``model``, the mean SDP reliability at ``t`` of the same draws.
-
-    Each block is drawn once; it counts X < c for every distinct live cutoff
-    and sums r and r*r, with r scaled by the power of two 2**-e that puts its
-    largest value in [0.5, 1), so r*r cannot underflow; e comes back with the
-    sums.  Without ``model`` and with no live cutoff nothing is drawn.
-    """
-    _validate_sampling_args(n, seed)
-    # A NaN cutoff is live: it is drawn and never hit.
-    live = list(dict.fromkeys(c for c in thresholds if not c <= 0.0))
-    blocks: List[object] = []
-    if live or model is not None:
-
-        def block_fn(i: int, size: int) -> Tuple[List[int], int, float, float]:
-            x = _draw_block(pop, seed, i, size)
-            counts = [int(np.count_nonzero(x < c)) for c in live]
-            if model is None:
-                return counts, 0, 0.0, 0.0
-            r = sdp_reliability(model, x, t)
-            exponent = math.frexp(float(np.max(r)))[1]
-            r = np.ldexp(r, -exponent)
-            return counts, exponent, float(np.sum(r)), float(np.sum(r * r))
-
-        blocks = _map_blocks(n, workers, block_fn)
-    hits = dict(zip(live, map(sum, zip(*(b[0] for b in blocks)))))
-    tails = tuple(_tail_estimate(c, hits.get(c, 0), n, seed) for c in thresholds)
+    """A tail estimate per threshold and, given ``model``, the mean SDP
+    reliability at ``t``, all from the same draws."""
+    tails = tuple(_tail_estimate(c, draws) for c in thresholds)
     if model is None:
         return tails, None
-    bound = weibull_reliability(model.residual, t)
-    return tails, _mean_estimate(blocks, bound, n, seed)
+    r = sdp_reliability(model, draws.values, t)
+    return tails, _mean_estimate(r, draws, weibull_reliability(model.residual, t))
 
 
-def _tail_estimate(threshold: float, count: int, n: int, seed: int) -> MonteCarloEstimate:
+def _tail_estimate(threshold: float, draws: _Draws) -> MonteCarloEstimate:
     """Hit rate with its Wilson interval; a cutoff <= 0 is the impossible event."""
+    n, seed = draws.n, draws.seed
     if threshold <= 0.0:
         return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
+    # A NaN cutoff is live: it is counted and never hit.
+    count = int(np.sum(draws.counts[draws.values < threshold]))
     p_hat = count / n
     ci_low, ci_high = wilson_interval(count, n)
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
     return MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
 
 
-def _mean_estimate(blocks: Sequence, bound: float, n: int, seed: int) -> MonteCarloEstimate:
+def _mean_estimate(r: np.ndarray, draws: _Draws, bound: float) -> MonteCarloEstimate:
     """Sample mean of r in [0, bound] with a two-sided empirical Bernstein interval.
 
     Maurer & Pontil (2009), Thm 4, with delta = 0.05 split across the two
     sides and scaled from [0, 1] to [0, bound].  Unlike mean +- z*se it holds
     when the draws miss the lower defect-count tail that carries the mean.
 
-    The block sums are merged at the largest block exponent E (a block of
-    zeros has none), and the variance is formed in units of 2**E, where it
-    cannot underflow; a power-of-two scaling is exact, so every result equals
-    the unscaled computation wherever that one does not underflow.
+    ``r`` holds the reliability at each distinct value of the draws.  The
+    sums weigh it by the multiplicities, exactly rounded, in units of 2**E,
+    the power of two that puts the largest r in [0.5, 1), so r*r and the
+    variance cannot underflow; a power-of-two scaling is exact, so every
+    result equals the unscaled computation wherever that one does not
+    underflow.
     """
-    top = max((b[1] for b in blocks if b[2]), default=0)
-    total = math.fsum(math.ldexp(b[2], b[1] - top) for b in blocks)
-    total_sq = math.fsum(math.ldexp(b[3], 2 * (b[1] - top)) for b in blocks)
+    n, seed = draws.n, draws.seed
+    top = math.frexp(float(np.max(r)))[1]
+    r = np.ldexp(r, -top)
+    total = math.fsum(draws.counts * r)
+    total_sq = math.fsum(draws.counts * (r * r))
     scaled_mean = total / n
     variance = max(0.0, (total_sq - n * scaled_mean * scaled_mean) / (n - 1))
     mean = math.ldexp(scaled_mean, top)
@@ -230,13 +232,15 @@ def estimate_tail_probabilities(
 ) -> Tuple[MonteCarloEstimate, ...]:
     """Fraction of n seeded defect-count draws with X < c for each cutoff c, Wilson CIs.
 
-    Every cutoff counts the same draws: one pass over the seed's blocks counts
-    each distinct cutoff once, and the estimates come back in the order of
-    ``thresholds``.  A cutoff <= 0 describes an impossible event (X >= 0) and
-    gets a degenerate zero estimate; no block is drawn unless some cutoff is
-    positive.
+    Every cutoff counts the same draws, drawn once, and the estimates come
+    back in the order of ``thresholds``.  A cutoff <= 0 describes an
+    impossible event (X >= 0) and gets a degenerate zero estimate; no block
+    is drawn unless some cutoff is positive or NaN.
     """
-    return _estimate_stream(pop, thresholds, n, seed, workers)[0]
+    _validate_sampling_args(n, seed)
+    live = any(not c <= 0.0 for c in thresholds)
+    draws = _draw(pop, n, seed, workers) if live else _Draws((), (), n, seed)
+    return _estimate_stream(draws, thresholds)[0]
 
 
 def estimate_tail_probability(
@@ -261,10 +265,10 @@ def estimate_expected_reliability(
 
     The interval is the empirical Bernstein bound for r in
     [0, weibull_reliability(residual, t)]; ``std_error`` is the sample
-    standard error.  At a point's tail seed this is the estimate that
-    analyze_point reports, drawn in the same pass as the tail counts.
+    standard error.  At a population's seed this is the estimate that
+    analyze_point reports, from the same draws as the tail counts.
     """
-    return _estimate_stream(model.population, (), n, seed, workers, model, t)[1]
+    return _estimate_stream(_draw(model.population, n, seed, workers), (), model, t)[1]
 
 
 def estimate_reliability_exceedance(

@@ -3,9 +3,12 @@ parameter sweeps over the full axis set, and plot-ready series extraction.
 
 Reports are plain dicts with a fixed key order so the JSON serialization is
 byte-stable; numeric fields round-trip bit-exactly through the shortest-
-round-trip float representation.  Per-point Monte Carlo seeds are derived
-from the base seed and the point's parameter values (not its position), so
-any sweep point is independently recomputable by a single-point analysis.
+round-trip float representation.  Monte Carlo draws depend only on the
+defect-count population (l, p): its seed is derived from the base seed and
+those two values (not a position), and its one stream is shared by every
+point and every t of that population, so any sweep point is independently
+recomputable by a single-point analysis.  The MC checks of one population's
+points are therefore not independent: an unlucky stream shows at all of them.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ from .hazards import (
     weibull_reliability,
 )
 from .ingest import ParseError
-from .montecarlo import AuditVerdict, MonteCarloEstimate, _estimate_stream, _require_seed, audit_bound
+from .montecarlo import (AuditVerdict, MonteCarloEstimate, _draw, _Draws, _estimate_stream, _require_seed,
+                         audit_bound)
 
 __all__ = [
     "PLOT_SELECTORS",
     "SweepGrid",
-    "derive_point_seed",
+    "derive_population_seed",
     "analyze_point",
     "analyze",
     "sweep",
@@ -127,9 +131,8 @@ def _require_sampling(samples: int, seed: int, workers: int = 1) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
-                      k_hat: float, m_hat: float, t: float, purpose: str) -> int:
-    """Content-addressed substream seed: position-independent and stable.
+def derive_population_seed(base_seed: int, l: int, p: float) -> int:
+    """Content-addressed seed of the (l, p) population's draws: position-independent and stable.
 
     ``base_seed`` must lie in [0, 2**64) and ``l`` below 2**63; distinct base
     seeds give distinct payloads, so no two of them share a substream by
@@ -138,11 +141,15 @@ def derive_point_seed(base_seed: int, l: int, p: float, k: float, m: float,
     _require_seed(base_seed)
     if l >= 2**63:
         raise ValueError(f"l must be < 2**63 when sampling, got {l}")
-    payload = struct.pack("<Q", base_seed)
-    payload += struct.pack("<q6d", l, p, k, m, k_hat, m_hat, t)
-    payload += purpose.encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
+    digest = hashlib.sha256(struct.pack("<Qqd", base_seed, l, p)).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _population_draws(l: int, p: float, samples: int, seed: int, workers: int) -> Optional[_Draws]:
+    """The seeded draws of the (l, p) population, or None with sampling off."""
+    if not samples:
+        return None
+    return _draw(FailurePopulation(l, p), samples, derive_population_seed(seed, l, p), workers)
 
 
 def _report_dict(report: BoundReport) -> Dict[str, object]:
@@ -171,6 +178,12 @@ def analyze_point(
     modes: Sequence[str] = MODES,
 ) -> Dict[str, object]:
     """Evaluate hazards, reliabilities, all bounds, and audits at one point."""
+    return _point(l, p, k, m, k_hat, m_hat, t, modes, _population_draws(l, p, samples, seed, workers))
+
+
+def _point(l: int, p: float, k: float, m: float, k_hat: float, m_hat: float, t: float,
+           modes: Sequence[str], draws: Optional[_Draws]) -> Dict[str, object]:
+    """analyze_point with the population's draws given (None: no sampling)."""
     pop = FailurePopulation(l, p)
     manual = WeibullParams(k, m)
     residual = WeibullParams(k_hat, m_hat)
@@ -198,18 +211,17 @@ def analyze_point(
 
     # A point has at most two tail events, paired with the audits by position:
     # the reference audit shares the hazard cutoff and every mode shares the
-    # reliability cutoff.  Each distinct cutoff value gets one exact tail and,
-    # with sampling on, one count in the point's single draw pass, which also
-    # gives the reliability mean.  The estimates stay positional, so each
-    # carries its own cutoff even where 0.0 == -0.0.
+    # reliability cutoff.  Each distinct cutoff value gets one exact tail;
+    # with sampling on, every cutoff and the reliability mean read the
+    # population's draws.  The estimates stay positional, so each carries its
+    # own cutoff even where 0.0 == -0.0.
     cutoffs = [hazard_report.event_threshold]
     if modes:
         cutoffs.append(reliability_reports[modes[0]].event_threshold)
     oracle = {c: binomial_cdf_below(pop, c) for c in dict.fromkeys(cutoffs)}
     exact_tails = [oracle[c] for c in cutoffs]
-    if samples:
-        tail_seed = derive_point_seed(seed, l, p, k, m, k_hat, m_hat, t, "tail")
-        tail_mc, mean_mc = _estimate_stream(pop, cutoffs, samples, tail_seed, workers, model, t)
+    if draws is not None:
+        tail_mc, mean_mc = _estimate_stream(draws, cutoffs, model, t)
     else:
         tail_mc, mean_mc = (None,) * len(cutoffs), None
 
@@ -249,13 +261,11 @@ def analyze(
     modes: Sequence[str] = MODES,
     provenance: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Full-pipeline run report over a list of time points."""
+    """Full-pipeline run report over a list of time points, which share one population's draws."""
     if not t_values:
         raise ValueError("at least one time point is required")
-    points = [
-        analyze_point(l, p, k, m, k_hat, m_hat, t, samples, seed, workers, modes)
-        for t in t_values
-    ]
+    draws = _population_draws(l, p, samples, seed, workers)
+    points = [_point(l, p, k, m, k_hat, m_hat, t, modes, draws) for t in t_values]
     return {
         "toolkit_version": __version__,
         "kind": "analyze",
@@ -272,24 +282,27 @@ def analyze(
 def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     """Cartesian-product evaluation with verdict tallies and monotonicity check.
 
-    Points may be evaluated concurrently; assembly is in deterministic grid
-    order and every per-point record is reproducible by analyze_point alone.
-    A point's domain error is raised with all seven coordinates in front.
+    l and p are the outer axes, so each population's points are contiguous
+    in grid order: its draws are made once and shared by them.  Points may be
+    evaluated concurrently; assembly is in deterministic grid order and every
+    per-point record is reproducible by analyze_point alone.  A point's
+    domain error is raised with its coordinates in front (l and p alone for
+    an error of the population's draws).
     """
-    coords = list(grid.points())
 
-    def evaluate(coord: Tuple) -> Dict[str, object]:
+    def located(coord: Tuple, fn, *args):
         try:
-            return analyze_point(*coord, grid.samples, grid.seed, 1, grid.modes)
+            return fn(*args)
         except ValueError as exc:
             where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
             raise ValueError(f"{where}: {exc}") from exc
 
-    if workers > 1 and len(coords) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(evaluate, coords))
-    else:
-        points = [evaluate(c) for c in coords]
+    points: List[Dict[str, object]] = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = pool.map if workers > 1 else map
+        for (l, p), coords in itertools.groupby(grid.points(), key=lambda coord: coord[:2]):
+            draws = located((l, p), _population_draws, l, p, grid.samples, grid.seed, workers)
+            points += run(lambda c: located(c, _point, *c, grid.modes, draws), coords)
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}
     if len(grid.l_values) > 1:
@@ -394,10 +407,6 @@ _PLOTTED = {*PARAM_NAMES, *(col for curves in _PLOT_CURVES.values() for _, col i
 _OPTIONAL_CELLS = ("hazard_exact_tail", "rel_sc_bound", "rel_as_bound")
 
 
-def _fmt(value: object) -> str:
-    return "" if value is None else str(value)  # str of a float is its shortest round trip
-
-
 def _flat_row(pt: Dict[str, object]) -> dict:
     """A report point as a sweep CSV row, column -> value in column order; a mode it lacks gives None."""
     erb = pt["expected_reliability_bound"]
@@ -436,7 +445,7 @@ def sweep_csv_text(points: Sequence[Dict[str, object]]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     rows = [_flat_row(pt) for pt in points]
     writer.writerows(rows[:1])  # the header: a row's keys
-    writer.writerows([_fmt(value) for value in row.values()] for row in rows)
+    writer.writerows(row.values() for row in rows)  # None is written as "", a float by its repr
     return buffer.getvalue()
 
 

@@ -25,6 +25,7 @@ from sdpbounds.hazards import (
     weibull_reliability,
 )
 from sdpbounds.montecarlo import (
+    MonteCarloEstimate,
     audit_bound,
     estimate_expected_reliability,
     estimate_reliability_exceedance,
@@ -36,8 +37,9 @@ from sdpbounds.report import (
     DEFAULT_AUDIT_AXES,
     PARAM_NAMES,
     SweepGrid,
+    analyze,
     analyze_point,
-    derive_point_seed,
+    derive_population_seed,
     sweep,
 )
 
@@ -188,18 +190,19 @@ def test_indicators_match_reliability_comparison() -> None:
 
 
 def test_expected_reliability_sums_blocks_exactly() -> None:
-    # Four blocks; at t = 1 a compensated (Kahan) running sum of the block
-    # sums misses the exactly rounded total in the standard error's last bit.
+    # Four blocks merged into one histogram; the sums over its distinct values,
+    # weighted by their multiplicities, are exactly rounded.
     model = CombinedHazardModel(WeibullParams(1.0, 0.5), FailurePopulation(100, 0.1))
     n = 100_000
+    seed = derive_population_seed(1, 100, 0.1)
+    draws = np.concatenate(
+        [mc._draw_block(model.population, seed, i, size) for i, size in enumerate(mc._block_sizes(n))]
+    )
+    values, counts = np.unique(draws, return_counts=True)
     for t in (1.0, 4.0):
-        seed = derive_point_seed(1, 100, 0.1, 2.0, 0.5, 1.0, 0.5, t, "reliability-mean")
-        blocks = [
-            sdp_reliability(model, mc._draw_block(model.population, seed, i, size), t)
-            for i, size in enumerate(mc._block_sizes(n))
-        ]
-        mean = math.fsum(float(np.sum(r)) for r in blocks) / n
-        total_sq = math.fsum(float(np.sum(r * r)) for r in blocks)
+        weighted = [(int(c), float(r)) for c, r in zip(counts, sdp_reliability(model, values, t))]
+        mean = math.fsum(c * r for c, r in weighted) / n
+        total_sq = math.fsum(c * (r * r) for c, r in weighted)
         variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
         std_error = math.sqrt(variance / n)
         # Two-sided empirical Bernstein interval for r in [0, b], delta = 0.05.
@@ -213,12 +216,12 @@ def test_expected_reliability_sums_blocks_exactly() -> None:
 
 
 def test_analyze_point_reports_the_public_estimators() -> None:
-    # Tails and mean come from one pass; each equals its own estimator at the tail seed.
+    # Tails and mean read one stream; each equals its own estimator at the population seed.
     l, p, k, m, k_hat, m_hat, t = 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0
     n = 2 * mc.BLOCK_SIZE + 17
     pop = FailurePopulation(l, p)
     model = CombinedHazardModel(WeibullParams(k_hat, m_hat), pop)
-    tail_seed = derive_point_seed(9, l, p, k, m, k_hat, m_hat, t, "tail")
+    tail_seed = derive_population_seed(9, l, p)
     for workers in (1, 3):
         point = analyze_point(l, p, k, m, k_hat, m_hat, t, samples=n, seed=9, workers=workers)
         cutoffs = (point["hazard_bound"]["event_threshold"],
@@ -300,25 +303,58 @@ def test_shared_tail_pass_equals_single_cutoff_calls() -> None:
         assert mc.estimate_tail_probabilities(pop, thresholds, n, seed=77, workers=workers) == singles
 
 
-def test_one_draw_pass_per_seed(monkeypatch) -> None:
-    calls = []
+def _count_draw_seeds(monkeypatch) -> list:
+    seeds = []
     draw = mc._draw_block
 
     def counting_draw(pop, seed, i, size):
-        calls.append(seed)
+        seeds.append(seed)
         return draw(pop, seed, i, size)
 
     monkeypatch.setattr(mc, "_draw_block", counting_draw)
+    return seeds
+
+
+def test_one_draw_pass_per_seed(monkeypatch) -> None:
+    calls = _count_draw_seeds(monkeypatch)
     point = analyze_point(100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, samples=10_000, seed=3)
     assert point["hazard_bound"]["event_threshold"] > 0.0
     assert point["reliability_exact_tail"] > 0.0
-    assert len(calls) == 1  # one pass for both cutoffs and the reliability mean
-    assert calls == [derive_point_seed(3, 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, "tail")]
+    assert len(calls) == 1  # one draw for both cutoffs and the reliability mean
+    assert calls == [derive_population_seed(3, 100, 0.1)]
 
     calls.clear()
     estimates = mc.estimate_tail_probabilities(FailurePopulation(10, 0.5), (0.0, -2.0), 10_000, seed=1)
     assert [e.estimate for e in estimates] == [0.0, 0.0]
     assert calls == []
+
+
+def test_one_draw_per_population(monkeypatch) -> None:
+    # The default grid's 972 points read 9 streams, one per (l, p) population.
+    seeds = _count_draw_seeds(monkeypatch)
+    grid = SweepGrid(*(tuple(DEFAULT_AUDIT_AXES[name]) for name in PARAM_NAMES), samples=10_000, seed=4)
+    assert len(sweep(grid, workers=2)["points"]) == 972
+    assert seeds == [
+        derive_population_seed(4, l, p) for l in DEFAULT_AUDIT_AXES["l"] for p in DEFAULT_AUDIT_AXES["p"]
+    ]
+
+    seeds.clear()
+    report = analyze(100, 0.1, 2.0, 0.5, 1.0, 0.5, [0.25, 1.0, 4.0], samples=10_000, seed=3)
+    assert seeds == [derive_population_seed(3, 100, 0.1)]
+    assert [pt["hazard_tail_mc"]["seed"] for pt in report["points"]] == seeds * 3
+
+
+def test_tail_estimates_keep_their_stream() -> None:
+    # Hit counts pinned from 0.2.0, which counted each block: the histogram keeps a seed's tail stream.
+    pop = FailurePopulation(100, 0.1)
+    n = mc.BLOCK_SIZE * 2 + 17
+    for workers in (1, 4):
+        estimates = mc.estimate_tail_probabilities(pop, (12.0, -1.0, 8.0, math.nan, 3.5), n, 77, workers)
+        assert [round(e.estimate * n) for e in estimates] == [46213, 0, 13398, 0, 546]
+        assert estimates[0] == MonteCarloEstimate(
+            0.7049715497383796, 0.0017812359775802996, 0.7014684622062612, 0.7084506156809824, n, 77, 12.0
+        )
+        assert estimates[3].ci_high > 0.0  # a NaN cutoff is drawn and never hit
 
 
 def _assert_one_line_error(argv, capsys, needle: str) -> None:
@@ -366,9 +402,9 @@ def test_seeds_at_or_above_2_64_are_rejected(capsys) -> None:
     with pytest.raises(ValueError, match="2\\*\\*64"):
         SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,), seed=2**64)
     with pytest.raises(ValueError, match="2\\*\\*64"):
-        derive_point_seed(2**64 + 5, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
-    largest = derive_point_seed(2**64 - 1, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
-    assert largest != derive_point_seed(5, 10, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
+        derive_population_seed(2**64 + 5, 10, 0.1)
+    largest = derive_population_seed(2**64 - 1, 10, 0.1)
+    assert largest != derive_population_seed(5, 10, 0.1)
     pop = FailurePopulation(10, 0.1)
     with pytest.raises(ValueError, match="2\\*\\*64"):
         estimate_tail_probability(pop, 1.0, 1000, seed=2**64)
@@ -384,4 +420,4 @@ def test_l_at_or_above_2_63_with_sampling_is_rejected(capsys) -> None:
     assert main(["analyze", "--l", huge, *shape_args, "--samples", "0"]) == 0
     capsys.readouterr()
     with pytest.raises(ValueError, match="2\\*\\*63"):
-        derive_point_seed(5, 2**63, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0, "tail")
+        derive_population_seed(5, 2**63, 0.1)

@@ -26,7 +26,7 @@ from sdpbounds.report import (
     SweepGrid,
     analyze,
     analyze_point,
-    derive_point_seed,
+    derive_population_seed,
     monotonicity_in_l,
     plot_series,
     plot_series_text,
@@ -135,14 +135,19 @@ def test_analyze_report_shape_and_roundtrip(tmp_path) -> None:
         assert value == originals[key], key  # bit-exact float round-trip
 
 
-def test_point_seed_is_content_addressed() -> None:
-    a = derive_point_seed(5, 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, "tail")
-    b = derive_point_seed(5, 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, "tail")
-    assert a == b
-    assert a != derive_point_seed(6, 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, "tail")
-    assert a != derive_point_seed(5, 100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, "reliability-mean")
-    assert a != derive_point_seed(5, 100, 0.1, 2.0, 0.5, 1.0, 0.5, 1.0, "tail")
+def test_population_seed_is_content_addressed() -> None:
+    a = derive_population_seed(5, 100, 0.1)
+    assert a == derive_population_seed(5, 100, 0.1)
+    assert a != derive_population_seed(6, 100, 0.1)
+    assert a != derive_population_seed(5, 1000, 0.1)
+    assert a != derive_population_seed(5, 100, 0.5)
     assert 0 <= a < 2**64
+    # K, m, K_hat, m_hat and t leave the seed alone: every point of a population reads one stream.
+    for coords in [(2.0, 0.5, 1.0, 0.5, 4.0), (0.5, 0.5, 1.0, 0.5, 4.0), (2.0, 0.0, 1.0, 0.5, 4.0),
+                   (2.0, 0.5, 10.0, 0.5, 4.0), (2.0, 0.5, 1.0, 0.0, 4.0), (2.0, 0.5, 1.0, 0.5, 0.25)]:
+        point = analyze_point(100, 0.1, *coords, samples=1000, seed=5)
+        assert point["hazard_tail_mc"]["seed"] == a
+        assert point["expected_reliability_mc"]["seed"] == a
 
 
 def test_sweep_points_recomputable_by_analyze() -> None:
