@@ -1,16 +1,18 @@
 """Command-line front end: FOR derivation, bound analysis, sweeps, plot data.
 
-Exit codes: 0 success, 1 usage or domain error, 2 input parse error,
-3 audit violation under --strict.
+Exit codes: 0 success, 1 usage or domain error (an output file that cannot
+be written included), 2 input parse error, 3 audit violation under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .failures import FailurePopulation
@@ -113,6 +115,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _writing_output() -> Iterator[None]:
+    """An --out file that cannot be opened or written is a usage error, not an unreadable input."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from exc
+
+
 def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[str, object]]:
     given = [name for name in ("fn", "tn") if getattr(args, name) is not None]
     sources = sum([bool(given), args.confusion is not None, args.records is not None])
@@ -210,7 +221,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         modes=MODES if args.mode == "both" else (args.mode,), provenance=provenance,
     )
     if args.out:
-        write_report(report, args.out)
+        with _writing_output():
+            write_report(report, args.out)
         print(f"report written to {args.out}")
         for point in report["points"]:
             _print_point_summary(point)
@@ -230,10 +242,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = sweep(grid, workers=args.workers)
     if args.out:
         if args.out.endswith(".csv"):
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(sweep_csv_text(report["points"]))
+            text = sweep_csv_text(report["points"])
+            with _writing_output(), open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         else:
-            write_report(report, args.out)
+            with _writing_output():
+                write_report(report, args.out)
         print(f"sweep written to {args.out} ({len(report['points'])} points)")
     else:
         sys.stdout.write(sweep_csv_text(report["points"]))
@@ -255,7 +269,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     text = _plotdata_text(args.report, args.selector)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing_output(), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"series written to {args.out}")
     else:
@@ -264,6 +278,22 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The objects alive on entry, the imports' above all, are frozen for the
+    run so that no full garbage collection walks them; a caller's own freeze
+    is left as it is.
+    """
+    if gc.get_freeze_count():
+        return _main(argv)
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

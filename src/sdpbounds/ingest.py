@@ -167,7 +167,7 @@ def _plain_pairs(group: List[str], arity: int) -> Optional[Counter[Tuple[str, Op
     eol = "\r\n" if group[0].endswith("\r\n") else "\n"
     limit = csv.field_size_limit()
     if ('"' in block or block.count("\0") != n or block.count("\n") != n
-            or block.count("\r") != (n if eol == "\r\n" else 0)
+            or (block.count("\r") != n if eol == "\r\n" else "\r" in block)
             or block.count(",") != (arity - 1) * n
             or (len(block) > limit and max(map(len, group)) > limit)):
         return None

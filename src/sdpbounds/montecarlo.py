@@ -11,9 +11,11 @@ bit-identical for any worker count and across runs.
 The defect count depends on the population (l, p) alone, so a report draws
 one stream per population, once, and keeps it as its histogram: every point
 and every t of that population count X < c in it for each cutoff c and sum
-the SDP reliability over its distinct values.  The hazard and reliability
-tails and the reliability mean of all those points come from the same draws,
-so their checks are not independent.  The tail intervals are Wilson score
+the SDP reliability over its distinct values; that mean, which depends on
+the residual hazard and t but not on the manual hazard, is computed once per
+(residual, t) and kept with the histogram.  The hazard and reliability tails
+and the reliability mean of all those points come from the same draws, so
+their checks are not independent.  The tail intervals are Wilson score
 intervals; the mean's is an empirical Bernstein bound, which stays valid for
 a bounded variable whose mean sits in a tail the draws rarely reach.
 """
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,13 +146,18 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
         return [f.result() for f in futures]
 
 
-class _Draws(NamedTuple):
-    """A seed's n draws as a histogram: distinct defect counts, ascending, and their multiplicities."""
+@dataclass(eq=False)
+class _Draws:
+    """A seed's n draws as a histogram: distinct defect counts, ascending, and their multiplicities.
+
+    ``means`` keeps the reliability-mean estimate of each (model, t) computed from them.
+    """
 
     values: np.ndarray
     counts: np.ndarray
     n: int
     seed: int
+    means: Dict[Tuple[CombinedHazardModel, float], MonteCarloEstimate] = field(default_factory=dict)
 
 
 def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
@@ -171,12 +178,20 @@ def _estimate_stream(
     t: float = 0.0,
 ) -> Tuple[Tuple[MonteCarloEstimate, ...], Optional[MonteCarloEstimate]]:
     """A tail estimate per threshold and, given ``model``, the mean SDP
-    reliability at ``t``, all from the same draws."""
+    reliability at ``t``, all from the same draws.
+
+    The mean is computed on the first call for a (model, t) and kept: equal
+    keys give the same bits (a shape of -0.0 as 0.0), and a mean that raises
+    is not kept, so every call for it raises the same error.
+    """
     tails = tuple(_tail_estimate(c, draws) for c in thresholds)
     if model is None:
         return tails, None
-    r = sdp_reliability(model, draws.values, t)
-    return tails, _mean_estimate(r, draws, weibull_reliability(model.residual, t))
+    mean = draws.means.get((model, t))
+    if mean is None:
+        r = sdp_reliability(model, draws.values, t)
+        mean = draws.means[model, t] = _mean_estimate(r, draws, weibull_reliability(model.residual, t))
+    return tails, mean
 
 
 def _tail_estimate(threshold: float, draws: _Draws) -> MonteCarloEstimate:

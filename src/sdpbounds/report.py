@@ -7,8 +7,11 @@ round-trip float representation.  Monte Carlo draws depend only on the
 defect-count population (l, p): its seed is derived from the base seed and
 those two values (not a position), and its one stream is shared by every
 point and every t of that population, so any sweep point is independently
-recomputable by a single-point analysis.  The MC checks of one population's
-points are therefore not independent: an unlucky stream shows at all of them.
+recomputable by a single-point analysis.  The reliability mean depends on
+(l, p, K_hat, m_hat, t) alone, so it is computed once per population and
+(K_hat, m_hat, t) and every point of them reports that one estimate.  The MC
+checks of one population's points are therefore not independent: an unlucky
+stream shows at all of them.
 """
 
 from __future__ import annotations

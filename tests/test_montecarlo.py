@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -327,6 +328,51 @@ def test_one_draw_pass_per_seed(monkeypatch) -> None:
     estimates = mc.estimate_tail_probabilities(FailurePopulation(10, 0.5), (0.0, -2.0), 10_000, seed=1)
     assert [e.estimate for e in estimates] == [0.0, 0.0]
     assert calls == []
+
+
+def _count_mean_calls(monkeypatch) -> list:
+    calls = []
+    reliability = mc.sdp_reliability
+
+    def counting_reliability(model, x, t):
+        calls.append((model, t))
+        return reliability(model, x, t)
+
+    monkeypatch.setattr(mc, "sdp_reliability", counting_reliability)
+    return calls
+
+
+def test_one_reliability_mean_per_population_residual_and_t(monkeypatch) -> None:
+    # The default grid's 972 points have 162 distinct (l, p, K_hat, m_hat, t):
+    # the mean is computed once for each and read by the 6 (K, m) points.
+    calls = _count_mean_calls(monkeypatch)
+    grid = SweepGrid(*(tuple(DEFAULT_AUDIT_AXES[name]) for name in PARAM_NAMES), samples=10_000, seed=4)
+    assert len(sweep(grid)["points"]) == 972
+    assert len(calls) == len(set(calls)) == 162
+
+    calls.clear()
+    analyze(100, 0.1, 2.0, 0.5, 1.0, 0.5, [0.25, 1.0, 4.0], samples=10_000, seed=3)
+    assert [t for _, t in calls] == [0.25, 1.0, 4.0]
+
+
+def test_kept_reliability_means_match_single_point_analysis() -> None:
+    # Every (l, p, K_hat, m_hat, t) recurs across 2 K and 2 m values, and the
+    # shapes -0.0 and 0.0 are equal keys; each swept point, bit for bit, is
+    # the point analyze_point computes alone, from draws of its own.
+    grid = SweepGrid(
+        l_values=(10, 100), p_values=(0.1, 0.5), k_values=(0.5, 2.0), m_values=(0.0, 0.5),
+        k_hat_values=(1.0,), m_hat_values=(-0.0, 0.0, 0.5), t_values=(0.25, 4.0), samples=1000, seed=9,
+    )
+    for workers in (1, 3):
+        points = sweep(grid, workers=workers)["points"]
+        assert len(points) == 96
+        for point in points:
+            single = analyze_point(*(point[name] for name in PARAM_NAMES), samples=1000, seed=9)
+            assert json.dumps(point) == json.dumps(single)
+        # Points 0, 2 and 6 share a kept mean (m_hat -0.0 and 0.0, then the next m), each in a dict of its own.
+        means = [points[i]["expected_reliability_mc"] for i in (0, 2, 6)]
+        assert means[0] == means[1] == means[2]
+        assert len({id(mean) for mean in means}) == 3
 
 
 def test_one_draw_per_population(monkeypatch) -> None:

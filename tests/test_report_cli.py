@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import math
@@ -16,6 +17,7 @@ import time
 import pytest
 
 import sdpbounds
+import sdpbounds.cli as cli
 from sdpbounds.bounds import hazard_shortfall_bound, reference_chernoff_bound, reliability_excess_bound
 from sdpbounds.cli import main
 from sdpbounds.failures import FailurePopulation
@@ -677,6 +679,60 @@ def test_cli_analyze_large_l_audits_are_exact(tmp_path) -> None:
         assert list(audit) == ["verdict", "bound_value", "empirical_value", "margin"]
         assert audit["empirical_value"] == tail
     assert point["reference_audit"]["verdict"] == "holds"
+
+
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys) -> None:
+    point = ["--l", "10", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
+             "--t", "4", "--samples", "0"]
+    missing = tmp_path / "missing"
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", *point, "--out", str(csv_path)]) == 0
+    runs = [
+        (["sweep", *point], missing / "x.json", "No such file or directory"),
+        (["sweep", *point], missing / "x.csv", "No such file or directory"),
+        (["analyze", *point], tmp_path, "Is a directory"),
+        (["plotdata", str(csv_path), "--selector", "hazard"], missing / "p.txt", "No such file or directory"),
+    ]
+    capsys.readouterr()
+    for argv, out, reason in runs:
+        assert main([*argv, "--out", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"error: cannot write output: \[Errno \d+\] {reason}: {re.escape(repr(str(out)))}\n",
+                            captured.err), captured.err
+        assert captured.out == ""
+    assert not missing.exists()
+
+
+def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys) -> None:
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    point = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "4", "--samples", "0"]
+    runs = [
+        (["sweep", "--l", "10,100", "--p", "0.1", *point], 0),
+        (["analyze", "--l", "10", "--p", "1.5", *point], 1),
+        (["analyze", "--confusion", str(bad), *point], 2),
+    ]
+    frozen_during = []
+    run = cli._main
+    monkeypatch.setattr(cli, "_main", lambda argv: frozen_during.append(gc.get_freeze_count()) or run(argv))
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    for argv, code in runs:
+        assert main(argv) == code
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert all(frozen_during)
+
+    # A caller's own freeze is left alone: main neither adds to it nor thaws it.
+    frozen_during.clear()
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert before > 0
+        assert main(runs[0][0]) == 0
+        assert gc.get_freeze_count() == before
+        assert frozen_during == [before]
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
 
 
 def test_cli_closed_stdout_exits_quietly() -> None:
