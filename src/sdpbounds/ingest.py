@@ -7,24 +7,29 @@ count can be derived.  Records are read as a stream: ``tally_records`` keeps
 only the counts of (predicted, actual) label pairs, so its memory does not
 grow with the number of rows.
 
-Lines are read in groups of 4,096.  A group of plain ``id,label[,label]``
-lines is counted with string scans, without splitting fields.  A quote, a
-stray CR, a NUL, a padded or mixed-case label, a blank or over-long line, or
-any malformed line sends its group through csv, record by record, which
-alone states the record rules.  The counts and errors are the same either way.
+A records file is decoded in the 8192-byte chunks that a text-mode file
+decodes, so a bad byte reports the same position, and scanned in blocks of
+about 64K characters of whole lines; ``tally_records`` scans a string in the
+same blocks.  A plain block of ``id,label[,label]`` lines is counted with
+string scans, without splitting fields.  A quote, a stray CR, a NUL, a padded
+or mixed-case label, a blank or over-long line, or any malformed line sends
+its block through csv, record by record, which alone states the record rules.
+The counts and errors are the same either way.  An iterable of lines is read
+by csv record by record.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 __all__ = [
     "LABELS",
@@ -48,7 +53,10 @@ _HEADERS = (["module_id", "predicted", "actual"], ["module_id", "predicted"])
 # (row number, module id, predicted, actual) -> (predicted, actual)
 _LABEL_PAIR = itemgetter(2, 3)
 
-_GROUP_LINES = 4096  # lines that tally_records reads and checks at a time
+_Pairs = Counter[Tuple[str, Optional[str]]]  # (predicted, actual) -> records
+
+_CHUNK_BYTES = 8192  # what a text-mode file reads and decodes at a time
+_BLOCK_CHARS = 1 << 16  # characters that the string scans check at a time
 
 # Model preconditions that cannot be verified from a confusion matrix; they are
 # echoed on every validation verdict so reports state what the numbers assume.
@@ -155,31 +163,99 @@ def _iter_records(lines: Iterable[str], start: int = 1,
         raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
 
 
-def _plain_pairs(group: List[str], arity: int) -> Optional[Counter[Tuple[str, Optional[str]]]]:
-    """Label-pair counts of ``group`` if csv would split each line into ``id,label[,label]``.
+def _plain_pairs(text: str, arity: int) -> Optional[_Pairs]:
+    """Label-pair counts of the lines of ``text`` if csv would split each into ``id,label[,label]``.
 
-    That holds when the n lines end in n matches of ``,label[,label]`` plus the
-    group's one line ending (LF, or CRLF on every line) and hold no other comma,
-    quote, NUL, CR or LF, nor more characters than csv's field limit.  Else None.
+    That holds when ``text`` is n whole lines that end in n matches of
+    ``,label[,label]`` plus one line ending (LF, or CRLF on every line) and
+    hold no other comma, quote, NUL or CR, nor more characters than csv's
+    field limit.  Else None.
     """
-    n = len(group)
-    block = "\0".join(group) + "\0"  # a NUL after each line ties every match below to one line
-    eol = "\r\n" if group[0].endswith("\r\n") else "\n"
+    n = text.count("\n")
+    cr = text.count("\r") if "\r" in text else 0
     limit = csv.field_size_limit()
-    if ('"' in block or block.count("\0") != n or block.count("\n") != n
-            or (block.count("\r") != n if eol == "\r\n" else "\r" in block)
-            or block.count(",") != (arity - 1) * n
-            or (len(block) > limit and max(map(len, group)) > limit)):
+    if ('"' in text or "\0" in text or not text.endswith("\n") or cr not in (0, n)
+            or text.count(",") != (arity - 1) * n
+            or (len(text) > limit and max(map(len, text.split("\n"))) > limit)):
         return None
+    end = "\r\n" if cr else "\n"
     actuals = LABELS if arity == 3 else (None,)
-    counts = Counter({(p, a): block.count(f",{p}" + (f",{a}" if a else "") + eol + "\0")
+    counts = Counter({(p, a): text.count(f",{p}" + (f",{a}" if a else "") + end)
                       for p in LABELS for a in actuals})
     return +counts if sum(counts.values()) == n else None
 
 
-def _raise_when_read(exc: Exception) -> Iterator[str]:
-    raise exc
-    yield  # a generator: the error surfaces where csv reads the next line
+def _decoded(fb: BinaryIO) -> Iterator[str]:
+    """The text of ``fb`` without a byte-order mark at its start.
+
+    The bytes are decoded in the chunks, and with the decoder, of a text-mode
+    file, so a bad byte reports the position that it would.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    start = True
+    while chunk := fb.read1(_CHUNK_BYTES):
+        piece = decode(chunk)
+        if start and piece:
+            piece, start = piece.removeprefix("\ufeff"), False
+        yield piece
+    yield decode(b"", True)
+
+
+def _blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces`` joined into blocks of whole lines, about _BLOCK_CHARS long.
+
+    A decode error in ``pieces`` comes after the lines that a text-mode file
+    returns before it.
+    """
+    text = ""
+    try:
+        for piece in pieces:
+            text += piece
+            if len(text) >= _BLOCK_CHARS and (cut := text.rfind("\n", len(text) - len(piece)) + 1):
+                yield text[:cut]
+                text = text[cut:]
+    except UnicodeDecodeError:
+        # Text mode holds back a final CR, which a LF may follow.
+        end = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+        if end:
+            yield text[:end]
+        raise
+    if text:
+        yield text
+
+
+def _tally(blocks: Iterator[str], newline: str) -> RecordTally:
+    """Count the label pairs of records read in blocks of whole lines.
+
+    A block that the string scans cannot count is split into lines as
+    ``io.StringIO(block, newline=newline)`` splits it, and read by csv.
+    """
+    pairs: _Pairs = Counter()
+    arity: Optional[int] = None
+    first_module = None
+    row = 1  # record number of the block's first line
+    for block in blocks:
+        if arity and (plain := _plain_pairs(block, arity)):
+            pairs.update(plain)
+            row += plain.total()
+            continue
+        lines = io.StringIO(block, newline=newline).readlines()
+        # Without quotes a record is a line; a quoted field may run on past the block.
+        spans = '"' in block
+        rest = chain.from_iterable(io.StringIO(more, newline=newline) for more in blocks)
+        records = _iter_records(chain(lines, rest) if spans else lines, row, arity)
+        if arity is None:
+            for _, first_module, predicted, actual in records:
+                arity = 2 if actual is None else 3
+                pairs[predicted, actual] += 1
+                break
+        pairs.update(map(_LABEL_PAIR, records))
+        if spans:
+            break
+        row += len(lines)
+    if arity is None:
+        raise ParseError("no data rows in input")
+    return RecordTally(pairs, first_module if arity == 2 else None)
 
 
 @dataclass(frozen=True)
@@ -225,46 +301,25 @@ def tally_records(source: Union[str, Iterable[str]]) -> RecordTally:
 
     Layout: ``module_id,predicted[,actual]`` with an optional header row.  The
     actual column must be present on every data row or on none of them;
-    labels are matched case-insensitively.  No record list is built.
+    labels are matched case-insensitively.  No record list is built.  A
+    string is split into lines at LF alone; an iterable is read by csv item
+    by item, each item as a line.
     """
-    lines = io.StringIO(source) if isinstance(source, str) else iter(source)
-    pairs: Counter[Tuple[str, Optional[str]]] = Counter()
-    arity: Optional[int] = None
-    first_module = None
-    row = 1  # record number of the group's first line
-    while True:
-        group: List[str] = []
-        try:
-            group.extend(islice(lines, _GROUP_LINES))
-        except UnicodeDecodeError as exc:
-            lines, spans = _raise_when_read(exc), True  # csv reads the lines before the bad byte first
-        else:
-            if not group:
-                break
-            if arity and (plain := _plain_pairs(group, arity)):
-                pairs.update(plain)
-                row += len(group)
-                continue
-            # Without quotes a record is a line; a quoted field may run on past the group.
-            spans = any(isinstance(line, str) and '"' in line for line in group)
-        records = _iter_records(chain(group, lines) if spans else group, row, arity)
-        if arity is None:
-            for _, first_module, predicted, actual in records:
-                arity = 2 if actual is None else 3
-                pairs[predicted, actual] += 1
-                break
+    if isinstance(source, str):
+        return _tally(_blocks(source[i:i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS)), "\n")
+    records = _iter_records(source)
+    pairs: _Pairs = Counter()
+    for _, module, predicted, actual in records:
+        pairs[predicted, actual] += 1
         pairs.update(map(_LABEL_PAIR, records))
-        if spans:
-            break
-        row += len(group)
-    if arity is None:
-        raise ParseError("no data rows in input")
-    return RecordTally(pairs, first_module if arity == 2 else None)
+        return RecordTally(pairs, module if actual is None else None)
+    raise ParseError("no data rows in input")
 
 
 def load_record_tally(path: Union[str, Path]) -> RecordTally:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return tally_records(fh)
+    """tally_records of a UTF-8 file, read in blocks; one byte-order mark at its start is skipped."""
+    with open(path, "rb") as fb:
+        return _tally(_blocks(_decoded(fb)), "")
 
 
 def parse_confusion(text: str) -> ConfusionCounts:
@@ -293,7 +348,7 @@ def parse_confusion(text: str) -> ConfusionCounts:
 
 
 def load_confusion(path: Union[str, Path]) -> ConfusionCounts:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_confusion(fh.read())
 
 

@@ -24,7 +24,6 @@ import json
 import math
 import struct
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -286,8 +285,8 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     """Cartesian-product evaluation with verdict tallies and monotonicity check.
 
     l and p are the outer axes, so each population's points are contiguous
-    in grid order: its draws are made once and shared by them.  Points may be
-    evaluated concurrently; assembly is in deterministic grid order and every
+    in grid order: its draws are made once and shared by them, and ``workers``
+    threads draw their blocks.  Points are evaluated in grid order, and every
     per-point record is reproducible by analyze_point alone.  A point's
     domain error is raised with its coordinates in front (l and p alone for
     an error of the population's draws).
@@ -301,11 +300,9 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
             raise ValueError(f"{where}: {exc}") from exc
 
     points: List[Dict[str, object]] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run = pool.map if workers > 1 else map
-        for (l, p), coords in itertools.groupby(grid.points(), key=lambda coord: coord[:2]):
-            draws = located((l, p), _population_draws, l, p, grid.samples, grid.seed, workers)
-            points += run(lambda c: located(c, _point, *c, grid.modes, draws), coords)
+    for (l, p), coords in itertools.groupby(grid.points(), key=lambda coord: coord[:2]):
+        draws = located((l, p), _population_draws, l, p, grid.samples, grid.seed, workers)
+        points += [located(c, _point, *c, grid.modes, draws) for c in coords]
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}
     if len(grid.l_values) > 1:

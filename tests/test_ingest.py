@@ -293,12 +293,12 @@ def test_oversized_csv_field_is_a_parse_error(tmp_path, capsys) -> None:
 
 def test_nul_is_a_parse_error_on_every_python(tmp_path, capsys) -> None:
     # csv itself rejects a NUL only before Python 3.11; the record rules reject it on all versions.
-    plain = "".join(f"m{i},clean,clean\n" for i in range(2 * ingest._GROUP_LINES))
+    plain = "".join(f"m{i},clean,clean\n" for i in range(2 * _GROUP))
     cases = [
         ("m1,clean,clean\nm\0x,clean,defective\n", 2),
         ("module_id,predicted\n\0\n", 2),  # a NUL alone on a line is no blank line
         ('module_id,predicted\n"m\n\0",clean\n', 2),  # inside a quoted field that spans lines
-        (plain + "m,clean,clean\0\n", 2 * ingest._GROUP_LINES + 1),  # a group the string scans would count
+        (plain + "m,clean,clean\0\n", 2 * _GROUP + 1),  # a block the string scans would count
     ]
     for text, row in cases:
         for source in (text, io.StringIO(text, newline="").readlines()):
@@ -326,7 +326,7 @@ def test_non_utf8_input_is_a_read_error(tmp_path, capsys) -> None:
 # Grouped ingest: plain groups are counted by string scans, the rest by csv.
 # ---------------------------------------------------------------------------
 
-_GROUP = ingest._GROUP_LINES
+_GROUP = 4096  # lines in the line groups that preceded the blocks
 
 
 def _reference_tally(lines):
@@ -363,8 +363,12 @@ def _ingest_corpus():
         odd_header = " MODULE_ID , Predicted ,Actual\r\n" if arity == 3 else "Module_Id,PREDICTED \r\n"
         for rows in (1, _GROUP - 1, _GROUP, _GROUP + 1, 20_000):
             lines = _plain(rng, arity, rows)
+            crlf = [line[:-1] + "\r\n" for line in lines]
             cases += [(f"{arity} cols, {rows} rows", lines),
-                      (f"{arity} cols, {rows} rows, no final newline", lines[:-1] + [lines[-1][:-1]])]
+                      (f"{arity} cols, {rows} rows, no final newline", lines[:-1] + [lines[-1][:-1]]),
+                      (f"{arity} cols, {rows} rows, final line cut after its id", lines[:-1] + [lines[-1].split(",")[0]]),
+                      (f"{arity} cols, {rows} CRLF rows, final line cut after its id",
+                       crlf[:-1] + [crlf[-1].split(",")[0]])]
         base = _plain(rng, arity, 2 * _GROUP + 8)
         crlf = [line[:-1] + "\r\n" for line in base]
         cases += [
@@ -419,6 +423,7 @@ _LIST_ONLY = [
     ["x\ny,clean,clean\n"],  # a line break inside the id
     ["x,clean,clean\ny", ",clean,clean\n"],
     ["x,clean,clean", "y,clean,clean"],  # no line endings
+    ["x,clean,clean\n", 5],  # not a string
 ]
 
 
@@ -453,6 +458,75 @@ def test_grouped_tally_reads_the_lines_before_a_bad_byte_first(tmp_path) -> None
             expected = _outcome(_reference_tally, fh)
         assert expected[0] == ("ParseError" if data is wrong_arity else "UnicodeDecodeError")
         assert _outcome(load_record_tally, path) == expected
+
+
+def _edge_cases():
+    """Seeded (name, bytes) records files with edits at 8192-byte chunk edges and 64K-character block edges."""
+    rng = random.Random(24)
+    chunk, block = ingest._CHUNK_BYTES, ingest._BLOCK_CHARS
+    ids = ["é", "ж", "中", "😀"]  # 2, 2, 3 and 4 bytes in UTF-8
+    rows = (f"{rng.choice(ids)}{i},{rng.choice(LABELS)},{rng.choice(LABELS)}\n" for i in range(5000))
+    data = "".join(rows).encode("utf-8")
+    cases = []
+    for edge in (chunk, 3 * chunk):
+        for at in range(edge - 3, edge + 4):
+            for bad in (b"\xff", "😀".encode("utf-8")[:2], "中".encode("utf-8")[:1]):
+                cases.append((f"{bad!r} at byte {at}", data[:at] + bad + data[at:]))
+    # ASCII lines end a chosen line on the last byte of chunk 2; chunk 3 may hold a bad byte.
+    head = "".join(f"a{i},clean,clean\n" for i in range(900))
+    for last, after, label in [("bad\n", "", "one-column line"), ("bad\r", "", "lone CR after a one-column line"),
+                               ("x,clean,clean\r", "", "lone CR"), ("x,clean,clean\r", "\n", "CRLF across the edge")]:
+        filler = "p" * (2 * chunk - len(head) - len(last) - 13) + ",clean,clean\n"
+        assert len(head + filler + last) == 2 * chunk
+        for bad in (b"", b"\xff"):
+            data = (head + filler + last + after + "m,clean,clean\n" * 100).encode("ascii") + bad + b"m,clean,clean\n"
+            cases.append((f"{label} at the edge, then {'a bad' if bad else 'a good'} chunk", data))
+    # A quoted field, a blank line and an over-limit id start at characters around the first block edge.
+    text = "".join(f"m{i},{rng.choice(LABELS)},{rng.choice(LABELS)}\n" for i in range(9000))
+    head = text[:text.rindex("\n", 0, block - 100) + 1]
+    edits = {"quoted field": '"q\nq",clean,clean\n', "blank line": "\n",
+             "over-limit id": "x" * (csv.field_size_limit() + 1) + ",clean,clean\n"}
+    for name, edit in edits.items():
+        for at in range(block - 20, block + 4, 3):
+            filler = "p" * (at - len(head) - 13) + ",clean,clean\n"
+            cases.append((f"{name} at character {at}", (head + filler + edit + text[len(head):]).encode("ascii")))
+    crlf = text.replace("\n", "\r\n")
+    for at in (block + 999, 2 * block + 999):  # inside the second and third blocks
+        start = crlf.index("\n", at) + 1
+        cases.append((f"CRLF lines, lone CR in an id at character {start}",
+                       (crlf[:start] + "m\r" + crlf[start:]).encode("ascii")))
+    return cases
+
+
+def test_block_reader_matches_text_mode_at_chunk_and_block_edges(tmp_path) -> None:
+    path = tmp_path / "records.csv"
+    checked = Counter()
+    for name, data in _edge_cases():
+        path.write_bytes(data)
+        with open(path, encoding="utf-8", newline="") as fh:
+            expected = _outcome(_reference_tally, fh)
+        assert _outcome(load_record_tally, path) == expected, name
+        checked[expected[0]] += 1
+    assert checked["UnicodeDecodeError"] >= 40 and checked["ParseError"] >= 8 and checked["ok"] >= 15, checked
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys) -> None:
+    bom = "\ufeff".encode("utf-8")
+    records = tmp_path / "records.csv"
+    records.write_bytes(bom + b"module_id,predicted,actual\r\nm1,clean,defective\r\nm2,clean,clean\r\n")
+    assert load_record_tally(records).confusion() == ConfusionCounts(1, 1, 0, 0)
+    assert main(["for", "--records", str(records)]) == 0
+    assert "fn=1 tn=1 " in capsys.readouterr().out
+    confusion = tmp_path / "confusion.json"
+    confusion.write_bytes(bom + b'{"fn": 5, "tn": 45}')
+    assert load_confusion(confusion) == ConfusionCounts(5, 45)
+    # Only one mark is dropped, and the decoder and its error positions are those of a text-mode file.
+    records.write_bytes(bom * 2 + b"m1,clean\n")
+    assert load_record_tally(records).unlabelled == "\ufeffm1"
+    records.write_bytes(bom + b"m1,clean,clean\n" * 1000 + b"\xff\n")
+    with open(records, encoding="utf-8", newline="") as fh:
+        expected = _outcome(_reference_tally, fh)
+    assert expected[0] == "UnicodeDecodeError" and _outcome(load_record_tally, records) == expected
 
 
 def test_plain_records_bypass_csv(tmp_path, monkeypatch) -> None:
