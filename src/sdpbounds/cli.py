@@ -12,7 +12,7 @@ import gc
 import json
 import os
 import sys
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .failures import FailurePopulation
@@ -52,18 +52,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+def _list_of(kind: type, what: str) -> Callable[[str], List]:
+    """An argparse type: comma-separated values of ``kind``, called ``what`` in its error."""
 
+    def parse(text: str) -> List:
+        try:
+            return [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from exc
 
-def _int_list(text: str) -> List[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    return parse
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,6 +86,7 @@ def build_parser() -> _Parser:
     p_for.add_argument("--tn", type=int, help="true-negative count")
     p_for.add_argument("--confusion", help="confusion-matrix JSON file")
     p_for.add_argument("--records", help="per-module prediction records CSV")
+    p_for.set_defaults(run=_cmd_for)
 
     p_an = sub.add_parser("analyze", help="full bound analysis over a list of times")
     p_an.add_argument("--l", type=int, help="predicted-clean module count")
@@ -98,19 +97,22 @@ def build_parser() -> _Parser:
     p_an.add_argument("--m", type=float, required=True, help="manual hazard shape")
     p_an.add_argument("--K-hat", type=float, required=True, help="residual hazard scale")
     p_an.add_argument("--m-hat", type=float, required=True, help="residual hazard shape")
-    p_an.add_argument("--t", type=_float_list, required=True, help="comma-separated time points")
+    p_an.add_argument("--t", type=_list_of(float, "numbers"), required=True, help="comma-separated time points")
     _add_sampling_flags(p_an)
+    p_an.set_defaults(run=_cmd_analyze)
 
     p_sw = sub.add_parser("sweep", help="Cartesian parameter sweep with audit summary")
     for name in PARAM_NAMES:
-        values = _int_list if name == "l" else _float_list
+        values = _list_of(int, "integers") if name == "l" else _list_of(float, "numbers")
         p_sw.add_argument("--" + name.replace("_", "-"), type=values, required=True)
     _add_sampling_flags(p_sw)
+    p_sw.set_defaults(run=_cmd_sweep)
 
     p_pd = sub.add_parser("plotdata", help="extract plot-ready (x, y) series from a report")
     p_pd.add_argument("report", help="analyze/sweep JSON report or sweep CSV")
     p_pd.add_argument("--selector", required=True, help=f"one of {', '.join(PLOT_SELECTORS)}")
     p_pd.add_argument("--out", help="output file (default: stdout)")
+    p_pd.set_defaults(run=_cmd_plotdata)
 
     return parser
 
@@ -241,13 +243,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     report = sweep(grid, workers=args.workers)
     if args.out:
-        if args.out.endswith(".csv"):
-            text = sweep_csv_text(report["points"])
-            with _writing_output(), open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            with _writing_output():
-                write_report(report, args.out)
+        with _writing_output():
+            write_report(report, args.out)
         print(f"sweep written to {args.out} ({len(report['points'])} points)")
     else:
         sys.stdout.write(sweep_csv_text(report["points"]))
@@ -296,14 +293,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "for": _cmd_for,
-        "analyze": _cmd_analyze,
-        "sweep": _cmd_sweep,
-        "plotdata": _cmd_plotdata,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
     except BrokenPipeError:

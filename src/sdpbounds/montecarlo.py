@@ -159,6 +159,31 @@ class _Draws:
     seed: int
     means: Dict[Tuple[CombinedHazardModel, float], MonteCarloEstimate] = field(default_factory=dict)
 
+    def tail(self, threshold: float) -> MonteCarloEstimate:
+        """Hit rate of X < threshold with its Wilson interval; a cutoff <= 0 is the impossible event."""
+        n, seed = self.n, self.seed
+        if threshold <= 0.0:
+            return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
+        # A NaN cutoff is live: it is counted and never hit.
+        count = int(np.sum(self.counts[self.values < threshold]))
+        p_hat = count / n
+        ci_low, ci_high = wilson_interval(count, n)
+        std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
+        return MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
+
+    def mean(self, model: CombinedHazardModel, t: float) -> MonteCarloEstimate:
+        """The mean SDP reliability of the model at t over the draws.
+
+        It is computed on the first call for a (model, t) and kept: equal
+        keys give the same bits (a shape of -0.0 as 0.0), and a mean that
+        raises is not kept, so every call for it raises the same error.
+        """
+        mean = self.means.get((model, t))
+        if mean is None:
+            r = sdp_reliability(model, self.values, t)
+            mean = self.means[model, t] = _mean_estimate(r, self, weibull_reliability(model.residual, t))
+        return mean
+
 
 def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     """The seed's stream, block by block, merged into one histogram."""
@@ -169,42 +194,6 @@ def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     counts = np.zeros(len(values), dtype=np.int64)
     np.add.at(counts, where, np.concatenate([b[1] for b in blocks]))
     return _Draws(values, counts, n, seed)
-
-
-def _estimate_stream(
-    draws: _Draws,
-    thresholds: Sequence[float],
-    model: Optional[CombinedHazardModel] = None,
-    t: float = 0.0,
-) -> Tuple[Tuple[MonteCarloEstimate, ...], Optional[MonteCarloEstimate]]:
-    """A tail estimate per threshold and, given ``model``, the mean SDP
-    reliability at ``t``, all from the same draws.
-
-    The mean is computed on the first call for a (model, t) and kept: equal
-    keys give the same bits (a shape of -0.0 as 0.0), and a mean that raises
-    is not kept, so every call for it raises the same error.
-    """
-    tails = tuple(_tail_estimate(c, draws) for c in thresholds)
-    if model is None:
-        return tails, None
-    mean = draws.means.get((model, t))
-    if mean is None:
-        r = sdp_reliability(model, draws.values, t)
-        mean = draws.means[model, t] = _mean_estimate(r, draws, weibull_reliability(model.residual, t))
-    return tails, mean
-
-
-def _tail_estimate(threshold: float, draws: _Draws) -> MonteCarloEstimate:
-    """Hit rate with its Wilson interval; a cutoff <= 0 is the impossible event."""
-    n, seed = draws.n, draws.seed
-    if threshold <= 0.0:
-        return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
-    # A NaN cutoff is live: it is counted and never hit.
-    count = int(np.sum(draws.counts[draws.values < threshold]))
-    p_hat = count / n
-    ci_low, ci_high = wilson_interval(count, n)
-    std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
 
 
 def _mean_estimate(r: np.ndarray, draws: _Draws, bound: float) -> MonteCarloEstimate:
@@ -255,7 +244,7 @@ def estimate_tail_probabilities(
     _validate_sampling_args(n, seed)
     live = any(not c <= 0.0 for c in thresholds)
     draws = _draw(pop, n, seed, workers) if live else _Draws((), (), n, seed)
-    return _estimate_stream(draws, thresholds)[0]
+    return tuple(draws.tail(c) for c in thresholds)
 
 
 def estimate_tail_probability(
@@ -283,7 +272,7 @@ def estimate_expected_reliability(
     standard error.  At a population's seed this is the estimate that
     analyze_point reports, from the same draws as the tail counts.
     """
-    return _estimate_stream(_draw(model.population, n, seed, workers), (), model, t)[1]
+    return _draw(model.population, n, seed, workers).mean(model, t)
 
 
 def estimate_reliability_exceedance(

@@ -25,7 +25,7 @@ import math
 import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .bounds import (
@@ -47,8 +47,7 @@ from .hazards import (
     weibull_reliability,
 )
 from .ingest import ParseError
-from .montecarlo import (AuditVerdict, MonteCarloEstimate, _draw, _Draws, _estimate_stream, _require_seed,
-                         audit_bound)
+from .montecarlo import AuditVerdict, MonteCarloEstimate, _draw, _Draws, _require_seed, audit_bound
 
 __all__ = [
     "PLOT_SELECTORS",
@@ -120,9 +119,6 @@ class SweepGrid:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
 
-    def points(self) -> Iterable[Tuple[int, float, float, float, float, float, float]]:
-        return itertools.product(*self.axes)
-
 
 def _require_sampling(samples: int, seed: int, workers: int = 1) -> None:
     """The sampling contract of a run: samples 0 or >= 1000, a 64-bit seed, workers >= 1."""
@@ -180,6 +176,7 @@ def analyze_point(
     modes: Sequence[str] = MODES,
 ) -> Dict[str, object]:
     """Evaluate hazards, reliabilities, all bounds, and audits at one point."""
+    _require_sampling(samples, seed, workers)
     return _point(l, p, k, m, k_hat, m_hat, t, modes, _population_draws(l, p, samples, seed, workers))
 
 
@@ -222,10 +219,7 @@ def _point(l: int, p: float, k: float, m: float, k_hat: float, m_hat: float, t: 
         cutoffs.append(reliability_reports[modes[0]].event_threshold)
     oracle = {c: binomial_cdf_below(pop, c) for c in dict.fromkeys(cutoffs)}
     exact_tails = [oracle[c] for c in cutoffs]
-    if draws is not None:
-        tail_mc, mean_mc = _estimate_stream(draws, cutoffs, model, t)
-    else:
-        tail_mc, mean_mc = (None,) * len(cutoffs), None
+    tail_mc = [None if draws is None else draws.tail(c) for c in cutoffs]
 
     point["hazard_bound"] = _report_dict(hazard_report)
     point["hazard_exact_tail"] = exact_tails[0]
@@ -245,7 +239,7 @@ def _point(l: int, p: float, k: float, m: float, k_hat: float, m_hat: float, t: 
     point["reference_bound"] = _report_dict(reference_report)
     point["reference_audit"] = _fields_dict(audit_bound(reference_report, exact_tails[0]))
 
-    point["expected_reliability_mc"] = _fields_dict(mean_mc)
+    point["expected_reliability_mc"] = _fields_dict(None if draws is None else draws.mean(model, t))
     return point
 
 
@@ -264,6 +258,7 @@ def analyze(
     provenance: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Full-pipeline run report over a list of time points, which share one population's draws."""
+    _require_sampling(samples, seed, workers)
     if not t_values:
         raise ValueError("at least one time point is required")
     draws = _population_draws(l, p, samples, seed, workers)
@@ -291,6 +286,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     domain error is raised with its coordinates in front (l and p alone for
     an error of the population's draws).
     """
+    _require_sampling(grid.samples, grid.seed, workers)
 
     def located(coord: Tuple, fn, *args):
         try:
@@ -300,7 +296,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
             raise ValueError(f"{where}: {exc}") from exc
 
     points: List[Dict[str, object]] = []
-    for (l, p), coords in itertools.groupby(grid.points(), key=lambda coord: coord[:2]):
+    for (l, p), coords in itertools.groupby(itertools.product(*grid.axes), key=lambda coord: coord[:2]):
         draws = located((l, p), _population_draws, l, p, grid.samples, grid.seed, workers)
         points += [located(c, _point, *c, grid.modes, draws) for c in coords]
 
@@ -346,24 +342,20 @@ def monotonicity_in_l(points: Sequence[Dict[str, object]]) -> Dict[str, object]:
         groups.setdefault(key, []).append((pt["l"], pt["hazard_bound"]["bound"], applicable))
 
     checked = 0
-    monotone = 0
     violations: List[Dict[str, object]] = []
     for key, rows in groups.items():
-        rows.sort(key=lambda r: r[0])
+        rows = sorted(set(rows))  # a repeated axis value repeats a row, not a step in l
         if len(rows) < 2 or not all(r[2] for r in rows):
             continue
         checked += 1
-        decreasing = all(hi > lo for (_, hi, _), (_, lo, _) in zip(rows, rows[1:]))
-        if decreasing:
-            monotone += 1
-        else:
+        if not all(hi > lo for (_, hi, _), (_, lo, _) in zip(rows, rows[1:])):
             violations.append(
                 {
                     "axes": dict(zip(PARAM_NAMES[1:], key)),
                     "bounds_by_l": [[r[0], r[1]] for r in rows],
                 }
             )
-    return {"groups_checked": checked, "monotone": monotone, "violations": violations}
+    return {"groups_checked": checked, "monotone": checked - len(violations), "violations": violations}
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +370,10 @@ def _report_json(report: Dict[str, object]) -> str:
 
 
 def write_report(report: Dict[str, object], path: str) -> None:
-    text = _report_json(report)  # a non-finite value raises here, before the file is opened
-    with open(path, "w", encoding="utf-8") as fh:
+    """The sweep CSV of the report's points to a .csv path, its JSON to any other."""
+    # The text is built first: a non-finite value raises before the file is opened.
+    text = sweep_csv_text(report["points"]) if str(path).endswith(".csv") else _report_json(report)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 

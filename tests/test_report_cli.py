@@ -7,6 +7,7 @@ import importlib
 import json
 import math
 import os
+import pathlib
 import pkgutil
 import random
 import re
@@ -135,6 +136,11 @@ def test_analyze_report_shape_and_roundtrip(tmp_path) -> None:
     for key, value in _float_leaves(again):
         assert math.copysign(1, value) == math.copysign(1, originals[key])
         assert value == originals[key], key  # bit-exact float round-trip
+    # A .csv path, given as a PathLike, gets the sweep CSV of the report's points.
+    csv_path = pathlib.Path(tmp_path, "report.csv")
+    write_report(report, csv_path)
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == sweep_csv_text(report["points"])
 
 
 def test_population_seed_is_content_addressed() -> None:
@@ -197,6 +203,21 @@ def test_sweep_grid_validation() -> None:
         SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,), samples=17)
 
 
+def test_library_entry_points_keep_the_sampling_contract() -> None:
+    grid = SweepGrid((100,), (0.1,), (2.0,), (0.5,), (1.0,), (0.5,), (4.0,))
+    too_few = re.escape("samples must be 0 (disabled) or >= 1000, got 17")
+    runs = [
+        (lambda: analyze(**CANONICAL, t_values=[4.0], workers=0), "workers must be >= 1, got 0"),
+        (lambda: sweep(grid, workers=0), "workers must be >= 1, got 0"),
+        (lambda: analyze(**CANONICAL, t_values=[4.0], samples=0, seed=-1), "seed must be >= 0"),
+        (lambda: analyze(**CANONICAL, t_values=[4.0], samples=17), too_few),
+        (lambda: analyze_point(100, 0.1, 2.0, 0.5, 1.0, 0.5, 4.0, samples=17), too_few),
+    ]
+    for run, message in runs:
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
 def test_sweep_grid_rejects_non_finite_axes() -> None:
     inf = math.inf
     for axes, needle in [
@@ -229,6 +250,21 @@ def test_monotonicity_summary_in_sweep() -> None:
     assert mono["violations"] == []
     bounds = [pt["hazard_bound"]["bound"] for pt in swept["points"]]
     assert bounds[0] > bounds[1] > bounds[2]
+
+
+def test_monotonicity_ignores_a_repeated_axis_value(capsys) -> None:
+    # -0.0 and 0.0 are one group key, so their points repeat each l of the group.
+    axes = dict(l_values=(10, 100, 1000), p_values=(0.1,), k_values=(2.0,), k_hat_values=(1.0,),
+                m_hat_values=(0.5,), t_values=(4.0,))
+    for m_values in [(-0.0, 0.0), (0.0,)]:
+        mono = sweep(SweepGrid(m_values=m_values, **axes))["summary"]["monotonicity_in_l"]
+        assert mono == {"groups_checked": 1, "monotone": 1, "violations": []}, m_values
+    args = ["sweep", "--l", "10,10,100", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
+            "--m-hat", "0.5", "--t", "4", "--samples", "0"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "monotonicity in l: 1/1 groups strictly decreasing\n" in out
+    assert "non-monotone" not in out
 
 
 def test_monotonicity_skips_inapplicable_groups() -> None:
@@ -519,6 +555,19 @@ def test_cli_plotdata_reads_sweep_csv_and_json_alike(tmp_path, capsys) -> None:
                 texts.setdefault(selector, []).append(capsys.readouterr().out)
         for selector, (from_csv, from_json) in texts.items():
             assert from_csv == from_json, (mode, selector)
+    # An analyze report takes its format from the --out suffix too, and plotdata reads either.
+    point = ["--l", "100", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5"]
+    texts = {}
+    for path in (tmp_path / "analyze.csv", tmp_path / "analyze.json"):
+        assert main(["analyze", *point, "--t", "0.5,1,4", "--samples", "2000", "--out", str(path)]) == 0
+        capsys.readouterr()
+        for selector in PLOT_SELECTORS:
+            assert main(["plotdata", str(path), "--selector", selector]) == 0
+            texts.setdefault(selector, []).append(capsys.readouterr().out)
+    points = read_report(str(tmp_path / "analyze.json"))["points"]
+    assert (tmp_path / "analyze.csv").read_text(encoding="utf-8") == sweep_csv_text(points)
+    for selector, (from_csv, from_json) in texts.items():
+        assert from_csv == from_json, ("analyze", selector)
 
 
 def test_cli_hazard_bound_overflow_is_one_line_error(capsys) -> None:
