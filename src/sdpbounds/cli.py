@@ -305,8 +305,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

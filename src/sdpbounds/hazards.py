@@ -125,8 +125,6 @@ def weibull_average_hazard(params: WeibullParams, t: float) -> float:
 def weibull_cumulative_hazard(params: WeibullParams, t: float) -> float:
     """Integral of the hazard over [0, t]: scale_k * t**(shape_m+1) / (shape_m+1)."""
     _require_nonnegative_time(t)
-    if t == 0.0:
-        return 0.0
     return _scaled_power(params, t, params.shape_m + 1.0, params.shape_m + 1.0)
 
 
@@ -191,12 +189,9 @@ def expected_sdp_reliability_bound(model: CombinedHazardModel, t: float, mode: s
     reported as a domain error.
     """
     try:
-        value = math.exp(log_expected_sdp_reliability_bound(model, t, mode))
+        return math.exp(log_expected_sdp_reliability_bound(model, t, mode))
     except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise ValueError(f"expected-reliability proxy ({mode}) overflows at time t={t}")
-    return value
+        raise ValueError(f"expected-reliability proxy ({mode}) overflows at time t={t}") from None
 
 
 def reliability_by_integration(

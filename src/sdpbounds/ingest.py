@@ -14,8 +14,7 @@ same blocks.  A plain block of ``id,label[,label]`` lines is counted with
 string scans, without splitting fields.  A quote, a stray CR, a NUL, a padded
 or mixed-case label, a blank or over-long line, or any malformed line sends
 its block through csv, record by record, which alone states the record rules.
-The counts and errors are the same either way.  An iterable of lines is read
-by csv record by record.
+The counts and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ def _normalize_label(raw: str, row: int) -> str:
 def _without_nul(lines: Iterable[str]) -> Iterator[str]:
     """``lines`` as they are; a NUL is the csv error that csv itself raises before Python 3.11."""
     for line in lines:
-        if isinstance(line, str) and "\0" in line:
+        if "\0" in line:
             raise csv.Error("line contains NUL")
         yield line
 
@@ -296,24 +295,15 @@ class RecordTally:
         return sum(n for (predicted, _), n in self.pairs.items() if predicted == "clean")
 
 
-def tally_records(source: Union[str, Iterable[str]]) -> RecordTally:
+def tally_records(source: str) -> RecordTally:
     """Count the label pairs of CSV prediction records in one pass.
 
     Layout: ``module_id,predicted[,actual]`` with an optional header row.  The
     actual column must be present on every data row or on none of them;
-    labels are matched case-insensitively.  No record list is built.  A
-    string is split into lines at LF alone; an iterable is read by csv item
-    by item, each item as a line.
+    labels are matched case-insensitively.  No record list is built.  The
+    string is split into lines at LF alone.
     """
-    if isinstance(source, str):
-        return _tally(_blocks(source[i:i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS)), "\n")
-    records = _iter_records(source)
-    pairs: _Pairs = Counter()
-    for _, module, predicted, actual in records:
-        pairs[predicted, actual] += 1
-        pairs.update(map(_LABEL_PAIR, records))
-        return RecordTally(pairs, module if actual is None else None)
-    raise ParseError("no data rows in input")
+    return _tally(_blocks(source[i:i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS)), "\n")
 
 
 def load_record_tally(path: Union[str, Path]) -> RecordTally:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "VERDICT_EXACT_ZERO",
     "wilson_interval",
     "estimate_tail_probability",
-    "estimate_tail_probabilities",
     "estimate_expected_reliability",
     "estimate_reliability_exceedance",
     "tail_event_indicators",
@@ -227,26 +226,6 @@ def _mean_estimate(r: np.ndarray, draws: _Draws, bound: float) -> MonteCarloEsti
     return MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, seed)
 
 
-def estimate_tail_probabilities(
-    pop: FailurePopulation,
-    thresholds: Sequence[float],
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> Tuple[MonteCarloEstimate, ...]:
-    """Fraction of n seeded defect-count draws with X < c for each cutoff c, Wilson CIs.
-
-    Every cutoff counts the same draws, drawn once, and the estimates come
-    back in the order of ``thresholds``.  A cutoff <= 0 describes an
-    impossible event (X >= 0) and gets a degenerate zero estimate; no block
-    is drawn unless some cutoff is positive or NaN.
-    """
-    _validate_sampling_args(n, seed)
-    live = any(not c <= 0.0 for c in thresholds)
-    draws = _draw(pop, n, seed, workers) if live else _Draws((), (), n, seed)
-    return tuple(draws.tail(c) for c in thresholds)
-
-
 def estimate_tail_probability(
     pop: FailurePopulation,
     threshold: float,
@@ -254,8 +233,14 @@ def estimate_tail_probability(
     seed: int,
     workers: int = 1,
 ) -> MonteCarloEstimate:
-    """Fraction of n seeded defect-count draws with X < threshold, Wilson CI."""
-    return estimate_tail_probabilities(pop, (threshold,), n, seed, workers)[0]
+    """Fraction of n seeded defect-count draws with X < threshold, Wilson CI.
+
+    A cutoff <= 0 describes an impossible event (X >= 0) and gets a
+    degenerate zero estimate without a draw; a NaN cutoff is drawn.
+    """
+    _validate_sampling_args(n, seed)
+    draws = _Draws((), (), n, seed) if threshold <= 0.0 else _draw(pop, n, seed, workers)
+    return draws.tail(threshold)
 
 
 def estimate_expected_reliability(

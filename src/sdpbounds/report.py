@@ -263,17 +263,9 @@ def analyze(
         raise ValueError("at least one time point is required")
     draws = _population_draws(l, p, samples, seed, workers)
     points = [_point(l, p, k, m, k_hat, m_hat, t, modes, draws) for t in t_values]
-    return {
-        "toolkit_version": __version__,
-        "kind": "analyze",
-        "seed": seed,
-        "samples": samples,
-        "modes": list(modes),
-        "for_provenance": provenance or {"source": "literal"},
-        "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values)))),
-        "points": points,
-        "summary": {"audits": audit_summary(points)},
-    }
+    inputs = {"for_provenance": provenance or {"source": "literal"},
+              "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values))))}
+    return _report("analyze", samples, seed, modes, inputs, points, {"audits": audit_summary(points)})
 
 
 def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
@@ -303,16 +295,15 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     summary: Dict[str, object] = {"audits": audit_summary(points)}
     if len(grid.l_values) > 1:
         summary["monotonicity_in_l"] = monotonicity_in_l(points)
-    return {
-        "toolkit_version": __version__,
-        "kind": "sweep",
-        "seed": grid.seed,
-        "samples": grid.samples,
-        "modes": list(grid.modes),
-        "grid": {name: list(values) for name, values in zip(PARAM_NAMES, grid.axes)},
-        "points": points,
-        "summary": summary,
-    }
+    inputs = {"grid": {name: list(values) for name, values in zip(PARAM_NAMES, grid.axes)}}
+    return _report("sweep", grid.samples, grid.seed, grid.modes, inputs, points, summary)
+
+
+def _report(kind: str, samples: int, seed: int, modes: Sequence[str], inputs: Dict[str, object],
+            points: List[Dict[str, object]], summary: Dict[str, object]) -> Dict[str, object]:
+    """A report's top level, in the key order of every report: header, inputs, points, summary."""
+    return {"toolkit_version": __version__, "kind": kind, "seed": seed, "samples": samples,
+            "modes": list(modes), **inputs, "points": points, "summary": summary}
 
 
 def audit_summary(points: Sequence[Dict[str, object]]) -> Dict[str, Dict[str, int]]:
@@ -331,28 +322,32 @@ def monotonicity_in_l(points: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
     Applies within every group of points sharing all other axes, restricted to
     groups where l*p + 2*K_hat*t**m_hat - K*t**m > 0 throughout (the regime in
-    which the decrease is provable).
+    which the decrease is provable).  The check compares log_bound, the
+    primary value (null read as -inf), so bounds that underflow to 0 still
+    compare; a violation lists the bounds.
     """
-    groups: Dict[Tuple, List[Tuple[int, float, bool]]] = {}
+    groups: Dict[Tuple, List[Tuple[int, float, float, bool]]] = {}
     for pt in points:
         key = tuple(pt[name] for name in PARAM_NAMES[1:])
         lp = pt["l"] * pt["p"]
         residual_hazard = pt["K_hat"] * pt["t"] ** pt["m_hat"]
         applicable = lp + 2.0 * residual_hazard - pt["manual_hazard"] > 0.0
-        groups.setdefault(key, []).append((pt["l"], pt["hazard_bound"]["bound"], applicable))
+        hazard = pt["hazard_bound"]
+        log_bound = -math.inf if hazard["log_bound"] is None else hazard["log_bound"]
+        groups.setdefault(key, []).append((pt["l"], log_bound, hazard["bound"], applicable))
 
     checked = 0
     violations: List[Dict[str, object]] = []
     for key, rows in groups.items():
         rows = sorted(set(rows))  # a repeated axis value repeats a row, not a step in l
-        if len(rows) < 2 or not all(r[2] for r in rows):
+        if len(rows) < 2 or not all(r[3] for r in rows):
             continue
         checked += 1
-        if not all(hi > lo for (_, hi, _), (_, lo, _) in zip(rows, rows[1:])):
+        if not all(hi > lo for (_, hi, *_), (_, lo, *_) in zip(rows, rows[1:])):
             violations.append(
                 {
                     "axes": dict(zip(PARAM_NAMES[1:], key)),
-                    "bounds_by_l": [[r[0], r[1]] for r in rows],
+                    "bounds_by_l": [[r[0], r[2]] for r in rows],
                 }
             )
     return {"groups_checked": checked, "monotone": checked - len(violations), "violations": violations}

@@ -228,7 +228,7 @@ def test_analyze_point_reports_the_public_estimators() -> None:
         cutoffs = (point["hazard_bound"]["event_threshold"],
                    point["reliability_bound"]["sign-corrected"]["bound"]["event_threshold"])
         assert all(c > 0.0 for c in cutoffs)
-        tails = mc.estimate_tail_probabilities(pop, cutoffs, n, tail_seed, workers)
+        tails = [estimate_tail_probability(pop, c, n, tail_seed, workers) for c in cutoffs]
         assert point["hazard_tail_mc"] == dataclasses.asdict(tails[0])
         for record in point["reliability_bound"].values():
             assert record["exceedance_mc"] == dataclasses.asdict(tails[1])
@@ -301,7 +301,8 @@ def test_shared_tail_pass_equals_single_cutoff_calls() -> None:
         if c > 0.0:
             assert single.estimate == np.count_nonzero(tail_event_indicators(pop, c, n, seed=77)) / n
     for workers in (1, 4):
-        assert mc.estimate_tail_probabilities(pop, thresholds, n, seed=77, workers=workers) == singles
+        draws = mc._draw(pop, n, 77, workers)
+        assert tuple(draws.tail(c) for c in thresholds) == singles
 
 
 def _count_draw_seeds(monkeypatch) -> list:
@@ -325,7 +326,7 @@ def test_one_draw_pass_per_seed(monkeypatch) -> None:
     assert calls == [derive_population_seed(3, 100, 0.1)]
 
     calls.clear()
-    estimates = mc.estimate_tail_probabilities(FailurePopulation(10, 0.5), (0.0, -2.0), 10_000, seed=1)
+    estimates = [estimate_tail_probability(FailurePopulation(10, 0.5), c, 10_000, seed=1) for c in (0.0, -2.0)]
     assert [e.estimate for e in estimates] == [0.0, 0.0]
     assert calls == []
 
@@ -395,7 +396,7 @@ def test_tail_estimates_keep_their_stream() -> None:
     pop = FailurePopulation(100, 0.1)
     n = mc.BLOCK_SIZE * 2 + 17
     for workers in (1, 4):
-        estimates = mc.estimate_tail_probabilities(pop, (12.0, -1.0, 8.0, math.nan, 3.5), n, 77, workers)
+        estimates = [estimate_tail_probability(pop, c, n, 77, workers) for c in (12.0, -1.0, 8.0, math.nan, 3.5)]
         assert [round(e.estimate * n) for e in estimates] == [46213, 0, 13398, 0, 546]
         assert estimates[0] == MonteCarloEstimate(
             0.7049715497383796, 0.0017812359775802996, 0.7014684622062612, 0.7084506156809824, n, 77, 12.0

@@ -267,6 +267,36 @@ def test_monotonicity_ignores_a_repeated_axis_value(capsys) -> None:
     assert "non-monotone" not in out
 
 
+def _hazard_point(l: int, log_bound) -> dict:
+    """A point with the fields monotonicity_in_l reads; l*p + 2*K_hat*t**m_hat - K*t**m > 0."""
+    return {"l": l, "p": 0.5, "K": 2.0, "m": 0.5, "K_hat": 1.0, "m_hat": 0.5, "t": 1.0, "manual_hazard": 2.0,
+            "hazard_bound": {"log_bound": log_bound, "bound": 0.0 if log_bound is None else math.exp(log_bound)}}
+
+
+def test_monotonicity_compares_log_bounds() -> None:
+    # exp(-1000) and exp(-900) both underflow to 0.0; a null log_bound is -inf.
+    axes = {"p": 0.5, "K": 2.0, "m": 0.5, "K_hat": 1.0, "m_hat": 0.5, "t": 1.0}
+    for logs, violated in [((-900.0, -1000.0), False), ((-3.0, None), False),
+                           ((-1000.0, -900.0), True), ((None, -3.0), True), ((-3.0, -3.0), True)]:
+        points = [_hazard_point(10, logs[0]), _hazard_point(100, logs[1])]
+        bounds_by_l = [[pt["l"], pt["hazard_bound"]["bound"]] for pt in points]
+        violations = [{"axes": axes, "bounds_by_l": bounds_by_l}] if violated else []
+        assert monotonicity_in_l(points) == {
+            "groups_checked": 1, "monotone": 0 if violated else 1, "violations": violations}, logs
+
+
+def test_cli_sweep_underflowed_hazard_bounds_are_monotone(capsys) -> None:
+    # Both hazard bounds underflow to 0.0; their log_bounds still fall with l.
+    args = ["sweep", "--l", "10000,100000", "--p", "0.5", "--K", "2", "--m", "0.5", "--K-hat", "1",
+            "--m-hat", "0.5", "--t", "1", "--samples", "0"]
+    report = sweep(SweepGrid((10000, 100000), (0.5,), (2.0,), (0.5,), (1.0,), (0.5,), (1.0,)))
+    assert [pt["hazard_bound"]["bound"] for pt in report["points"]] == [0.0, 0.0]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "monotonicity in l: 1/1 groups strictly decreasing\n" in out
+    assert "non-monotone" not in out
+
+
 def test_monotonicity_skips_inapplicable_groups() -> None:
     # lp + 2A - B < 0 at small l here, so the group is not checked.
     points = [
@@ -410,6 +440,37 @@ def test_cli_for_parse_error_exit_2(tmp_path, capsys) -> None:
     assert main(["for", "--records", str(tmp_path / "missing.csv")]) == 2
 
 
+def test_cli_unreadable_input_path_is_exit_2(tmp_path, capsys) -> None:
+    # A file used as a directory raises NotADirectoryError, which no narrower catch named.
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("", encoding="utf-8")
+    shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "1", "--samples", "0"]
+    for argv, path in [
+        (["for", "--records"], not_a_dir / "r.csv"),
+        (["for", "--confusion"], not_a_dir / "c.json"),
+        (["analyze", *shape, "--records"], not_a_dir / "r.csv"),
+        (["plotdata", "--selector", "hazard"], not_a_dir / "s.csv"),
+        (["plotdata", "--selector", "hazard"], not_a_dir / "s.json"),
+    ]:
+        assert main([*argv, str(path)]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(
+            rf"error: cannot read input: \[Errno \d+\] Not a directory: {re.escape(repr(str(path)))}\n", err), err
+
+
+def test_cli_list_flags_name_the_expected_type(capsys) -> None:
+    point = ["--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--samples", "0"]
+    for argv, message in [
+        (["sweep", "--l", "10,x", *point, "--t", "1"], "argument --l: expected comma-separated integers, got '10,x'"),
+        (["analyze", "--l", "10", *point, "--t", "1,y"], "argument --t: expected comma-separated numbers, got '1,y'"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"sdpbounds {argv[0]}: error: {message}\n"), err
+
+
 def test_cli_input_source_errors(tmp_path, capsys) -> None:
     unlabelled = tmp_path / "new.csv"
     unlabelled.write_text("m1,clean\nm2,defective\n", encoding="utf-8")
@@ -528,6 +589,22 @@ def test_cli_plotdata_malformed_sweep_csv_is_parse_error(tmp_path, capsys) -> No
         for selector in PLOT_SELECTORS:
             assert main(["plotdata", str(bad), "--selector", selector]) == 2
             assert capsys.readouterr().err == f"error: cannot read input: {column!r}\n", (column, selector)
+
+
+def test_cli_plotdata_skips_blank_lines_in_a_sweep_csv(tmp_path, capsys) -> None:
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--l", "10,100,1000", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
+                 "--m-hat", "0.5", "--t", "1,4", "--samples", "0", "--out", str(csv_path)]) == 0
+    header, *rows = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("".join(["\n", header, *rows[:2], "\n", *rows[2:]]), encoding="utf-8")
+    capsys.readouterr()
+    for selector in PLOT_SELECTORS:
+        texts = []
+        for path in (csv_path, spaced):
+            assert main(["plotdata", str(path), "--selector", selector]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].count("\n") > 4, selector
 
 
 def test_cli_plotdata_non_report_json_is_parse_error(tmp_path, capsys) -> None:
