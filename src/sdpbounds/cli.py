@@ -118,12 +118,12 @@ def build_parser() -> _Parser:
 
 
 @contextlib.contextmanager
-def _writing_output() -> Iterator[None]:
-    """An --out file that cannot be opened or written is a usage error, not an unreadable input."""
+def _reading_input() -> Iterator[None]:
+    """An input file that cannot be opened, decoded or parsed is a parse error, not an output one."""
     try:
         yield
-    except OSError as exc:
-        raise ValueError(f"cannot write output: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+        raise ParseError(f"cannot read input: {exc}") from exc
 
 
 def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[str, object]]:
@@ -135,11 +135,10 @@ def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[s
         if len(given) != 2:
             raise ValueError("--fn and --tn must be given together")
         return ConfusionCounts(args.fn, args.tn), {"source": "literal", "fn": args.fn, "tn": args.tn}
-    if args.confusion:
-        counts = load_confusion(args.confusion)
-        return counts, {"source": "confusion-file", "path": args.confusion}
-    counts = load_record_tally(args.records).confusion()
-    return counts, {"source": "records-file", "path": args.records}
+    with _reading_input():
+        if args.confusion:
+            return load_confusion(args.confusion), {"source": "confusion-file", "path": args.confusion}
+        return load_record_tally(args.records).confusion(), {"source": "records-file", "path": args.records}
 
 
 def _cmd_for(args: argparse.Namespace) -> int:
@@ -168,10 +167,12 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
         raise ValueError("give at most one of --confusion and --records")
     counts: Optional[ConfusionCounts] = None
     if args.confusion:
-        counts = load_confusion(args.confusion)
+        with _reading_input():
+            counts = load_confusion(args.confusion)
         provenance = {"source": "confusion-file", "path": args.confusion}
     elif args.records:
-        tally = load_record_tally(args.records)
+        with _reading_input():
+            tally = load_record_tally(args.records)
         provenance = {"source": "records-file", "path": args.records}
         if tally.unlabelled is None:
             counts = tally.confusion()
@@ -223,8 +224,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         modes=MODES if args.mode == "both" else (args.mode,), provenance=provenance,
     )
     if args.out:
-        with _writing_output():
-            write_report(report, args.out)
+        write_report(report, args.out)
         print(f"report written to {args.out}")
         for point in report["points"]:
             _print_point_summary(point)
@@ -243,8 +243,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     report = sweep(grid, workers=args.workers)
     if args.out:
-        with _writing_output():
-            write_report(report, args.out)
+        write_report(report, args.out)
         print(f"sweep written to {args.out} ({len(report['points'])} points)")
     else:
         sys.stdout.write(sweep_csv_text(report["points"]))
@@ -264,9 +263,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    text = _plotdata_text(args.report, args.selector)
+    with _reading_input():
+        text = _plotdata_text(args.report, args.selector)
     if args.out:
-        with _writing_output(), open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"series written to {args.out}")
     else:
@@ -297,17 +297,18 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
-    except BrokenPipeError:
-        # The reader went away: send what is still buffered to devnull so the
-        # flush at exit cannot fail again, and exit quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_DOMAIN
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except OSError as exc:  # inputs are read inside _reading_input, so this is a failed write
+        if not isinstance(exc, BrokenPipeError):  # a reader that went away is a quiet exit
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:  # a stdout that cannot take what it buffers goes to devnull, or the flush at exit fails again
+            sys.stdout.flush()
+        except OSError:
+            with contextlib.suppress(OSError, ValueError):  # a stdout with no file descriptor behind it
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

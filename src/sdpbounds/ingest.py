@@ -7,14 +7,17 @@ count can be derived.  Records are read as a stream: ``tally_records`` keeps
 only the counts of (predicted, actual) label pairs, so its memory does not
 grow with the number of rows.
 
-A records file is decoded in the 8192-byte chunks that a text-mode file
-decodes, so a bad byte reports the same position, and scanned in blocks of
-about 64K characters of whole lines; ``tally_records`` scans a string in the
-same blocks.  A plain block of ``id,label[,label]`` lines is counted with
-string scans, without splitting fields.  A quote, a stray CR, a NUL, a padded
-or mixed-case label, a blank or over-long line, or any malformed line sends
-its block through csv, record by record, which alone states the record rules.
-The counts and errors are the same either way.
+Every input file is UTF-8, and one byte-order mark at its start is skipped.
+A records file is decoded in the 8192-byte chunks, and with the
+``utf-8-sig`` decoder, of a text-mode file, so a bad byte reports the same
+position, and scanned in blocks of about 64K characters of whole lines;
+``tally_records`` scans a string in the same blocks.  Lines end at LF, CRLF
+or a lone CR, as in a text-mode file opened with ``newline=""``.  A plain
+block of ``id,label[,label]`` lines is counted with string scans, without
+splitting fields.  A quote, a stray CR, a NUL, a padded or mixed-case label,
+a blank or over-long line, or any malformed line sends its block through
+csv, record by record, which alone states the record rules.  The counts and
+errors are the same either way.
 """
 
 from __future__ import annotations
@@ -185,18 +188,10 @@ def _plain_pairs(text: str, arity: int) -> Optional[_Pairs]:
 
 
 def _decoded(fb: BinaryIO) -> Iterator[str]:
-    """The text of ``fb`` without a byte-order mark at its start.
-
-    The bytes are decoded in the chunks, and with the decoder, of a text-mode
-    file, so a bad byte reports the position that it would.
-    """
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    start = True
+    """The text of ``fb`` as a ``utf-8-sig`` text-mode file decodes it: in its chunks, with its decoder."""
+    decode = codecs.getincrementaldecoder("utf-8-sig")().decode
     while chunk := fb.read1(_CHUNK_BYTES):
-        piece = decode(chunk)
-        if start and piece:
-            piece, start = piece.removeprefix("\ufeff"), False
-        yield piece
+        yield decode(chunk)
     yield decode(b"", True)
 
 
@@ -223,11 +218,11 @@ def _blocks(pieces: Iterable[str]) -> Iterator[str]:
         yield text
 
 
-def _tally(blocks: Iterator[str], newline: str) -> RecordTally:
+def _tally(blocks: Iterator[str]) -> RecordTally:
     """Count the label pairs of records read in blocks of whole lines.
 
     A block that the string scans cannot count is split into lines as
-    ``io.StringIO(block, newline=newline)`` splits it, and read by csv.
+    ``io.StringIO(block, newline="")`` splits it, and read by csv.
     """
     pairs: _Pairs = Counter()
     arity: Optional[int] = None
@@ -238,10 +233,10 @@ def _tally(blocks: Iterator[str], newline: str) -> RecordTally:
             pairs.update(plain)
             row += plain.total()
             continue
-        lines = io.StringIO(block, newline=newline).readlines()
+        lines = io.StringIO(block, newline="").readlines()
         # Without quotes a record is a line; a quoted field may run on past the block.
         spans = '"' in block
-        rest = chain.from_iterable(io.StringIO(more, newline=newline) for more in blocks)
+        rest = chain.from_iterable(io.StringIO(more, newline="") for more in blocks)
         records = _iter_records(chain(lines, rest) if spans else lines, row, arity)
         if arity is None:
             for _, first_module, predicted, actual in records:
@@ -301,15 +296,15 @@ def tally_records(source: str) -> RecordTally:
     Layout: ``module_id,predicted[,actual]`` with an optional header row.  The
     actual column must be present on every data row or on none of them;
     labels are matched case-insensitively.  No record list is built.  The
-    string is split into lines at LF alone.
+    string is cut into blocks and lines as load_record_tally cuts a file's text.
     """
-    return _tally(_blocks(source[i:i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS)), "\n")
+    return _tally(_blocks(source[i:i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS)))
 
 
 def load_record_tally(path: Union[str, Path]) -> RecordTally:
     """tally_records of a UTF-8 file, read in blocks; one byte-order mark at its start is skipped."""
     with open(path, "rb") as fb:
-        return _tally(_blocks(_decoded(fb)), "")
+        return _tally(_blocks(_decoded(fb)))
 
 
 def parse_confusion(text: str) -> ConfusionCounts:

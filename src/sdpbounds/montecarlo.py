@@ -115,10 +115,16 @@ def _require_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
 
 
-def _validate_sampling_args(n: int, seed: int) -> None:
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _validate_sampling_args(n: int, seed: int, workers: int) -> None:
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
     _require_seed(seed)
+    _require_workers(workers)
 
 
 def _block_sizes(n: int) -> List[int]:
@@ -186,7 +192,7 @@ class _Draws:
 
 def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     """The seed's stream, block by block, merged into one histogram."""
-    _validate_sampling_args(n, seed)
+    _validate_sampling_args(n, seed, workers)
     blocks = _map_blocks(
         n, workers, lambda i, size: np.unique(_draw_block(pop, seed, i, size), return_counts=True))
     values, where = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
@@ -236,11 +242,13 @@ def estimate_tail_probability(
     """Fraction of n seeded defect-count draws with X < threshold, Wilson CI.
 
     A cutoff <= 0 describes an impossible event (X >= 0) and gets a
-    degenerate zero estimate without a draw; a NaN cutoff is drawn.
+    degenerate zero estimate without a draw; a NaN cutoff is drawn.  Like
+    every estimator here it rejects ``workers`` < 1.
     """
-    _validate_sampling_args(n, seed)
-    draws = _Draws((), (), n, seed) if threshold <= 0.0 else _draw(pop, n, seed, workers)
-    return draws.tail(threshold)
+    if threshold <= 0.0:
+        _validate_sampling_args(n, seed, workers)
+        return _Draws((), (), n, seed).tail(threshold)
+    return _draw(pop, n, seed, workers).tail(threshold)
 
 
 def estimate_expected_reliability(
@@ -255,7 +263,7 @@ def estimate_expected_reliability(
     The interval is the empirical Bernstein bound for r in
     [0, weibull_reliability(residual, t)]; ``std_error`` is the sample
     standard error.  At a population's seed this is the estimate that
-    analyze_point reports, from the same draws as the tail counts.
+    report.analyze reports, from the same draws as the tail counts.
     """
     return _draw(model.population, n, seed, workers).mean(model, t)
 
@@ -290,7 +298,7 @@ def tail_event_indicators(
 
     Test hook: reproduces exactly the indicators the tail estimators count.
     """
-    _validate_sampling_args(n, seed)
+    _validate_sampling_args(n, seed, 1)
     return np.concatenate(_map_blocks(n, 1, lambda i, size: _draw_block(pop, seed, i, size) < threshold))
 
 

@@ -47,13 +47,13 @@ from .hazards import (
     weibull_reliability,
 )
 from .ingest import ParseError
-from .montecarlo import AuditVerdict, MonteCarloEstimate, _draw, _Draws, _require_seed, audit_bound
+from .montecarlo import (AuditVerdict, MonteCarloEstimate, _draw, _Draws, _require_seed, _require_workers,
+                         audit_bound)
 
 __all__ = [
     "PLOT_SELECTORS",
     "SweepGrid",
     "derive_population_seed",
-    "analyze_point",
     "analyze",
     "sweep",
     "audit_summary",
@@ -125,8 +125,7 @@ def _require_sampling(samples: int, seed: int, workers: int = 1) -> None:
     if samples and samples < 1000:
         raise ValueError(f"samples must be 0 (disabled) or >= 1000, got {samples}")
     _require_seed(seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _require_workers(workers)
 
 
 def derive_population_seed(base_seed: int, l: int, p: float) -> int:
@@ -162,27 +161,9 @@ def _fields_dict(record: Union[AuditVerdict, MonteCarloEstimate, None]) -> Optio
     return None if record is None else dict(vars(record))
 
 
-def analyze_point(
-    l: int,
-    p: float,
-    k: float,
-    m: float,
-    k_hat: float,
-    m_hat: float,
-    t: float,
-    samples: int = 0,
-    seed: int = 0,
-    workers: int = 1,
-    modes: Sequence[str] = MODES,
-) -> Dict[str, object]:
-    """Evaluate hazards, reliabilities, all bounds, and audits at one point."""
-    _require_sampling(samples, seed, workers)
-    return _point(l, p, k, m, k_hat, m_hat, t, modes, _population_draws(l, p, samples, seed, workers))
-
-
 def _point(l: int, p: float, k: float, m: float, k_hat: float, m_hat: float, t: float,
            modes: Sequence[str], draws: Optional[_Draws]) -> Dict[str, object]:
-    """analyze_point with the population's draws given (None: no sampling)."""
+    """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling)."""
     pop = FailurePopulation(l, p)
     manual = WeibullParams(k, m)
     residual = WeibullParams(k_hat, m_hat)
@@ -274,9 +255,9 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     l and p are the outer axes, so each population's points are contiguous
     in grid order: its draws are made once and shared by them, and ``workers``
     threads draw their blocks.  Points are evaluated in grid order, and every
-    per-point record is reproducible by analyze_point alone.  A point's
-    domain error is raised with its coordinates in front (l and p alone for
-    an error of the population's draws).
+    per-point record is reproducible by an analyze of that point alone.  A
+    point's domain error is raised with its coordinates in front (l and p
+    alone for an error of the population's draws).
     """
     _require_sampling(grid.samples, grid.seed, workers)
 
@@ -373,7 +354,8 @@ def write_report(report: Dict[str, object], path: str) -> None:
 
 
 def read_report(path: str) -> Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON report in a UTF-8 file; one byte-order mark at its start is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return json.load(fh)
 
 
@@ -452,7 +434,7 @@ def _rows_from_sweep_csv(path: str) -> List[dict]:
     rows: List[dict] = []
     header: Optional[List[str]] = None
     row_no = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             for row_no, values in enumerate(csv.reader(fh), start=1):
                 if not values:

@@ -14,6 +14,7 @@ import pytest
 
 from sdpbounds import ingest
 from sdpbounds.cli import main
+from sdpbounds.report import PLOT_SELECTORS
 from sdpbounds.ingest import (
     LABELS,
     ConfusionCounts,
@@ -421,14 +422,14 @@ def test_grouped_tally_matches_record_by_record_reference(tmp_path) -> None:
     checked = Counter()
     for name, lines in _ingest_corpus():
         text = "".join(lines)
-        expected = _outcome(_reference_tally, io.StringIO(text))
+        # A string reads as a file that holds it: a lone CR ends a line in both.
+        expected = _outcome(_reference_tally, io.StringIO(text, newline=""))
         assert _outcome(tally_records, text) == expected, name
         checked[expected[0]] += 1
-        # A file splits lines at a lone CR too.
-        expected = _outcome(_reference_tally, io.StringIO(text, newline=""))
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(load_record_tally, path) == expected, name
     assert checked["ok"] > 20 and checked["ParseError"] > 20, checked
+    assert tally_records("a,clean,clean\rb,clean,defective\n").n_total == 2
 
 
 def test_grouped_tally_reads_the_lines_before_a_bad_byte_first(tmp_path) -> None:
@@ -510,6 +511,30 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys) -> None:
     with open(records, encoding="utf-8", newline="") as fh:
         expected = _outcome(_reference_tally, fh)
     assert expected[0] == "UnicodeDecodeError" and _outcome(load_record_tally, records) == expected
+    # A bad byte in the first chunk reports the position that a utf-8-sig text-mode file reports.
+    data = bom + b"m1,clean,clean\n" * 200
+    records.write_bytes(data[:1503] + b"\xff" + data[1504:])
+    with open(records, encoding="utf-8-sig", newline="") as fh:
+        expected = _outcome(_reference_tally, fh)
+    assert expected[0] == "UnicodeDecodeError" and "position 1500:" in expected[1]
+    assert _outcome(load_record_tally, records) == expected
+    # An incomplete mark is held back as text mode holds it back, and the file reads as empty.
+    records.write_bytes(bom[:2])
+    assert _outcome(load_record_tally, records) == ("ParseError", "no data rows in input", None)
+    # plotdata reads a marked sweep CSV or JSON report as it reads the plain one.
+    sweep = ["sweep", "--l", "10,100,1000", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
+             "--m-hat", "0.5", "--t", "1,4", "--samples", "0"]
+    for ext in ("csv", "json"):
+        plain, marked = tmp_path / f"sweep.{ext}", tmp_path / f"marked.{ext}"
+        assert main([*sweep, "--out", str(plain)]) == 0
+        marked.write_bytes(bom + plain.read_bytes())
+        capsys.readouterr()
+        for selector in PLOT_SELECTORS:
+            texts = []
+            for path in (plain, marked):
+                assert main(["plotdata", str(path), "--selector", selector]) == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1] and texts[0].count("\n") > 4, (ext, selector)
 
 
 def test_plain_records_bypass_csv(tmp_path, monkeypatch) -> None:

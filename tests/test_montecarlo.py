@@ -39,10 +39,14 @@ from sdpbounds.report import (
     PARAM_NAMES,
     SweepGrid,
     analyze,
-    analyze_point,
     derive_population_seed,
     sweep,
 )
+
+
+def analyze_point(l, p, k, m, k_hat, m_hat, t, **options):
+    """The one point of an analyze report at time t."""
+    return analyze(l, p, k, m, k_hat, m_hat, [t], **options)["points"][0]
 
 
 def test_wilson_interval_contains_p_hat() -> None:
@@ -57,6 +61,19 @@ def test_sampling_args_validation() -> None:
         estimate_tail_probability(pop, 3.0, n=999, seed=1)
     with pytest.raises(ValueError):
         estimate_tail_probability(pop, 3.0, n=1000, seed=-1)
+    # Every estimator rejects workers < 1 as report does, a cutoff that draws nothing included.
+    model = CombinedHazardModel(WeibullParams(1.0, 0.5), pop)
+    runs = [
+        lambda w: estimate_tail_probability(pop, 3.0, 1000, 1, workers=w),
+        lambda w: estimate_tail_probability(pop, -1.0, 1000, 1, workers=w),
+        lambda w: estimate_expected_reliability(model, 1.0, 1000, 1, workers=w),
+        lambda w: estimate_reliability_exceedance(model, WeibullParams(2.0, 0.5), 1.0, 1000, 1, workers=w),
+    ]
+    for run in runs:
+        assert run(1).n_samples == 1000
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+                run(workers)
 
 
 def test_tail_zero_threshold_short_circuit() -> None:

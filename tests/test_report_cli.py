@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -28,7 +30,6 @@ from sdpbounds.report import (
     PLOT_SELECTORS,
     SweepGrid,
     analyze,
-    analyze_point,
     derive_population_seed,
     monotonicity_in_l,
     plot_series,
@@ -40,6 +41,11 @@ from sdpbounds.report import (
 )
 
 CANONICAL = dict(l=100, p=0.1, k=2.0, m=0.5, k_hat=1.0, m_hat=0.5)
+
+
+def analyze_point(l, p, k, m, k_hat, m_hat, t, **options):
+    """The one point of an analyze report at time t."""
+    return analyze(l, p, k, m, k_hat, m_hat, [t], **options)["points"][0]
 
 
 def _float_leaves(node, path=""):
@@ -829,6 +835,22 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys) -> None:
     assert not missing.exists()
 
 
+def test_cli_failed_stdout_write_is_an_output_error(monkeypatch, capsys) -> None:
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class FullStdout(io.StringIO):
+        def write(self, text: str) -> int:
+            raise full
+
+    point = ["--l", "10", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
+             "--t", "4", "--samples", "0"]
+    expected = f"error: cannot write output: {full}\n"
+    for argv in (["for", "--fn", "5", "--tn", "45"], ["analyze", *point], ["sweep", *point]):
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == expected, argv
+
+
 def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -877,6 +899,31 @@ def test_cli_closed_stdout_exits_quietly() -> None:
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+# A stdout whose buffered writer keeps what it failed to write, as the flush at exit then finds it.
+_KEEPING_STDOUT = """
+import io, os, sys
+class Raw(io.RawIOBase):
+    def writable(self): return True
+    def fileno(self): return 1
+    def write(self, data): return os.write(1, data)
+sys.stdout = io.TextIOWrapper(io.BufferedWriter(Raw()), encoding="utf-8")
+from sdpbounds.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_cli_full_stdout_exits_with_one_output_error() -> None:
+    # The flush at interpreter exit must not fail again and turn exit 1 into 120.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdpbounds.__file__))}
+    expected = f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n".encode()
+    for entry in (["-m", "sdpbounds"], ["-c", _KEEPING_STDOUT]):
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run([sys.executable, *entry, "for", "--fn", "5", "--tn", "45"],
+                                    env=env, stdout=full, stderr=subprocess.PIPE, timeout=120)
+        assert (result.returncode, result.stderr) == (1, expected), entry
 
 
 def test_cli_import_skips_quadrature_and_stats() -> None:
