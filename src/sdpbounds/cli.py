@@ -20,6 +20,7 @@ from .hazards import AS_STATED, MODES, SIGN_CORRECTED
 from .ingest import (
     ConfusionCounts,
     ParseError,
+    RecordTally,
     false_omission_rate,
     load_confusion,
     load_record_tally,
@@ -126,6 +127,16 @@ def _reading_input() -> Iterator[None]:
         raise ParseError(f"cannot read input: {exc}") from exc
 
 
+def _input_file(args: argparse.Namespace) -> Tuple[Optional[ConfusionCounts], Optional[RecordTally], Dict[str, object]]:
+    """(counts, tally, provenance) of the --confusion or --records file; counts is None for unlabelled records."""
+    with _reading_input():
+        if args.confusion is not None:
+            return load_confusion(args.confusion), None, {"source": "confusion-file", "path": args.confusion}
+        tally = load_record_tally(args.records)
+    counts = tally.confusion() if tally.unlabelled is None else None
+    return counts, tally, {"source": "records-file", "path": args.records}
+
+
 def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[str, object]]:
     given = [name for name in ("fn", "tn") if getattr(args, name) is not None]
     sources = sum([bool(given), args.confusion is not None, args.records is not None])
@@ -135,10 +146,8 @@ def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[s
         if len(given) != 2:
             raise ValueError("--fn and --tn must be given together")
         return ConfusionCounts(args.fn, args.tn), {"source": "literal", "fn": args.fn, "tn": args.tn}
-    with _reading_input():
-        if args.confusion:
-            return load_confusion(args.confusion), {"source": "confusion-file", "path": args.confusion}
-        return load_record_tally(args.records).confusion(), {"source": "records-file", "path": args.records}
+    counts, tally, provenance = _input_file(args)
+    return counts or tally.confusion(), provenance
 
 
 def _cmd_for(args: argparse.Namespace) -> int:
@@ -160,23 +169,14 @@ def _cmd_for(args: argparse.Namespace) -> int:
 
 def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[str, object]]:
     """Resolve (l, p) from literals and/or input files for analyze."""
-    provenance: Dict[str, object] = {"source": "literal"}
-    l: Optional[int] = args.l
-    p: Optional[float] = args.p
-    if args.confusion and args.records:
+    l, p = args.l, args.p
+    if args.confusion is not None and args.records is not None:
         raise ValueError("give at most one of --confusion and --records")
     counts: Optional[ConfusionCounts] = None
-    if args.confusion:
-        with _reading_input():
-            counts = load_confusion(args.confusion)
-        provenance = {"source": "confusion-file", "path": args.confusion}
-    elif args.records:
-        with _reading_input():
-            tally = load_record_tally(args.records)
-        provenance = {"source": "records-file", "path": args.records}
-        if tally.unlabelled is None:
-            counts = tally.confusion()
-        else:
+    provenance: Dict[str, object] = {"source": "literal"}
+    if args.confusion is not None or args.records is not None:
+        counts, tally, provenance = _input_file(args)
+        if counts is None:
             l = tally.l_clean if l is None else l
             provenance.update(n_total=tally.n_total, l_clean=tally.l_clean)
     if counts is not None:
@@ -223,7 +223,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         samples=args.samples, seed=args.seed, workers=args.workers,
         modes=MODES if args.mode == "both" else (args.mode,), provenance=provenance,
     )
-    if args.out:
+    if args.out is not None:
         write_report(report, args.out)
         print(f"report written to {args.out}")
         for point in report["points"]:
@@ -242,7 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         modes=MODES if args.mode == "both" else (args.mode,),
     )
     report = sweep(grid, workers=args.workers)
-    if args.out:
+    if args.out is not None:
         write_report(report, args.out)
         print(f"sweep written to {args.out} ({len(report['points'])} points)")
     else:
@@ -265,7 +265,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     with _reading_input():
         text = _plotdata_text(args.report, args.selector)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"series written to {args.out}")

@@ -527,6 +527,6 @@ def _plotdata_text(path: str, selector: str) -> str:
         return _series_text(_rows_from_sweep_csv(path), selector)
     document = read_report(path)
     try:
-        return _series_text([_flat_row(pt) for pt in document["points"]], selector)
+        return plot_series_text(document["points"], selector)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{path} is not a sdpbounds report") from exc

@@ -483,20 +483,67 @@ def test_cli_input_source_errors(tmp_path, capsys) -> None:
     confusion = tmp_path / "c.json"
     confusion.write_text('{"fn": 5, "tn": 45}', encoding="utf-8")
     shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "1", "--samples", "0"]
-    for argv, message in [
-        (["for", "--fn", "5", "--tn", "45", "--confusion", str(confusion)],
+    point = ["--l", "10", "--p", "0.1", *shape]
+    report = tmp_path / "report.json"
+    assert main(["analyze", *point, "--out", str(report)]) == 0
+    capsys.readouterr()
+    # An empty path is a path: it names no file, so reading it fails and writing it fails.
+    missing = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"
+    for argv, code, message in [
+        (["for", "--fn", "5", "--tn", "45", "--confusion", str(confusion)], 1,
          "provide exactly one source: --fn/--tn, --confusion, or --records"),
-        (["for", "--fn", "5"], "--fn and --tn must be given together"),
-        (["analyze", "--confusion", str(confusion), "--records", str(unlabelled), *shape],
+        (["for", "--fn", "5"], 1, "--fn and --tn must be given together"),
+        (["analyze", "--confusion", str(confusion), "--records", str(unlabelled), *shape], 1,
          "give at most one of --confusion and --records"),
-        (["analyze", "--records", str(unlabelled), *shape],
+        (["analyze", "--records", str(unlabelled), *shape], 1,
          "l and p must be resolvable from --l/--p or an input file"),
-        (["for", "--records", str(unlabelled)],
+        (["for", "--records", str(unlabelled)], 1,
          "record 1 (module 'm1') has no actual label; confusion tallying needs test-set records"),
+        (["for", "--confusion", ""], 2, f"cannot read input: {missing}"),
+        (["for", "--records", ""], 2, f"cannot read input: {missing}"),
+        (["for", "--fn", "5", "--tn", "45", "--records", ""], 1,
+         "provide exactly one source: --fn/--tn, --confusion, or --records"),
+        (["analyze", "--confusion", "", *shape], 2, f"cannot read input: {missing}"),
+        (["analyze", "--records", "", *point], 2, f"cannot read input: {missing}"),
+        (["analyze", "--confusion", "", "--records", str(unlabelled), *shape], 1,
+         "give at most one of --confusion and --records"),
+        (["analyze", *point, "--out", ""], 1, f"cannot write output: {missing}"),
+        (["sweep", *point, "--out", ""], 1, f"cannot write output: {missing}"),
+        (["plotdata", str(report), "--selector", "hazard", "--out", ""], 1, f"cannot write output: {missing}"),
     ]:
-        assert main(argv) == 1, argv
+        assert main(argv) == code, argv
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n"), argv
+
+
+def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None:
+    # argparse accepts every argv below; main must return, and a failure is one "error:" line.
+    records = tmp_path / "r.csv"
+    records.write_text("m1,clean,clean\nm2,clean,defective\n", encoding="utf-8")
+    shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5"]
+    point = ["--l", "10", "--p", "0.1", *shape, "--t", "1"]
+    report = tmp_path / "sweep.csv"
+    assert main(["sweep", *point, "--samples", "0", "--out", str(report)]) == 0
+    runs = [["for", "--confusion", ""], ["for", "--records", ""], ["plotdata", "", "--selector", "hazard"],
+            ["plotdata", str(records), "--selector", "hazard"],
+            ["plotdata", str(report), "--selector", "hazard", "--out", ""]]
+    runs += [[command, *point, "--samples", "0", "--out", ""] for command in ("analyze", "sweep")]
+    for flag in ("--confusion", "--records"):
+        runs += [["analyze", flag, "", *shape, "--t", "1", "--samples", "0"], ["analyze", flag, "", *point]]
+    floats = ["--p", *shape[::2], "--t"]
+    for command in ("analyze", "sweep"):
+        edits = [(flag, value) for flag in floats for value in ("nan", "inf", "1e-320")]
+        edits += [("--l", "0"), ("--l", str(2**63)), ("--seed", "-1"), ("--seed", str(2**64)), ("--workers", "0")]
+        edits += [(flag, "") for flag in (["--l", *floats] if command == "sweep" else ["--t"])]  # the list flags
+        for flag, value in edits:
+            argv = [command, *point, "--samples", "1000", "--seed", "12345", "--workers", "1"]
+            argv[argv.index(flag) + 1] = value
+            runs.append(argv)
+    for argv in runs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
 
 
 def test_cli_analyze_with_confusion_file(tmp_path, capsys) -> None:
