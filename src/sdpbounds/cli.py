@@ -1,4 +1,4 @@
-"""Command-line front end: FOR derivation, bound analysis, sweeps, plot data.
+"""Command-line front end: FOR derivation, bound analysis and parameter sweeps.
 
 Exit codes: 0 success, 1 usage or domain error (an output file that cannot
 be written included), 2 input parse error, 3 audit violation under --strict.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import os
 import sys
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -28,9 +27,7 @@ from .ingest import (
 )
 from .report import (
     PARAM_NAMES,
-    PLOT_SELECTORS,
     SweepGrid,
-    _plotdata_text,
     _report_json,
     _require_sampling,
     analyze,
@@ -109,21 +106,15 @@ def build_parser() -> _Parser:
     _add_sampling_flags(p_sw)
     p_sw.set_defaults(run=_cmd_sweep)
 
-    p_pd = sub.add_parser("plotdata", help="extract plot-ready (x, y) series from a report")
-    p_pd.add_argument("report", help="analyze/sweep JSON report or sweep CSV")
-    p_pd.add_argument("--selector", required=True, help=f"one of {', '.join(PLOT_SELECTORS)}")
-    p_pd.add_argument("--out", help="output file (default: stdout)")
-    p_pd.set_defaults(run=_cmd_plotdata)
-
     return parser
 
 
 @contextlib.contextmanager
 def _reading_input() -> Iterator[None]:
-    """An input file that cannot be opened, decoded or parsed is a parse error, not an output one."""
+    """An input file that cannot be opened or decoded is a parse error, not an output one."""
     try:
         yield
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
 
 
@@ -153,9 +144,10 @@ def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[s
 def _cmd_for(args: argparse.Namespace) -> int:
     counts, provenance = _counts_from_args(args)
     verdict = validate_assumptions(counts)
+    p = false_omission_rate(counts)  # raises before anything is printed
     print(f"source: {provenance['source']}")
     print(f"fn={counts.fn_count} tn={counts.tn_count} predicted_clean={counts.fn_count + counts.tn_count}")
-    print(f"p={false_omission_rate(counts)!r}")
+    print(f"p={p!r}")
     if verdict.ok:
         print("verdict: ok")
     else:
@@ -260,18 +252,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for violation in mono["violations"]:
             print(f"  non-monotone at {violation['axes']}: {violation['bounds_by_l']}")
     return _audit_exit_code(report, args.strict)
-
-
-def _cmd_plotdata(args: argparse.Namespace) -> int:
-    with _reading_input():
-        text = _plotdata_text(args.report, args.selector)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"series written to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,5 +1,6 @@
 """Analysis pipeline and reporting: per-point bound evaluation with audits,
-parameter sweeps over the full axis set, and plot-ready series extraction.
+parameter sweeps over the full axis set, and the report's JSON and sweep-CSV
+forms.
 
 Reports are plain dicts with a fixed key order so the JSON serialization is
 byte-stable; numeric fields round-trip bit-exactly through the shortest-
@@ -46,12 +47,10 @@ from .hazards import (
     weibull_hazard,
     weibull_reliability,
 )
-from .ingest import ParseError
 from .montecarlo import (AuditVerdict, MonteCarloEstimate, _draw, _Draws, _require_seed, _require_workers,
                          audit_bound)
 
 __all__ = [
-    "PLOT_SELECTORS",
     "SweepGrid",
     "derive_population_seed",
     "analyze",
@@ -61,8 +60,6 @@ __all__ = [
     "write_report",
     "read_report",
     "sweep_csv_text",
-    "plot_series",
-    "plot_series_text",
 ]
 
 PARAM_NAMES = ("l", "p", "K", "m", "K_hat", "m_hat", "t")
@@ -359,25 +356,6 @@ def read_report(path: str) -> Dict[str, object]:
         return json.load(fh)
 
 
-# Plot selector -> (curve name, flat-row column) per curve.  bound_t2 draws the
-# modes the points hold, or one empty curve when they hold none.
-_PLOT_CURVES = {
-    "hazard": [("expected_hazard", "expected_hazard"), ("manual_hazard", "manual_hazard")],
-    "reliability": [("manual_reliability", "manual_reliability"),
-                    ("expected_reliability_exact", "expected_reliability_exact")],
-    "bound_t1": [("hazard_bound", "hazard_bound")],
-    "bound_t2": [(f"reliability_bound[{AS_STATED}]", "rel_as_bound"),
-                 (f"reliability_bound[{SIGN_CORRECTED}]", "rel_sc_bound")],
-    "exact_tail": [("hazard_exact_tail", "hazard_exact_tail")],
-}
-PLOT_SELECTORS = tuple(_PLOT_CURVES)
-
-# The cells a plot reads, parsed back from a sweep CSV; the hazard tail and the
-# cells of a mode (empty when the sweep did not run it) may be empty.
-_PLOTTED = {*PARAM_NAMES, *(col for curves in _PLOT_CURVES.values() for _, col in curves)}
-_OPTIONAL_CELLS = ("hazard_exact_tail", "rel_sc_bound", "rel_as_bound")
-
-
 def _flat_row(pt: Dict[str, object]) -> dict:
     """A report point as a sweep CSV row, column -> value in column order; a mode it lacks gives None."""
     erb = pt["expected_reliability_bound"]
@@ -418,115 +396,3 @@ def sweep_csv_text(points: Sequence[Dict[str, object]]) -> str:
     writer.writerows(rows[:1])  # the header: a row's keys
     writer.writerows(row.values() for row in rows)  # None is written as "", a float by its repr
     return buffer.getvalue()
-
-
-def _cell(name: str, text: str) -> object:
-    if not text and name in _OPTIONAL_CELLS:
-        return None
-    return int(text) if name == "l" else float(text)
-
-
-def _rows_from_sweep_csv(path: str) -> List[dict]:
-    """The plotted cells of a sweep CSV's rows, parsed, by column name.
-
-    A missing plotted column is a KeyError; a malformed record, a ParseError with its record number.
-    """
-    rows: List[dict] = []
-    header: Optional[List[str]] = None
-    row_no = 0
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            for row_no, values in enumerate(csv.reader(fh), start=1):
-                if not values:
-                    continue
-                if header is None:
-                    header = values
-                    where = {name: i for i, name in enumerate(header) if name in _PLOTTED}
-                    missing = sorted(_PLOTTED - where.keys())
-                    if missing:
-                        raise KeyError(missing[0])
-                    continue
-                if len(values) != len(header):
-                    raise ParseError(f"expected {len(header)} columns, got {len(values)}", row_no)
-                try:
-                    rows.append({name: _cell(name, values[i]) for name, i in where.items()})
-                except ValueError as exc:
-                    raise ParseError(f"bad value: {exc}", row_no) from exc
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", row_no + 1) from exc
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Plot-ready series.
-# ---------------------------------------------------------------------------
-
-
-def _series(rows: Sequence[dict], selector: str) -> Tuple[str, List[Tuple[str, List[Tuple[float, float]]]]]:
-    """The x axis and the series of plot_series, from flat rows."""
-    if selector not in PLOT_SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}; expected one of {PLOT_SELECTORS}")
-    # x is the single varying parameter, else t; the others that vary split the curves.
-    varying = [name for name in PARAM_NAMES if len({row[name] for row in rows}) > 1]
-    axis = varying[0] if len(varying) == 1 else "t"
-    off_axis = [name for name in varying if name != axis]
-    groups: Dict[Tuple, List[dict]] = {} if rows else {(): []}  # no rows: each curve once, empty
-    for row in rows:
-        groups.setdefault(tuple(row[name] for name in off_axis), []).append(row)
-
-    curves = _PLOT_CURVES[selector]
-    if selector == "bound_t2":
-        held = [(name, col) for name, col in curves if any(row[col] is not None for row in rows)]
-        # With no mode held, the one empty curve reads a column no row holds.
-        curves = held or [("reliability_bound", curves[0][1])]
-
-    def label(name: str, key: Tuple) -> str:
-        suffix = ",".join(f"{param}={value:g}" for param, value in zip(off_axis, key))
-        return f"{name} [{suffix}]" if suffix else name
-
-    return axis, [
-        (label(name, key), [(float(row[axis]), float(row[col])) for row in group if row[col] is not None])
-        for name, col in curves
-        for key, group in groups.items()
-    ]
-
-
-def _series_text(rows: Sequence[dict], selector: str) -> str:
-    axis, series = _series(rows, selector)
-    blocks = []
-    for name, pairs in series:
-        lines = [f"# curve: {name}", f"# x: {axis}"]
-        lines += [f"{repr(x)} {repr(y)}" for x, y in pairs]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
-def plot_series(
-    points: Sequence[Dict[str, object]],
-    selector: str,
-) -> List[Tuple[str, List[Tuple[float, float]]]]:
-    """(curve name, [(x, y), ...]) series for one plottable quantity.
-
-    When parameters other than the x axis also vary across the points, each
-    distinct combination becomes its own curve, labelled with the varying
-    values, so generic plotting tools never see interleaved series.
-    """
-    return _series([_flat_row(pt) for pt in points], selector)[1]
-
-
-def plot_series_text(points: Sequence[Dict[str, object]], selector: str) -> str:
-    """Two-column (x, y) text blocks, one block per curve."""
-    return _series_text([_flat_row(pt) for pt in points], selector)
-
-
-def _plotdata_text(path: str, selector: str) -> str:
-    """plot_series_text of a sweep CSV or of an analyze or sweep JSON report."""
-    if selector not in PLOT_SELECTORS:  # before the file is read
-        raise ValueError(f"unknown selector {selector!r}; expected one of {PLOT_SELECTORS}")
-    if path.endswith(".csv"):
-        return _series_text(_rows_from_sweep_csv(path), selector)
-    document = read_report(path)
-    try:
-        return plot_series_text(document["points"], selector)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ParseError(f"{path} is not a sdpbounds report") from exc

@@ -27,13 +27,10 @@ from sdpbounds.failures import FailurePopulation
 from sdpbounds.hazards import CombinedHazardModel, WeibullParams, expected_sdp_reliability_bound, weibull_hazard
 from sdpbounds.report import (
     DEFAULT_AUDIT_AXES,
-    PLOT_SELECTORS,
     SweepGrid,
     analyze,
     derive_population_seed,
     monotonicity_in_l,
-    plot_series,
-    plot_series_text,
     read_report,
     sweep,
     sweep_csv_text,
@@ -361,47 +358,11 @@ def test_sweep_csv_layout_is_pinned(tmp_path, capsys) -> None:
         record = dict(zip(header.split(","), row.split(",")))
         assert record["rel_sc_bound"] == record["rel_sc_verdict"] == record["erb_sign_corrected"] == "", row
         assert record["rel_as_bound"] and record["rel_as_verdict"] and record["erb_as_stated"], row
-
-
-def test_plot_series_selectors() -> None:
-    report = analyze(**CANONICAL, t_values=[0.5, 1.0, 2.0, 4.0], samples=0)
-    points = report["points"]
-    reliability = plot_series(points, "reliability")
-    for name, pairs in reliability:
-        ys = [y for _, y in pairs]
-        assert ys == sorted(ys, reverse=True), name  # non-increasing in t
-    hazard_curves = dict(plot_series(points, "hazard"))
-    assert len(hazard_curves["expected_hazard"]) == 4
-    tail = dict(plot_series(points, "exact_tail"))["hazard_exact_tail"]
-    assert all(y >= 0 for _, y in tail)
-    with pytest.raises(ValueError):
-        plot_series(points, "nope")
-
-
-def test_plot_series_l_axis_for_l_sweep() -> None:
-    grid = SweepGrid((10, 100, 1000), (0.1,), (2.0,), (0.5,), (1.0,), (0.5,), (4.0,), samples=0)
-    swept = sweep(grid)
-    curves = dict(plot_series(swept["points"], "bound_t1"))
-    xs = [x for x, _ in curves["hazard_bound"]]
-    ys = [y for _, y in curves["hazard_bound"]]
-    assert xs == [10.0, 100.0, 1000.0]
-    assert ys[0] > ys[1] > ys[2]
-
-
-def test_plot_series_splits_curves_per_off_axis_combo() -> None:
-    grid = SweepGrid((10, 100), (0.1,), (2.0,), (0.5,), (1.0,), (0.5,), (1.0, 4.0), samples=0)
-    swept = sweep(grid)
-    curves = plot_series(swept["points"], "bound_t1")
-    names = [name for name, _ in curves]
-    assert names == ["hazard_bound [l=10]", "hazard_bound [l=100]"]
-    for _, pairs in curves:
-        assert [x for x, _ in pairs] == [1.0, 4.0]
-
-
-def test_plot_series_text_empty_has_header_only() -> None:
-    text = plot_series_text([], "reliability")
-    assert "# curve:" in text
-    assert all(line.startswith("#") or not line for line in text.splitlines())
+    # The README's plotting table names sweep-CSV columns only.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        table = re.findall(r"^\| `\w+`[^|]*\| (.+) \|$", fh.read(), re.MULTILINE)
+    plotted = {name for cell in table for name in re.findall(r"`(\w+)`", cell)}
+    assert len(table) == 5 and plotted and plotted <= set(header.split(",")), plotted
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +416,6 @@ def test_cli_unreadable_input_path_is_exit_2(tmp_path, capsys) -> None:
         (["for", "--records"], not_a_dir / "r.csv"),
         (["for", "--confusion"], not_a_dir / "c.json"),
         (["analyze", *shape, "--records"], not_a_dir / "r.csv"),
-        (["plotdata", "--selector", "hazard"], not_a_dir / "s.csv"),
-        (["plotdata", "--selector", "hazard"], not_a_dir / "s.json"),
     ]:
         assert main([*argv, str(path)]) == 2, argv
         out, err = capsys.readouterr()
@@ -484,9 +443,6 @@ def test_cli_input_source_errors(tmp_path, capsys) -> None:
     confusion.write_text('{"fn": 5, "tn": 45}', encoding="utf-8")
     shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "1", "--samples", "0"]
     point = ["--l", "10", "--p", "0.1", *shape]
-    report = tmp_path / "report.json"
-    assert main(["analyze", *point, "--out", str(report)]) == 0
-    capsys.readouterr()
     # An empty path is a path: it names no file, so reading it fails and writing it fails.
     missing = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"
     for argv, code, message in [
@@ -509,7 +465,6 @@ def test_cli_input_source_errors(tmp_path, capsys) -> None:
          "give at most one of --confusion and --records"),
         (["analyze", *point, "--out", ""], 1, f"cannot write output: {missing}"),
         (["sweep", *point, "--out", ""], 1, f"cannot write output: {missing}"),
-        (["plotdata", str(report), "--selector", "hazard", "--out", ""], 1, f"cannot write output: {missing}"),
     ]:
         assert main(argv) == code, argv
         out, err = capsys.readouterr()
@@ -517,16 +472,14 @@ def test_cli_input_source_errors(tmp_path, capsys) -> None:
 
 
 def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None:
-    # argparse accepts every argv below; main must return, and a failure is one "error:" line.
-    records = tmp_path / "r.csv"
-    records.write_text("m1,clean,clean\nm2,clean,defective\n", encoding="utf-8")
+    # argparse accepts every argv below; main must return, and a failure is one "error:" line
+    # with nothing on stdout: a run gives a report or an error, never part of one and then the other.
+    defective = tmp_path / "defective.csv"
+    defective.write_text("m1,defective,clean\nm2,defective,defective\n", encoding="utf-8")
     shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5"]
     point = ["--l", "10", "--p", "0.1", *shape, "--t", "1"]
-    report = tmp_path / "sweep.csv"
-    assert main(["sweep", *point, "--samples", "0", "--out", str(report)]) == 0
-    runs = [["for", "--confusion", ""], ["for", "--records", ""], ["plotdata", "", "--selector", "hazard"],
-            ["plotdata", str(records), "--selector", "hazard"],
-            ["plotdata", str(report), "--selector", "hazard", "--out", ""]]
+    runs = [["for", "--confusion", ""], ["for", "--records", ""], ["for", "--fn", "0", "--tn", "0"],
+            ["for", "--records", str(defective)]]
     runs += [[command, *point, "--samples", "0", "--out", ""] for command in ("analyze", "sweep")]
     for flag in ("--confusion", "--records"):
         runs += [["analyze", flag, "", *shape, "--t", "1", "--samples", "0"], ["analyze", flag, "", *point]]
@@ -541,9 +494,10 @@ def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None
             runs.append(argv)
     for argv in runs:
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         if code != 0:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert out == "", (argv, out)
 
 
 def test_cli_analyze_with_confusion_file(tmp_path, capsys) -> None:
@@ -593,111 +547,37 @@ def test_cli_analyze_strict_flags_violations(tmp_path) -> None:
     assert main(args + ["--strict"]) == 3
 
 
-def test_cli_sweep_csv_and_plotdata(tmp_path, capsys) -> None:
-    csv_path = tmp_path / "sweep.csv"
-    code = main([
-        "sweep", "--l", "10,100,1000", "--p", "0.1",
-        "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
-        "--t", "4", "--samples", "0", "--out", str(csv_path),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "monotonicity in l: 1/1" in out
-    assert "audit summary:" in out
-
-    series_path = tmp_path / "series.dat"
-    assert main(["plotdata", str(csv_path), "--selector", "bound_t1", "--out", str(series_path)]) == 0
-    lines = [ln for ln in series_path.read_text().splitlines() if ln and not ln.startswith("#")]
-    ys = [float(ln.split()[1]) for ln in lines]
-    assert ys[0] > ys[1] > ys[2]
+def test_cli_sweep_csv_out_is_the_sweep_csv_of_the_json_report(tmp_path, capsys) -> None:
+    csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    for path in (csv_path, json_path):
+        assert main([
+            "sweep", "--l", "10,100,1000", "--p", "0.1",
+            "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
+            "--t", "4", "--samples", "0", "--out", str(path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "monotonicity in l: 1/1" in out
+        assert "audit summary:" in out
+    points = read_report(str(json_path))["points"]
+    assert len(points) == 3
+    assert csv_path.read_text(encoding="utf-8") == sweep_csv_text(points)
 
 
-def test_cli_plotdata_malformed_sweep_csv_is_parse_error(tmp_path, capsys) -> None:
-    csv_path = tmp_path / "sweep.csv"
-    assert main([
-        "sweep", "--l", "10,100", "--p", "0.1", "--K", "2", "--m", "0.5",
-        "--K-hat", "1", "--m-hat", "0.5", "--t", "4", "--samples", "0", "--out", str(csv_path),
-    ]) == 0
-    capsys.readouterr()
-    header, first, second = csv_path.read_text(encoding="utf-8").splitlines()
-    cells = second.split(",")
-    cells[header.split(",").index("l")] = "abc"
-    oversized = ",".join(['"' + "x" * 140_000 + '"', *first.split(",")[1:]])
-    bad = tmp_path / "bad.csv"
-    for rows, needle in [
-        ([header, first, ",".join(cells)], "row 3: bad value: invalid literal for int()"),
-        ([header, oversized, second], "row 2: malformed CSV: field larger than field limit"),
-        ([header, first, "1,2,3"], "row 3: expected"),
-    ]:
-        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        assert main(["plotdata", str(bad), "--selector", "hazard"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert needle in err
-    # A sweep CSV without a plotted column fails on read, whichever curve is asked for.
-    for column in ("hazard_bound", "t"):
-        drop = header.split(",").index(column)
-        rows = [",".join(c for i, c in enumerate(line.split(",")) if i != drop) for line in (header, first, second)]
-        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        for selector in PLOT_SELECTORS:
-            assert main(["plotdata", str(bad), "--selector", selector]) == 2
-            assert capsys.readouterr().err == f"error: cannot read input: {column!r}\n", (column, selector)
-
-
-def test_cli_plotdata_skips_blank_lines_in_a_sweep_csv(tmp_path, capsys) -> None:
-    csv_path = tmp_path / "sweep.csv"
-    assert main(["sweep", "--l", "10,100,1000", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
-                 "--m-hat", "0.5", "--t", "1,4", "--samples", "0", "--out", str(csv_path)]) == 0
-    header, *rows = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    spaced = tmp_path / "spaced.csv"
-    spaced.write_text("".join(["\n", header, *rows[:2], "\n", *rows[2:]]), encoding="utf-8")
-    capsys.readouterr()
-    for selector in PLOT_SELECTORS:
-        texts = []
-        for path in (csv_path, spaced):
-            assert main(["plotdata", str(path), "--selector", selector]) == 0
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1] and texts[0].count("\n") > 4, selector
-
-
-def test_cli_plotdata_non_report_json_is_parse_error(tmp_path, capsys) -> None:
-    path = tmp_path / "bad.json"
-    # A report whose first point holds a non-numeric parameter, which then varies.
-    report = analyze(**CANONICAL, t_values=[1.0, 4.0], samples=0)
-    report["points"][0]["p"] = "x"
-    for text in ['"points"', '{"points": [1, 2]}', '{"points": null}', '{}', json.dumps(report)]:
-        path.write_text(text, encoding="utf-8")
-        assert main(["plotdata", str(path), "--selector", "hazard"]) == 2, text
-        assert capsys.readouterr().err == f"error: {path} is not a sdpbounds report\n"
-
-
-def test_cli_plotdata_reads_sweep_csv_and_json_alike(tmp_path, capsys) -> None:
+def test_cli_csv_out_is_the_sweep_csv_of_the_json_report(tmp_path, capsys) -> None:
+    # An --out path ending in .csv gets the sweep CSV of the report that any other path gets as JSON.
     default_grid = [arg for name, values in DEFAULT_AUDIT_AXES.items()
                     for arg in ("--" + name.replace("_", "-"), ",".join(map(str, values)))]
     l_sweep = ["--l", "10,100,1000", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "4"]
-    for axes, mode in [(default_grid, "both"), (l_sweep, "as-stated")]:
-        texts = {}
-        for path in (tmp_path / "sweep.csv", tmp_path / "sweep.json"):
-            assert main(["sweep", *axes, "--samples", "0", "--mode", mode, "--out", str(path)]) == 0
-            capsys.readouterr()
-            for selector in PLOT_SELECTORS:
-                assert main(["plotdata", str(path), "--selector", selector]) == 0
-                texts.setdefault(selector, []).append(capsys.readouterr().out)
-        for selector, (from_csv, from_json) in texts.items():
-            assert from_csv == from_json, (mode, selector)
-    # An analyze report takes its format from the --out suffix too, and plotdata reads either.
     point = ["--l", "100", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5"]
-    texts = {}
-    for path in (tmp_path / "analyze.csv", tmp_path / "analyze.json"):
-        assert main(["analyze", *point, "--t", "0.5,1,4", "--samples", "2000", "--out", str(path)]) == 0
-        capsys.readouterr()
-        for selector in PLOT_SELECTORS:
-            assert main(["plotdata", str(path), "--selector", selector]) == 0
-            texts.setdefault(selector, []).append(capsys.readouterr().out)
-    points = read_report(str(tmp_path / "analyze.json"))["points"]
-    assert (tmp_path / "analyze.csv").read_text(encoding="utf-8") == sweep_csv_text(points)
-    for selector, (from_csv, from_json) in texts.items():
-        assert from_csv == from_json, ("analyze", selector)
+    for argv in (["sweep", *default_grid, "--samples", "0", "--mode", "both"],
+                 ["sweep", *l_sweep, "--samples", "0", "--mode", "as-stated"],
+                 ["analyze", *point, "--t", "0.5,1,4", "--samples", "2000"]):
+        paths = [tmp_path / f"{argv[0]}.{ext}" for ext in ("csv", "json")]
+        for path in paths:
+            assert main([*argv, "--out", str(path)]) == 0
+            capsys.readouterr()
+        points = read_report(str(paths[1]))["points"]
+        assert paths[0].read_text(encoding="utf-8") == sweep_csv_text(points), argv
 
 
 def test_cli_hazard_bound_overflow_is_one_line_error(capsys) -> None:
@@ -828,11 +708,22 @@ def test_cli_sweep_domain_error_names_the_point(capsys) -> None:
     )
 
 
-def test_cli_plotdata_unknown_selector(tmp_path, capsys) -> None:
-    report = analyze(**CANONICAL, t_values=[4.0], samples=0)
-    path = tmp_path / "r.json"
-    write_report(report, str(path))
-    assert main(["plotdata", str(path), "--selector", "nope"]) == 1
+def test_cli_plotdata_is_an_invalid_choice(capsys) -> None:
+    with pytest.raises(SystemExit) as info:
+        main(["plotdata", "report.json", "--selector", "hazard"])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: sdpbounds ")
+    assert "sdpbounds: error: argument command: invalid choice: 'plotdata'" in err, err
+
+
+def test_ci_workflow_invokes_only_known_subcommands() -> None:
+    # The workflow is not run with the tests, so a step that calls a removed subcommand shows here.
+    workflow = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tests.yml")
+    with open(workflow, encoding="utf-8") as fh:
+        words = re.findall(r"(?<![\w.-])sdpbounds\s+([^\s\"'|;)]+)", fh.read())
+    (subcommands,) = [action.choices for action in cli.build_parser()._actions if action.dest == "command"]
+    assert words and set(words) <= {"--version", *subcommands}, sorted(set(words))
 
 
 def test_cli_usage_error_exit_1(capsys) -> None:
@@ -864,15 +755,11 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys) -> None:
     point = ["--l", "10", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
              "--t", "4", "--samples", "0"]
     missing = tmp_path / "missing"
-    csv_path = tmp_path / "sweep.csv"
-    assert main(["sweep", *point, "--out", str(csv_path)]) == 0
     runs = [
         (["sweep", *point], missing / "x.json", "No such file or directory"),
         (["sweep", *point], missing / "x.csv", "No such file or directory"),
         (["analyze", *point], tmp_path, "Is a directory"),
-        (["plotdata", str(csv_path), "--selector", "hazard"], missing / "p.txt", "No such file or directory"),
     ]
-    capsys.readouterr()
     for argv, out, reason in runs:
         assert main([*argv, "--out", str(out)]) == 1, argv
         captured = capsys.readouterr()
