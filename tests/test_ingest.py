@@ -320,6 +320,13 @@ def test_non_utf8_input_is_a_read_error(tmp_path, capsys) -> None:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: cannot read input: 'utf-8' codec can't decode byte 0xff .*\n", err), err
+    # A bad byte in the second 8192-byte chunk reads as text mode reports it, position and all.
+    rows = "".join(f"é{i},clean,{'defective' if i % 3 else 'clean'}\n" for i in range(2000)).encode("utf-8")
+    records.write_bytes(rows[:9000] + b"\xff" + rows[9000:])
+    with pytest.raises(UnicodeDecodeError) as text_mode, open(records, encoding="utf-8", newline="") as fh:
+        fh.readlines()
+    assert main(["for", "--records", str(records)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read input: {text_mode.value}\n"
 
 
 # ---------------------------------------------------------------------------

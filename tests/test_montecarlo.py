@@ -21,10 +21,12 @@ from sdpbounds.hazards import (
     CombinedHazardModel,
     WeibullParams,
     expected_sdp_reliability_exact,
+    reliability_by_integration,
     sdp_reliability,
     weibull_cumulative_hazard,
     weibull_reliability,
 )
+from sdpbounds.ingest import parse_confusion
 from sdpbounds.montecarlo import (
     MonteCarloEstimate,
     audit_bound,
@@ -74,6 +76,27 @@ def test_sampling_args_validation() -> None:
         for workers in (0, -3):
             with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
                 run(workers)
+
+
+def test_library_input_checks_name_what_they_reject() -> None:
+    # No CLI input reaches these checks; a library caller can.
+    flat = WeibullParams(1.0, 0.0)
+    runs = [
+        (lambda: weibull_cumulative_hazard(flat, -1.0), "time t must be finite and >= 0, got -1.0"),
+        (lambda: sdp_reliability(CombinedHazardModel(flat, FailurePopulation(10, 0.1)), 1, math.nan),
+         "time t must be finite and >= 0, got nan"),
+        (lambda: reliability_by_integration(lambda t: 1.0, 1.0, tolerance=0.0), "tolerance must be > 0, got 0.0"),
+        (lambda: SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,), modes=("bogus",)),
+         "unknown mode 'bogus'"),
+        (lambda: wilson_interval(0, 0), "n must be positive"),
+        (lambda: MonteCarloEstimate(0.5, 0.1, 0.6, 0.7, 1000, 0), "interval [0.6, 0.7] does not contain estimate 0.5"),
+        (lambda: MonteCarloEstimate(0.5, -1.0, 0.4, 0.6, 1000, 0), "std_error must be >= 0, got -1.0"),
+        (lambda: parse_confusion("[1]"), "confusion input must be a JSON object"),
+    ]
+    for run, message in runs:
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == message
 
 
 def test_tail_zero_threshold_short_circuit() -> None:

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -276,7 +277,7 @@ def _hazard_point(l: int, log_bound) -> dict:
             "hazard_bound": {"log_bound": log_bound, "bound": 0.0 if log_bound is None else math.exp(log_bound)}}
 
 
-def test_monotonicity_compares_log_bounds() -> None:
+def test_monotonicity_compares_log_bounds(capsys) -> None:
     # exp(-1000) and exp(-900) both underflow to 0.0; a null log_bound is -inf.
     axes = {"p": 0.5, "K": 2.0, "m": 0.5, "K_hat": 1.0, "m_hat": 0.5, "t": 1.0}
     for logs, violated in [((-900.0, -1000.0), False), ((-3.0, None), False),
@@ -286,6 +287,13 @@ def test_monotonicity_compares_log_bounds() -> None:
         violations = [{"axes": axes, "bounds_by_l": bounds_by_l}] if violated else []
         assert monotonicity_in_l(points) == {
             "groups_checked": 1, "monotone": 0 if violated else 1, "violations": violations}, logs
+    # l*p rounds to one double at l = 1e17 and 1e17 + 1, so the two log_bounds tie, and sweep prints the group.
+    assert main(["sweep", "--l", "100000000000000000,100000000000000001", "--p", "0.5", "--K", "1", "--m", "0",
+                 "--K-hat", "1", "--m-hat", "0", "--t", "1", "--samples", "0", "--mode", "sign-corrected"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "monotonicity in l: 0/1 groups strictly decreasing\n"
+        "  non-monotone at {'p': 0.5, 'K': 1.0, 'm': 0.0, 'K_hat': 1.0, 'm_hat': 0.0, 't': 1.0}: "
+        "[[100000000000000000, 0.0], [100000000000000001, 0.0]]\n")
 
 
 def test_cli_sweep_underflowed_hazard_bounds_are_monotone(capsys) -> None:
@@ -471,35 +479,6 @@ def test_cli_input_source_errors(tmp_path, capsys) -> None:
         assert (out, err) == ("", f"error: {message}\n"), argv
 
 
-def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None:
-    # argparse accepts every argv below; main must return, and a failure is one "error:" line
-    # with nothing on stdout: a run gives a report or an error, never part of one and then the other.
-    defective = tmp_path / "defective.csv"
-    defective.write_text("m1,defective,clean\nm2,defective,defective\n", encoding="utf-8")
-    shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5"]
-    point = ["--l", "10", "--p", "0.1", *shape, "--t", "1"]
-    runs = [["for", "--confusion", ""], ["for", "--records", ""], ["for", "--fn", "0", "--tn", "0"],
-            ["for", "--records", str(defective)]]
-    runs += [[command, *point, "--samples", "0", "--out", ""] for command in ("analyze", "sweep")]
-    for flag in ("--confusion", "--records"):
-        runs += [["analyze", flag, "", *shape, "--t", "1", "--samples", "0"], ["analyze", flag, "", *point]]
-    floats = ["--p", *shape[::2], "--t"]
-    for command in ("analyze", "sweep"):
-        edits = [(flag, value) for flag in floats for value in ("nan", "inf", "1e-320")]
-        edits += [("--l", "0"), ("--l", str(2**63)), ("--seed", "-1"), ("--seed", str(2**64)), ("--workers", "0")]
-        edits += [(flag, "") for flag in (["--l", *floats] if command == "sweep" else ["--t"])]  # the list flags
-        for flag, value in edits:
-            argv = [command, *point, "--samples", "1000", "--seed", "12345", "--workers", "1"]
-            argv[argv.index(flag) + 1] = value
-            runs.append(argv)
-    for argv in runs:
-        code = main(argv)
-        out, err = capsys.readouterr()
-        if code != 0:
-            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-            assert out == "", (argv, out)
-
-
 def test_cli_analyze_with_confusion_file(tmp_path, capsys) -> None:
     confusion = tmp_path / "c.json"
     confusion.write_text('{"fn": 5, "tn": 45}', encoding="utf-8")
@@ -599,66 +578,161 @@ def test_cli_hazard_log_bound_is_finite_when_its_square_overflows(capsys) -> Non
     assert math.isfinite(log_bound) and log_bound == pytest.approx(-8.5e306, rel=1e-12)
 
 
-def test_cli_analyze_reports_no_nan_on_extreme_inputs(capsys) -> None:
-    rng = random.Random(2026)
-    choices = {
-        "--l": ["1", "10", "1000000", "1000000000", "1" + "0" * 400],
-        "--p": ["1e-300", "0.1", "0.999999999"],
-        "--K": ["1e-300", "1", "1e300", "1e308"],
-        "--m": ["-0.999", "0", "0.5", "3"],
-        "--K-hat": ["1e-300", "1", "1e300", "1e308", "1.7e308"],
-        "--m-hat": ["-0.999", "0", "0.5", "3"],
-        "--t": ["1e-300", "0.5", "1", "4", "1e100"],
-    }
-    for _ in range(200):
-        argv = ["analyze", "--samples", "0", "--mode", rng.choice(["sign-corrected", "both"])]
-        argv += [token for flag, values in choices.items() for token in (flag, rng.choice(values))]
-        code = main(argv)
-        out, err = capsys.readouterr()
-        if code == 0:
-            _standard_json(out)
-        else:
-            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    # An l beyond double range is a domain error in sweep too.
-    code = main(["sweep", "--l", "10," + "1" + "0" * 400, "--p", "0.1", "--K", "1", "--m", "0",
-                 "--K-hat", "1", "--m-hat", "0", "--t", "1", "--samples", "0"])
-    assert code == 1 and capsys.readouterr().err.startswith("error: l must be <= ")
-
-
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:
     return math.exp(rng.uniform(math.log(low), math.log(high)))
 
 
-def test_cli_analyze_invariants_on_a_seeded_extreme_scan(capsys) -> None:
-    rng = random.Random(7)
-    started = time.perf_counter()
-    reports = 0
-    for _ in range(300):
-        l = max(1, round(_log_uniform(rng, 1, 1e9)))
-        p = min(1.0, _log_uniform(rng, 1e-300, 1.0))
-        values = [l, p, _log_uniform(rng, 1e-300, 1e308), rng.uniform(-0.999, 3),
-                  _log_uniform(rng, 1e-300, 1e308), rng.uniform(-0.999, 3), _log_uniform(rng, 1e-300, 1e300)]
-        argv = ["analyze", "--samples", "0", "--mode", rng.choice(["sign-corrected", "as-stated", "both"])]
-        argv += [token for flag, value in zip(["--l", "--p", "--K", "--m", "--K-hat", "--m-hat", "--t"], values)
-                 for token in (flag, repr(value))]
+# The contract scan draws each number from its flag's edge values or, log-uniformly, from the range
+# that reports reach. The edges lie on both sides of each domain check and at the ends of double range.
+_EDGES = {
+    "--l": ["0", "1", "10", "1000000", "1000000000", str(2**63), "1" + "0" * 400, "-1"],
+    "--p": ["0", "1e-320", "1e-300", "0.1", "0.999999999", "1", "1.5", "nan", "-inf"],
+    "--K": ["0", "1e-320", "1e-300", "1", "1e200", "1e300", "1e308", "-2", "inf"],
+    "--m": ["-1", "-0.999", "-0.0", "0", "0.5", "3", "nan"],
+    "--K-hat": ["0", "1e-300", "1", "1e300", "1e308", "1.7e308", "nan"],
+    "--m-hat": ["-1", "-0.999", "0", "0.5", "3", "inf"],
+    "--t": ["", "-0.0", "-1", "1e-320", "1e-300", "0.5", "1", "4", "1e100", "inf"],
+    "--samples": ["0", "1000", "10000", "17", "-1"],
+    "--seed": ["0", "12345", str(2**64 - 1), str(2**64), "-1"],
+    "--workers": ["1", "2", "3", "0"],
+    "--fn": ["0", "5", "-1"],
+    "--tn": ["0", "9", "45", "-1"],
+}
+_LOG_UNIFORM = {
+    "--l": lambda rng: max(1, round(_log_uniform(rng, 1, 1e9))),
+    "--p": lambda rng: min(1.0, _log_uniform(rng, 1e-300, 1.0)),
+    "--K": lambda rng: _log_uniform(rng, 1e-300, 1e308),
+    "--m": lambda rng: rng.uniform(-0.999, 3),
+    "--K-hat": lambda rng: _log_uniform(rng, 1e-300, 1e308),
+    "--m-hat": lambda rng: rng.uniform(-0.999, 3),
+    "--t": lambda rng: _log_uniform(rng, 1e-300, 1e300),
+}
+
+
+def _draw_argv(rng: random.Random, choices: dict, edge_share: float) -> list:
+    """One argv of a contract scan, each value as --flag=value, so that argparse takes -inf.
+
+    A for argv names one source, and one time in three one more flag. An analyze or sweep argv
+    takes each choice from the edges with a chance of edge_share, and otherwise a log-uniform draw.
+    """
+    command = rng.choice(["for", "analyze", "analyze", "analyze", "sweep"])
+    if command == "for":
+        flags = rng.choice([["--fn", "--tn"], ["--confusion"], ["--records"]])
+        flags = dict.fromkeys(flags + rng.sample(["--fn", "--tn", "--confusion", "--records"], rng.choice([0, 0, 1])))
+        return ["for", *(f"{flag}={rng.choice(choices[flag])}" for flag in flags)]
+    edge = lambda: rng.random() < edge_share
+    files = [flag for flag in ("--confusion", "--records") if command == "analyze" and rng.random() < edge_share / 2]
+    argv = [command, *(f"{flag}={rng.choice(choices[flag])}" for flag in files)]
+    for flag, draw in _LOG_UNIFORM.items():
+        if flag in ("--l", "--p") and files and rng.random() < 0.5:
+            continue  # left to the input file
+        count = rng.choice([1, 1, 2]) if command == "sweep" or flag == "--t" else 1
+        values = (rng.choice(choices[flag]) if edge() else repr(draw(rng)) for _ in range(count))
+        argv.append(f"{flag}={','.join(values)}")
+    argv += [f"{flag}={rng.choice(choices[flag])}" for flag in ("--samples", "--seed", "--workers") if edge()]
+    argv += [f"--mode={rng.choice(['as-stated', 'sign-corrected', 'both'])}"] + ["--strict"] * (rng.random() < 0.2)
+    return argv + [f"--out={rng.choice(choices['--out'])}"] * edge()
+
+
+def _check_contract(runs, capsys) -> Counter:
+    # Each argv is one argparse accepts. A run ends in a report (exit 0, exit 3 under --strict, or for's exit 1
+    # with "verdict: violated") with at most the count of violated audits on stderr, or in one "error: " line
+    # on stderr, with nothing on stdout and no --out file. Returns the count of each end.
+    ends = Counter()
+    for argv in runs:
+        out_path = next((token[len("--out="):] for token in argv if token.startswith("--out=")), None)
+        if out_path and os.path.isfile(out_path):
+            os.remove(out_path)
         code = main(argv)
         out, err = capsys.readouterr()
-        if code != 0:
-            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        ends[argv[0], code] += 1
+        if not any(token.startswith(("--confusion", "--records")) for token in argv):
+            assert code != 2, argv  # only an input file can be malformed or unreadable
+        if not (code in (0, 3) or (argv[0] == "for" and code == 1 and "verdict: violated\n" in out)):
+            assert code in (1, 2) and out == "" and re.fullmatch(r"error: .*\n", err), (argv, code, out, err)
+            assert not (out_path and os.path.isfile(out_path)), argv
             continue
-        reports += 1
-        point = _standard_json(out)["points"][0]
-        bounds = [point["hazard_bound"], point["reference_bound"]]
-        bounds += [record["bound"] for record in point["reliability_bound"].values()]
-        for bound in bounds:
-            if bound["log_bound"] is not None:
-                assert bound["bound"] == math.exp(bound["log_bound"]), argv
-        for tail in (point["hazard_exact_tail"], point["reliability_exact_tail"]):
-            assert 0.0 <= tail <= 1.0, argv
-        # Pr[X < c] <= exp(-(lp - c)**2 / (2lp)) for 0 < c < lp (Mitzenmacher & Upfal, Thm 4.5).
-        if 0.0 < point["reference_bound"]["event_threshold"] < l * p:
-            assert point["reference_audit"]["verdict"] != "violated", argv
-    assert reports >= 100, reports
+        assert out and re.fullmatch(r"(audit violations: \d+\n)?", err), (argv, out, err)
+        assert (code == 3) == ("--strict" in argv and err != ""), (argv, code, err)
+        if argv[0] == "analyze" and out_path is None:
+            report = _standard_json(out)
+        elif out_path and not out_path.endswith(".csv"):
+            report = _standard_json(pathlib.Path(out_path).read_text(encoding="utf-8"))
+        else:
+            continue
+        ends["JSON", argv[0], code] += 1
+        for pt in report["points"]:
+            bounds = [pt["hazard_bound"], pt["reference_bound"]]
+            for bound in bounds + [record["bound"] for record in pt["reliability_bound"].values()]:
+                if bound["log_bound"] is not None:
+                    assert bound["bound"] == math.exp(bound["log_bound"]), argv
+            for tail in (pt["hazard_exact_tail"], pt["reliability_exact_tail"]):
+                assert 0.0 <= tail <= 1.0, argv
+            # Pr[X < c] <= exp(-(lp - c)**2 / (2lp)) for 0 < c < lp (Mitzenmacher & Upfal, Thm 4.5).
+            if 0.0 < pt["reference_bound"]["event_threshold"] < pt["l"] * pt["p"]:
+                assert pt["reference_audit"]["verdict"] != "violated", argv
+    return ends
+
+
+def _seeded_scan(tmp_path, capsys, seed: int, edge_shares: list) -> Counter:
+    """Check the contract on 600 argv drawn by random.Random(seed), over input files made under tmp_path."""
+    files = {"counts.json": b'{"fn": 5, "tn": 45}', "gated.json": b'{"fn": 0, "tn": 45}', "broken.json": b"{",
+             "labelled.csv": b"m1,clean,defective\nm2,clean,clean\n", "unlabelled.csv": b"m1,clean\n",
+             "defective.csv": b"m1,defective,clean\nm2,defective,defective\n", "fuzzy.csv": b"m1,fuzzy,clean\n",
+             "latin1.csv": b"m1,cl\xe9an,clean\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    unusable = ["", str(tmp_path / "missing" / "x"), str(tmp_path)]  # no name, no such directory, a directory
+    named = lambda suffix: [str(tmp_path / name) for name in files if name.endswith(suffix)] + unusable
+    choices = {**_EDGES, "--confusion": named(".json"), "--records": named(".csv"),
+               "--out": [str(tmp_path / "report.json"), str(tmp_path / "report.csv"), *unusable]}
+    rng = random.Random(seed)
+    return _check_contract([_draw_argv(rng, choices, rng.choice(edge_shares)) for _ in range(600)], capsys)
+
+
+def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None:
+    # Fixed argv: empty sources and paths, and one point with each value out of domain in turn.
+    defective = tmp_path / "defective.csv"
+    defective.write_text("m1,defective,clean\nm2,defective,defective\n", encoding="utf-8")
+    shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5"]
+    point = ["--l", "10", "--p", "0.1", *shape, "--t", "1"]
+    runs = [["for", "--confusion", ""], ["for", "--records", ""], ["for", "--fn", "0", "--tn", "0"],
+            ["for", "--records", str(defective)]]
+    runs += [[command, *point, "--samples", "0", "--out", ""] for command in ("analyze", "sweep")]
+    for flag in ("--confusion", "--records"):
+        runs += [["analyze", flag, "", *shape, "--t", "1", "--samples", "0"], ["analyze", flag, "", *point]]
+    floats = ["--p", *shape[::2], "--t"]
+    for command in ("analyze", "sweep"):
+        edits = [(flag, value) for flag in floats for value in ("nan", "inf", "1e-320")]
+        edits += [("--l", "0"), ("--l", str(2**63)), ("--seed", "-1"), ("--seed", str(2**64)), ("--workers", "0")]
+        edits += [(flag, "") for flag in (["--l", *floats] if command == "sweep" else ["--t"])]  # the list flags
+        for flag, value in edits:
+            argv = [command, *point, "--samples", "1000", "--seed", "12345", "--workers", "1"]
+            argv[argv.index(flag) + 1] = value
+            runs.append(argv)
+    ends = _check_contract(runs, capsys)
+    assert ends["for", 1] and ends["analyze", 1] and ends["sweep", 1], ends
+    # Its delta and log_bound are beyond double range; the report is still standard JSON.
+    assert _check_contract([["analyze", "--l", "10", "--p", "0.1", "--K", "1e200", "--m", "0", "--K-hat", "1",
+                             "--m-hat", "0", "--t", "1", "--samples", "0"]], capsys)["JSON", "analyze", 0] == 1
+
+
+def test_cli_analyze_reports_no_nan_on_extreme_inputs(tmp_path, capsys) -> None:
+    # Seeded argv of for, analyze and sweep that take their values from the edge table.
+    ends = _seeded_scan(tmp_path, capsys, 2026, [0.3, 1.0])
+    assert ends["JSON", "analyze", 0] and ends["for", 0], ends
+    # An l beyond double range is a domain error in sweep too.
+    argv = ["sweep", "--l", "10,1" + "0" * 400, "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1",
+            "--m-hat", "0", "--t", "1", "--samples", "0"]
+    assert _check_contract([argv], capsys)["sweep", 1] == 1
+    assert main(argv) == 1 and capsys.readouterr().err.startswith("error: l must be <= ")
+
+
+def test_cli_analyze_invariants_on_a_seeded_extreme_scan(tmp_path, capsys) -> None:
+    # Seeded argv of for, analyze and sweep that draw their numbers log-uniformly from the range reports reach.
+    started = time.perf_counter()
+    ends = _seeded_scan(tmp_path, capsys, 7, [0.0])
+    assert ends["JSON", "analyze", 0] >= 100 and ends["for", 0] and ends["sweep", 0], ends
     assert time.perf_counter() - started < 30.0
 
 
@@ -776,13 +850,18 @@ def test_cli_failed_stdout_write_is_an_output_error(monkeypatch, capsys) -> None
         def write(self, text: str) -> int:
             raise full
 
+    class FullFlushStdout(FullStdout):  # and no file descriptor to point at os.devnull
+        def flush(self) -> None:
+            raise full
+
     point = ["--l", "10", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
              "--t", "4", "--samples", "0"]
     expected = f"error: cannot write output: {full}\n"
-    for argv in (["for", "--fn", "5", "--tn", "45"], ["analyze", *point], ["sweep", *point]):
-        monkeypatch.setattr(sys, "stdout", FullStdout())
-        assert main(argv) == 1, argv
-        assert capsys.readouterr().err == expected, argv
+    for stdout in (FullStdout, FullFlushStdout):
+        for argv in (["for", "--fn", "5", "--tn", "45"], ["analyze", *point], ["sweep", *point]):
+            monkeypatch.setattr(sys, "stdout", stdout())
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == expected, argv
 
 
 def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys) -> None:
