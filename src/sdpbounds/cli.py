@@ -1,7 +1,8 @@
 """Command-line front end: FOR derivation, bound analysis and parameter sweeps.
 
-Exit codes: 0 success, 1 usage or domain error (an output file that cannot
-be written included), 2 input parse error, 3 audit violation under --strict.
+Exit codes: 0 success; 1 usage or domain error (an unwritable output
+included), or a violated 'for' verdict, which still prints its full report;
+2 input parse error; 3 audit violation under --strict.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import contextlib
 import gc
 import os
 import sys
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .failures import FailurePopulation
 from .hazards import AS_STATED, MODES, SIGN_CORRECTED
 from .ingest import (
     ConfusionCounts,
@@ -29,7 +29,6 @@ from .report import (
     PARAM_NAMES,
     SweepGrid,
     _report_json,
-    _require_sampling,
     analyze,
     sweep,
     sweep_csv_text,
@@ -109,21 +108,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-@contextlib.contextmanager
-def _reading_input() -> Iterator[None]:
-    """An input file that cannot be opened or decoded is a parse error, not an output one."""
-    try:
-        yield
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read input: {exc}") from exc
-
-
 def _input_file(args: argparse.Namespace) -> Tuple[Optional[ConfusionCounts], Optional[RecordTally], Dict[str, object]]:
-    """(counts, tally, provenance) of the --confusion or --records file; counts is None for unlabelled records."""
-    with _reading_input():
+    """(counts, tally, provenance) of the --confusion or --records file, if any; counts is None for unlabelled records."""
+    if args.confusion is None and args.records is None:
+        return None, None, {"source": "literal"}
+    try:
         if args.confusion is not None:
             return load_confusion(args.confusion), None, {"source": "confusion-file", "path": args.confusion}
         tally = load_record_tally(args.records)
+    except (OSError, UnicodeDecodeError) as exc:  # an input that cannot be opened or decoded
+        raise ParseError(f"cannot read input: {exc}") from exc
     counts = tally.confusion() if tally.unlabelled is None else None
     return counts, tally, {"source": "records-file", "path": args.records}
 
@@ -141,22 +135,18 @@ def _counts_from_args(args: argparse.Namespace) -> Tuple[ConfusionCounts, Dict[s
     return counts or tally.confusion(), provenance
 
 
-def _cmd_for(args: argparse.Namespace) -> int:
+def _cmd_for(args: argparse.Namespace) -> Tuple[int, str, None]:
     counts, provenance = _counts_from_args(args)
     verdict = validate_assumptions(counts)
-    p = false_omission_rate(counts)  # raises before anything is printed
-    print(f"source: {provenance['source']}")
-    print(f"fn={counts.fn_count} tn={counts.tn_count} predicted_clean={counts.fn_count + counts.tn_count}")
-    print(f"p={p!r}")
-    if verdict.ok:
-        print("verdict: ok")
-    else:
-        print("verdict: violated")
-        for violation in verdict.violations:
-            print(f"  violation: {violation}")
-    for caveat in verdict.caveats:
-        print(f"  caveat: {caveat}")
-    return EXIT_OK if verdict.ok else EXIT_DOMAIN
+    lines = [
+        f"source: {provenance['source']}",
+        f"fn={counts.fn_count} tn={counts.tn_count} predicted_clean={counts.fn_count + counts.tn_count}",
+        f"p={false_omission_rate(counts)!r}",
+        "verdict: ok" if verdict.ok else "verdict: violated",
+        *(f"  violation: {violation}" for violation in verdict.violations),
+        *(f"  caveat: {caveat}" for caveat in verdict.caveats),
+    ]
+    return (EXIT_OK if verdict.ok else EXIT_DOMAIN), "\n".join(lines) + "\n", None
 
 
 def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[str, object]]:
@@ -164,13 +154,10 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
     l, p = args.l, args.p
     if args.confusion is not None and args.records is not None:
         raise ValueError("give at most one of --confusion and --records")
-    counts: Optional[ConfusionCounts] = None
-    provenance: Dict[str, object] = {"source": "literal"}
-    if args.confusion is not None or args.records is not None:
-        counts, tally, provenance = _input_file(args)
-        if counts is None:
-            l = tally.l_clean if l is None else l
-            provenance.update(n_total=tally.n_total, l_clean=tally.l_clean)
+    counts, tally, provenance = _input_file(args)
+    if counts is None and tally is not None:
+        l = tally.l_clean if l is None else l
+        provenance.update(n_total=tally.n_total, l_clean=tally.l_clean)
     if counts is not None:
         verdict = validate_assumptions(counts)
         if not verdict.ok:
@@ -180,11 +167,10 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
         provenance.update(fn=counts.fn_count, tn=counts.tn_count)
     if l is None or p is None:
         raise ValueError("l and p must be resolvable from --l/--p or an input file")
-    FailurePopulation(l, p)  # domain check with a precise message
     return l, p, provenance
 
 
-def _print_point_summary(point: Dict[str, object]) -> None:
+def _point_summary(point: Dict[str, object]) -> str:
     hazard = point["hazard_audit"]
     pieces = [
         f"t={point['t']:g}:",
@@ -194,39 +180,24 @@ def _print_point_summary(point: Dict[str, object]) -> None:
     for mode, record in point["reliability_bound"].items():
         pieces.append(f"reliability[{mode}] {record['bound']['bound']:.6g} [{record['audit']['verdict']}]")
     pieces.append(f"reference {point['reference_bound']['bound']:.6g} [{point['reference_audit']['verdict']}]")
-    print(" ".join(pieces))
+    return " ".join(pieces)
 
 
-def _audit_exit_code(report: Dict[str, object], strict: bool) -> int:
-    """Report violated audits on stderr; with --strict they set the exit code."""
-    violations = sum(tallies.get("violated", 0) for tallies in report["summary"]["audits"].values())
-    if violations:
-        print(f"audit violations: {violations}", file=sys.stderr)
-        if strict:
-            return EXIT_STRICT
-    return EXIT_OK
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    _require_sampling(args.samples, args.seed, args.workers)
+def _cmd_analyze(args: argparse.Namespace) -> Tuple[int, str, Dict[str, object]]:
     l, p, provenance = _population_from_args(args)
     report = analyze(
         l, p, args.K, args.m, args.K_hat, args.m_hat, args.t,
         samples=args.samples, seed=args.seed, workers=args.workers,
         modes=MODES if args.mode == "both" else (args.mode,), provenance=provenance,
     )
-    if args.out is not None:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-        for point in report["points"]:
-            _print_point_summary(point)
-    else:
-        sys.stdout.write(_report_json(report))
-    return _audit_exit_code(report, args.strict)
+    if args.out is None:
+        return EXIT_OK, _report_json(report), report
+    write_report(report, args.out)
+    lines = [f"report written to {args.out}", *map(_point_summary, report["points"])]
+    return EXIT_OK, "\n".join(lines) + "\n", report
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    _require_sampling(args.samples, args.seed, args.workers)
+def _cmd_sweep(args: argparse.Namespace) -> Tuple[int, str, Dict[str, object]]:
     grid = SweepGrid(
         *(tuple(getattr(args, name)) for name in PARAM_NAMES),
         samples=args.samples,
@@ -234,24 +205,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         modes=MODES if args.mode == "both" else (args.mode,),
     )
     report = sweep(grid, workers=args.workers)
-    if args.out is not None:
-        write_report(report, args.out)
-        print(f"sweep written to {args.out} ({len(report['points'])} points)")
+    if args.out is None:  # the CSV's last line ends in a newline
+        lines = [sweep_csv_text(report["points"]) + "audit summary:"]
     else:
-        sys.stdout.write(sweep_csv_text(report["points"]))
-    print("audit summary:")
+        write_report(report, args.out)
+        lines = [f"sweep written to {args.out} ({len(report['points'])} points)", "audit summary:"]
     for family, tallies in report["summary"]["audits"].items():
         counts = " ".join(f"{verdict}={count}" for verdict, count in tallies.items())
-        print(f"  {family}: {counts}")
+        lines.append(f"  {family}: {counts}")
     mono = report["summary"].get("monotonicity_in_l")
     if mono is not None:
-        print(
-            f"monotonicity in l: {mono['monotone']}/{mono['groups_checked']} "
-            f"groups strictly decreasing"
-        )
+        lines.append(f"monotonicity in l: {mono['monotone']}/{mono['groups_checked']} "
+                     f"groups strictly decreasing")
         for violation in mono["violations"]:
-            print(f"  non-monotone at {violation['axes']}: {violation['bounds_by_l']}")
-    return _audit_exit_code(report, args.strict)
+            lines.append(f"  non-monotone at {violation['axes']}: {violation['bounds_by_l']}")
+    return EXIT_OK, "\n".join(lines) + "\n", report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -274,24 +242,35 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.run(args)
-        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
-        return code
+        code, text, report = args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:  # inputs are read inside _reading_input, so this is a failed write
-        if not isinstance(exc, BrokenPipeError):  # a reader that went away is a quiet exit
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-        try:  # a stdout that cannot take what it buffers goes to devnull, or the flush at exit fails again
-            sys.stdout.flush()
-        except OSError:
-            with contextlib.suppress(OSError, ValueError):  # a stdout with no file descriptor behind it
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # inputs are read as ParseError, so this is the --out file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    try:  # line by line: an unbuffered stdout drops the rest of a partial write without an error
+        sys.stdout.writelines(text.splitlines(keepends=True))
+        sys.stdout.flush()
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a reader that went away is a quiet exit
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # What stdout still buffers goes to devnull, or the flush at exit fails again.
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no file descriptor behind it
+            fd = sys.stdout.fileno()
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), fd)
+        return EXIT_DOMAIN
+    if report is not None:  # told only once the report is out; under --strict it sets the exit code
+        violations = sum(tallies.get("violated", 0) for tallies in report["summary"]["audits"].values())
+        if violations:
+            print(f"audit violations: {violations}", file=sys.stderr)
+            if args.strict:
+                return EXIT_STRICT
+    return code
 
 
 if __name__ == "__main__":

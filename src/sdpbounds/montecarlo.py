@@ -120,9 +120,11 @@ def _require_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _validate_sampling_args(n: int, seed: int, workers: int) -> None:
+def _validate_sampling_args(pop: FailurePopulation, n: int, seed: int, workers: int) -> None:
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
+    if pop.l >= 2**63:  # numpy draws l as a C long
+        raise ValueError(f"l must be < 2**63 when sampling, got {pop.l}")
     _require_seed(seed)
     _require_workers(workers)
 
@@ -192,7 +194,7 @@ class _Draws:
 
 def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     """The seed's stream, block by block, merged into one histogram."""
-    _validate_sampling_args(n, seed, workers)
+    _validate_sampling_args(pop, n, seed, workers)
     blocks = _map_blocks(
         n, workers, lambda i, size: np.unique(_draw_block(pop, seed, i, size), return_counts=True))
     values, where = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
@@ -246,7 +248,7 @@ def estimate_tail_probability(
     every estimator here it rejects ``workers`` < 1.
     """
     if threshold <= 0.0:
-        _validate_sampling_args(n, seed, workers)
+        _validate_sampling_args(pop, n, seed, workers)
         return _Draws((), (), n, seed).tail(threshold)
     return _draw(pop, n, seed, workers).tail(threshold)
 
@@ -298,7 +300,7 @@ def tail_event_indicators(
 
     Test hook: reproduces exactly the indicators the tail estimators count.
     """
-    _validate_sampling_args(n, seed, 1)
+    _validate_sampling_args(pop, n, seed, 1)
     return np.concatenate(_map_blocks(n, 1, lambda i, size: _draw_block(pop, seed, i, size) < threshold))
 
 

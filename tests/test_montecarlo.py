@@ -506,5 +506,16 @@ def test_l_at_or_above_2_63_with_sampling_is_rejected(capsys) -> None:
         _assert_one_line_error([command, "--l", huge, *shape_args, "--samples", "1000"], capsys, "< 2**63")
     assert main(["analyze", "--l", huge, *shape_args, "--samples", "0"]) == 0
     capsys.readouterr()
-    with pytest.raises(ValueError, match="2\\*\\*63"):
-        derive_population_seed(5, 2**63, 0.1)
+    huge_pop = FailurePopulation(10**20, 0.1)
+    model = CombinedHazardModel(WeibullParams(1.0, 0.5), huge_pop)
+    runs = [
+        lambda: derive_population_seed(5, 2**63, 0.1),
+        lambda: estimate_tail_probability(huge_pop, 3.0, 1000, 1),
+        lambda: estimate_tail_probability(huge_pop, 0.0, 1000, 1),
+        lambda: estimate_expected_reliability(model, 1.0, 1000, 1),
+        lambda: estimate_reliability_exceedance(model, WeibullParams(2.0, 0.5), 1.0, 1000, 1),
+        lambda: tail_event_indicators(FailurePopulation(2**63, 0.1), 3.0, 1000, 1),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            run()

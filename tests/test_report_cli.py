@@ -843,25 +843,47 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys) -> None:
     assert not missing.exists()
 
 
+_FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class FullStdout(io.StringIO):
+    def write(self, text: str) -> int:
+        raise _FULL
+
+
+class FullFlushStdout(FullStdout):  # and no file descriptor to point at os.devnull
+    def flush(self) -> None:
+        raise _FULL
+
+
 def test_cli_failed_stdout_write_is_an_output_error(monkeypatch, capsys) -> None:
-    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    class FullStdout(io.StringIO):
-        def write(self, text: str) -> int:
-            raise full
-
-    class FullFlushStdout(FullStdout):  # and no file descriptor to point at os.devnull
-        def flush(self) -> None:
-            raise full
-
     point = ["--l", "10", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
              "--t", "4", "--samples", "0"]
-    expected = f"error: cannot write output: {full}\n"
+    expected = f"error: cannot write output: {_FULL}\n"
     for stdout in (FullStdout, FullFlushStdout):
         for argv in (["for", "--fn", "5", "--tn", "45"], ["analyze", *point], ["sweep", *point]):
             monkeypatch.setattr(sys, "stdout", stdout())
             assert main(argv) == 1, argv
             assert capsys.readouterr().err == expected, argv
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open descriptors")
+def test_cli_failed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch, capsys) -> None:
+    owned = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class OwnedFdStdout(FullFlushStdout):  # its descriptor is this test's, never fd 1
+        def fileno(self) -> int:
+            return owned
+
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for stdout in [OwnedFdStdout] * 5 + [FullFlushStdout] * 5:
+            monkeypatch.setattr(sys, "stdout", stdout())
+            assert main(["for", "--fn", "5", "--tn", "45"]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(owned)
+    assert capsys.readouterr().err == f"error: cannot write output: {_FULL}\n" * 10
 
 
 def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys) -> None:
@@ -896,22 +918,61 @@ def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, cap
     capsys.readouterr()
 
 
-def test_cli_closed_stdout_exits_quietly() -> None:
-    # The CSV (about 330 kB) outgrows the pipe buffer, so the write meets the closed pipe.
-    argv = [sys.executable, "-m", "sdpbounds", "sweep", "--samples", "0"]
-    for name, values in DEFAULT_AUDIT_AXES.items():
-        argv += ["--" + name.replace("_", "-"), ",".join(map(str, values))]
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdpbounds.__file__))}
+def _child_env(unbuffered: bool) -> dict:
+    """The environment of a child run: this package on its path, PYTHONUNBUFFERED set or removed."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sdpbounds.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# At l=100 and t=1 both reliability audits are violated.
+_SHAPE = ["--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--samples", "0"]
+_VIOLATING_SWEEP = ["sweep", "--l", "10,100", *_SHAPE, "--t", "1"]
+_VIOLATING_ANALYZE = ["analyze", "--l", "100", *_SHAPE, "--t", "1"]
+
+
+def _run_to_closed_pipe(argv: list, env: dict, lines_read: int):
+    """Exit status, stderr and the lines read of a run whose stdout reader closes after ``lines_read`` lines."""
+    if not lines_read:  # the read end is closed before the run starts
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        return result.returncode, result.stderr, []
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert proc.stdout.readline().startswith(b"l,p,K,")
+        lines = [proc.stdout.readline() for _ in range(lines_read)]
         proc.stdout.close()
         err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 1
+        return proc.wait(timeout=120), err, lines
     finally:
         proc.kill()
         proc.stderr.close()
-    assert err == b""
+
+
+def test_cli_closed_stdout_exits_quietly(tmp_path) -> None:
+    # The default-grid CSV (about 330 kB) and 60 time points of JSON outgrow the pipe buffer,
+    # so the write meets the closed pipe; the violated audits are not told on stderr either.
+    grid = ["sweep", "--samples", "0"]
+    for name, values in DEFAULT_AUDIT_AXES.items():
+        grid += ["--" + name.replace("_", "-"), ",".join(map(str, values))]
+    many_times = ["analyze", "--l", "100", *_SHAPE, "--t", ",".join(str(t) for t in range(1, 61))]
+    runs = [
+        (grid, [b"l,p,K,"]),
+        (_VIOLATING_SWEEP, []),
+        ([*_VIOLATING_ANALYZE, "--out", str(tmp_path / "r.json")], []),
+        (many_times, [b"{"]),
+    ]
+    for unbuffered in (True, False):
+        for argv, starts in runs:
+            command = [sys.executable, "-m", "sdpbounds", *argv]
+            code, err, lines = _run_to_closed_pipe(command, _child_env(unbuffered), len(starts))
+            assert (code, err) == (1, b""), (unbuffered, argv)
+            assert all(line.startswith(start) for line, start in zip(lines, starts, strict=True)), lines
 
 
 # A stdout whose buffered writer keeps what it failed to write, as the flush at exit then finds it.
@@ -928,21 +989,25 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-def test_cli_full_stdout_exits_with_one_output_error() -> None:
-    # The flush at interpreter exit must not fail again and turn exit 1 into 120.
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdpbounds.__file__))}
-    expected = f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n".encode()
-    for entry in (["-m", "sdpbounds"], ["-c", _KEEPING_STDOUT]):
-        with open("/dev/full", "wb") as full:
-            result = subprocess.run([sys.executable, *entry, "for", "--fn", "5", "--tn", "45"],
-                                    env=env, stdout=full, stderr=subprocess.PIPE, timeout=120)
-        assert (result.returncode, result.stderr) == (1, expected), entry
+def test_cli_full_stdout_exits_with_one_output_error(tmp_path) -> None:
+    # The flush at interpreter exit must not fail again and turn exit 1 into 120, and
+    # violated audits are not told after the error.
+    expected = f"error: cannot write output: {_FULL}\n".encode()
+    runs = [(entry, ["for", "--fn", "5", "--tn", "45"]) for entry in (["-m", "sdpbounds"], ["-c", _KEEPING_STDOUT])]
+    runs += [(["-m", "sdpbounds"], _VIOLATING_SWEEP),
+             (["-m", "sdpbounds"], [*_VIOLATING_ANALYZE, "--out", str(tmp_path / "r.json")])]
+    for unbuffered in (True, False):
+        for entry, argv in runs:
+            with open("/dev/full", "wb") as full:
+                result = subprocess.run([sys.executable, *entry, *argv], env=_child_env(unbuffered),
+                                        stdout=full, stderr=subprocess.PIPE, timeout=120)
+            assert (result.returncode, result.stderr) == (1, expected), (unbuffered, entry, argv)
 
 
 def test_cli_import_skips_quadrature_and_stats() -> None:
     code = "import sys, sdpbounds.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdpbounds.__file__))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", code], env=_child_env(False), capture_output=True, text=True,
+                            check=True)
     assert result.stdout.strip() == "[]"
 
 
