@@ -13,11 +13,14 @@ A records file is decoded in the 8192-byte chunks, and with the
 position, and scanned in blocks of about 64K characters of whole lines;
 ``tally_records`` scans a string in the same blocks.  Lines end at LF, CRLF
 or a lone CR, as in a text-mode file opened with ``newline=""``.  A plain
-block of ``id,label[,label]`` lines is counted with string scans, without
-splitting fields.  A quote, a stray CR, a NUL, a padded or mixed-case label,
-a blank or over-long line, or any malformed line sends its block through
-csv, record by record, which alone states the record rules.  The counts and
-errors are the same either way.
+block of ``id,label[,label]`` lines is counted with scans, without
+splitting fields: numpy counts its line feeds and commas as bytes of its
+UTF-8 text, and ``str.count`` its label pairs.  csv reads the header and
+the first record, which fixes the column count; the rest of that record's
+block is scanned like any later block.  A quote, a stray CR, a NUL, a padded
+or mixed-case label, a blank or over-long line, or any malformed line sends
+its block through csv, record by record, which alone states the record
+rules.  The counts and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "LABELS",
@@ -171,13 +176,17 @@ def _plain_pairs(text: str, arity: int) -> Optional[_Pairs]:
     That holds when ``text`` is n whole lines that end in n matches of
     ``,label[,label]`` plus one line ending (LF, or CRLF on every line) and
     hold no other comma, quote, NUL or CR, nor more characters than csv's
-    field limit.  Else None.
+    field limit.  Else None.  Line feeds and commas are counted as bytes of
+    the UTF-8 text, where an ASCII character is one byte and no other
+    character holds a byte below 0x80; ``surrogatepass`` encodes the lone
+    surrogates that a ``tally_records`` string may hold.
     """
-    n = text.count("\n")
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    n = np.count_nonzero(codes == 10)
     cr = text.count("\r") if "\r" in text else 0
     limit = csv.field_size_limit()
     if ('"' in text or "\0" in text or not text.endswith("\n") or cr not in (0, n)
-            or text.count(",") != (arity - 1) * n
+            or np.count_nonzero(codes == 44) != (arity - 1) * n
             or (len(text) > limit and max(map(len, text.split("\n"))) > limit)):
         return None
     end = "\r\n" if cr else "\n"
@@ -222,7 +231,8 @@ def _tally(blocks: Iterator[str]) -> RecordTally:
     """Count the label pairs of records read in blocks of whole lines.
 
     A block that the string scans cannot count is split into lines as
-    ``io.StringIO(block, newline="")`` splits it, and read by csv.
+    ``io.StringIO(block, newline="")`` splits it, and read by csv; the rest
+    of the first record's block, if it holds no quote, is scanned first.
     """
     pairs: _Pairs = Counter()
     arity: Optional[int] = None
@@ -239,10 +249,14 @@ def _tally(blocks: Iterator[str]) -> RecordTally:
         rest = chain.from_iterable(io.StringIO(more, newline="") for more in blocks)
         records = _iter_records(chain(lines, rest) if spans else lines, row, arity)
         if arity is None:
-            for _, first_module, predicted, actual in records:
+            for first_row, first_module, predicted, actual in records:
                 arity = 2 if actual is None else 3
                 pairs[predicted, actual] += 1
                 break
+            if arity and not spans and (plain := _plain_pairs("".join(lines[first_row - row + 1:]), arity)):
+                pairs.update(plain)
+                row += len(lines)
+                continue
         pairs.update(map(_LABEL_PAIR, records))
         if spans:
             break

@@ -256,7 +256,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     point's domain error is raised with its coordinates in front (l and p
     alone for an error of the population's draws).
     """
-    _require_sampling(grid.samples, grid.seed, workers)
+    _require_workers(workers)
 
     def located(coord: Tuple, fn, *args):
         try:

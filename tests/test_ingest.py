@@ -421,6 +421,17 @@ def _ingest_corpus():
         for name, edit, at in placed:
             lines = base if at > _GROUP + 3 else base[:_GROUP + 8]
             cases.append((f"{arity} cols, {name} at line {at + 1}", lines[:at] + [edit(lines[at])] + lines[at + 1:]))
+        # The block of the first record goes through csv up to that record and is scanned past it.
+        head = [header] + base[:300]
+        placed = [(name, edit, at) for name, edit in at_boundaries.items() for at in (1, 2, 200)]
+        placed += [(name, edit, 2) for name, edit in inside.items()]
+        for name, edit, at in placed:
+            cases.append((f"{arity} cols, header, {name} at line {at + 1}", head[:at] + [edit(head[at])] + head[at + 1:]))
+        cases += [(f"{arity} cols, header and one record", head[:2]),
+                  (f"{arity} cols, header, blank lines, then records", head[:1] + ["\n", " \n", "\n"] + head[1:]),
+                  (f"{arity} cols, padded mixed-case header", [odd_header.replace("\r", "")] + head[1:]),
+                  (f"{arity} cols, header, then a quoted id that runs past the first block",
+                   [header, '"q' + "".join(base[:4000]) + 'q"' + after_id(base[4000])] + base[4001:4100])]
     return cases
 
 
@@ -537,6 +548,15 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys) -> None:
     assert len(report["points"]) == 6 and read_report(str(marked)) == report
 
 
+def test_scanned_text_may_hold_non_ascii_ids_and_lone_surrogates() -> None:
+    # A string may hold a lone surrogate, which a strict UTF-8 encode refuses; a file's text cannot.
+    ids = ["é", "中", "😀", "\udc80"]  # 2, 3 and 4 bytes in UTF-8, and 3 with surrogatepass
+    rows = _plain(random.Random(25), 3, 5000)
+    text = "module_id,predicted,actual\n" + "".join(ids[i % 4] + row for i, row in enumerate(rows))
+    expected = _outcome(_reference_tally, io.StringIO(text, newline=""))
+    assert expected[0] == "ok" and _outcome(tally_records, text) == expected
+
+
 def test_plain_records_bypass_csv(tmp_path, monkeypatch) -> None:
     rows_through_csv = 0
     reader = csv.reader
@@ -554,4 +574,4 @@ def test_plain_records_bypass_csv(tmp_path, monkeypatch) -> None:
         path.write_text("module_id,predicted,actual" + eol + "".join(_plain(random.Random(23), 3, 100_000, eol)),
                         encoding="utf-8", newline="")
         assert load_record_tally(path).n_total == 100_000
-        assert 0 < rows_through_csv <= _GROUP, (eol, rows_through_csv)
+        assert rows_through_csv == 2, (eol, rows_through_csv)  # the header and the first record
