@@ -1,8 +1,10 @@
 """Command-line front end: FOR derivation, bound analysis and parameter sweeps.
 
-Exit codes: 0 success; 1 usage or domain error (an unwritable output
-included), or a violated 'for' verdict, which still prints its full report;
-2 input parse error; 3 audit violation under --strict.
+Standard output holds the report (JSON for analyze, the CSV for sweep) or, with
+--out, one line naming the file followed by the audit summary. Exit codes: 0
+success; 1 usage or domain error (an unwritable output included), or a violated
+'for' verdict, which still prints its full report; 2 input parse error; 3 audit
+violation under --strict.
 """
 
 from __future__ import annotations
@@ -170,17 +172,18 @@ def _population_from_args(args: argparse.Namespace) -> Tuple[int, float, Dict[st
     return l, p, provenance
 
 
-def _point_summary(point: Dict[str, object]) -> str:
-    hazard = point["hazard_audit"]
-    pieces = [
-        f"t={point['t']:g}:",
-        f"hazard bound {point['hazard_bound']['bound']:.6g} [{hazard['verdict']}]",
-        f"exact {point['hazard_exact_tail']:.6g}",
-    ]
-    for mode, record in point["reliability_bound"].items():
-        pieces.append(f"reliability[{mode}] {record['bound']['bound']:.6g} [{record['audit']['verdict']}]")
-    pieces.append(f"reference {point['reference_bound']['bound']:.6g} [{point['reference_audit']['verdict']}]")
-    return " ".join(pieces)
+def _written(report: Dict[str, object], out: str) -> str:
+    """Write the report to ``out``; the stdout text names the file and gives the report's summary."""
+    write_report(report, out)
+    lines = [f"report written to {out} ({len(report['points'])} points)", "audit summary:"]
+    for family, tallies in report["summary"]["audits"].items():
+        lines.append(f"  {family}: " + " ".join(f"{verdict}={count}" for verdict, count in tallies.items()))
+    mono = report["summary"].get("monotonicity_in_l")
+    if mono is not None:
+        lines.append(f"monotonicity in l: {mono['monotone']}/{mono['groups_checked']} groups strictly decreasing")
+        for violation in mono["violations"]:
+            lines.append(f"  non-monotone at {violation['axes']}: {violation['bounds_by_l']}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Tuple[int, str, Dict[str, object]]:
@@ -190,11 +193,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[int, str, Dict[str, object]]
         samples=args.samples, seed=args.seed, workers=args.workers,
         modes=MODES if args.mode == "both" else (args.mode,), provenance=provenance,
     )
-    if args.out is None:
-        return EXIT_OK, _report_json(report), report
-    write_report(report, args.out)
-    lines = [f"report written to {args.out}", *map(_point_summary, report["points"])]
-    return EXIT_OK, "\n".join(lines) + "\n", report
+    return EXIT_OK, _report_json(report) if args.out is None else _written(report, args.out), report
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Tuple[int, str, Dict[str, object]]:
@@ -205,21 +204,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[int, str, Dict[str, object]]:
         modes=MODES if args.mode == "both" else (args.mode,),
     )
     report = sweep(grid, workers=args.workers)
-    if args.out is None:  # the CSV's last line ends in a newline
-        lines = [sweep_csv_text(report["points"]) + "audit summary:"]
-    else:
-        write_report(report, args.out)
-        lines = [f"sweep written to {args.out} ({len(report['points'])} points)", "audit summary:"]
-    for family, tallies in report["summary"]["audits"].items():
-        counts = " ".join(f"{verdict}={count}" for verdict, count in tallies.items())
-        lines.append(f"  {family}: {counts}")
-    mono = report["summary"].get("monotonicity_in_l")
-    if mono is not None:
-        lines.append(f"monotonicity in l: {mono['monotone']}/{mono['groups_checked']} "
-                     f"groups strictly decreasing")
-        for violation in mono["violations"]:
-            lines.append(f"  non-monotone at {violation['axes']}: {violation['bounds_by_l']}")
-    return EXIT_OK, "\n".join(lines) + "\n", report
+    return EXIT_OK, sweep_csv_text(report["points"]) if args.out is None else _written(report, args.out), report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

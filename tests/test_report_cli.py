@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import errno
 import gc
 import importlib
@@ -256,7 +257,7 @@ def test_monotonicity_summary_in_sweep() -> None:
     assert bounds[0] > bounds[1] > bounds[2]
 
 
-def test_monotonicity_ignores_a_repeated_axis_value(capsys) -> None:
+def test_monotonicity_ignores_a_repeated_axis_value(tmp_path, capsys) -> None:
     # -0.0 and 0.0 are one group key, so their points repeat each l of the group.
     axes = dict(l_values=(10, 100, 1000), p_values=(0.1,), k_values=(2.0,), k_hat_values=(1.0,),
                 m_hat_values=(0.5,), t_values=(4.0,))
@@ -264,7 +265,7 @@ def test_monotonicity_ignores_a_repeated_axis_value(capsys) -> None:
         mono = sweep(SweepGrid(m_values=m_values, **axes))["summary"]["monotonicity_in_l"]
         assert mono == {"groups_checked": 1, "monotone": 1, "violations": []}, m_values
     args = ["sweep", "--l", "10,10,100", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1",
-            "--m-hat", "0.5", "--t", "4", "--samples", "0"]
+            "--m-hat", "0.5", "--t", "4", "--samples", "0", "--out", str(tmp_path / "sweep.json")]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "monotonicity in l: 1/1 groups strictly decreasing\n" in out
@@ -277,7 +278,7 @@ def _hazard_point(l: int, log_bound) -> dict:
             "hazard_bound": {"log_bound": log_bound, "bound": 0.0 if log_bound is None else math.exp(log_bound)}}
 
 
-def test_monotonicity_compares_log_bounds(capsys) -> None:
+def test_monotonicity_compares_log_bounds(tmp_path, capsys) -> None:
     # exp(-1000) and exp(-900) both underflow to 0.0; a null log_bound is -inf.
     axes = {"p": 0.5, "K": 2.0, "m": 0.5, "K_hat": 1.0, "m_hat": 0.5, "t": 1.0}
     for logs, violated in [((-900.0, -1000.0), False), ((-3.0, None), False),
@@ -289,17 +290,18 @@ def test_monotonicity_compares_log_bounds(capsys) -> None:
             "groups_checked": 1, "monotone": 0 if violated else 1, "violations": violations}, logs
     # l*p rounds to one double at l = 1e17 and 1e17 + 1, so the two log_bounds tie, and sweep prints the group.
     assert main(["sweep", "--l", "100000000000000000,100000000000000001", "--p", "0.5", "--K", "1", "--m", "0",
-                 "--K-hat", "1", "--m-hat", "0", "--t", "1", "--samples", "0", "--mode", "sign-corrected"]) == 0
+                 "--K-hat", "1", "--m-hat", "0", "--t", "1", "--samples", "0", "--mode", "sign-corrected",
+                 "--out", str(tmp_path / "sweep.json")]) == 0
     assert capsys.readouterr().out.endswith(
         "monotonicity in l: 0/1 groups strictly decreasing\n"
         "  non-monotone at {'p': 0.5, 'K': 1.0, 'm': 0.0, 'K_hat': 1.0, 'm_hat': 0.0, 't': 1.0}: "
         "[[100000000000000000, 0.0], [100000000000000001, 0.0]]\n")
 
 
-def test_cli_sweep_underflowed_hazard_bounds_are_monotone(capsys) -> None:
+def test_cli_sweep_underflowed_hazard_bounds_are_monotone(tmp_path, capsys) -> None:
     # Both hazard bounds underflow to 0.0; their log_bounds still fall with l.
     args = ["sweep", "--l", "10000,100000", "--p", "0.5", "--K", "2", "--m", "0.5", "--K-hat", "1",
-            "--m-hat", "0.5", "--t", "1", "--samples", "0"]
+            "--m-hat", "0.5", "--t", "1", "--samples", "0", "--out", str(tmp_path / "sweep.json")]
     report = sweep(SweepGrid((10000, 100000), (0.5,), (2.0,), (0.5,), (1.0,), (0.5,), (1.0,)))
     assert [pt["hazard_bound"]["bound"] for pt in report["points"]] == [0.0, 0.0]
     assert main(args) == 0
@@ -528,18 +530,19 @@ def test_cli_analyze_strict_flags_violations(tmp_path) -> None:
 
 def test_cli_sweep_csv_out_is_the_sweep_csv_of_the_json_report(tmp_path, capsys) -> None:
     csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    argv = ["sweep", "--l", "10,100,1000", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
+            "--t", "4", "--samples", "0"]
     for path in (csv_path, json_path):
-        assert main([
-            "sweep", "--l", "10,100,1000", "--p", "0.1",
-            "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5",
-            "--t", "4", "--samples", "0", "--out", str(path),
-        ]) == 0
+        assert main([*argv, "--out", str(path)]) == 0
         out = capsys.readouterr().out
         assert "monotonicity in l: 1/1" in out
         assert "audit summary:" in out
     points = read_report(str(json_path))["points"]
     assert len(points) == 3
     assert csv_path.read_text(encoding="utf-8") == sweep_csv_text(points)
+    # Without --out, stdout is that CSV and nothing else, so `sweep > f.csv` writes the same bytes.
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == csv_path.read_bytes()
 
 
 def test_cli_csv_out_is_the_sweep_csv_of_the_json_report(tmp_path, capsys) -> None:
@@ -637,7 +640,8 @@ def _draw_argv(rng: random.Random, choices: dict, edge_share: float) -> list:
 def _check_contract(runs, capsys) -> Counter:
     # Each argv is one argparse accepts. A run ends in a report (exit 0, exit 3 under --strict, or for's exit 1
     # with "verdict: violated") with at most the count of violated audits on stderr, or in one "error: " line
-    # on stderr, with nothing on stdout and no --out file. Returns the count of each end.
+    # on stderr, with nothing on stdout and no --out file. A report's stdout is the report alone (sweep's a CSV),
+    # or with --out the line naming the file and the audit summary. Returns the count of each end.
     ends = Counter()
     for argv in runs:
         out_path = next((token[len("--out="):] for token in argv if token.startswith("--out=")), None)
@@ -654,6 +658,12 @@ def _check_contract(runs, capsys) -> Counter:
             continue
         assert out and re.fullmatch(r"(audit violations: \d+\n)?", err), (argv, out, err)
         assert (code == 3) == ("--strict" in argv and err != ""), (argv, code, err)
+        if argv[0] == "sweep" and out_path is None:
+            header, *rows = csv.reader(io.StringIO(out))
+            assert rows and all(len(row) == len(header) for row in rows), (argv, out)
+        elif out_path is not None:
+            assert out.startswith(f"report written to {out_path} (") and "audit summary:\n" in out, (argv, out)
+            ends["written", argv[0]] += 1
         if argv[0] == "analyze" and out_path is None:
             report = _standard_json(out)
         elif out_path and not out_path.endswith(".csv"):
@@ -691,7 +701,8 @@ def _seeded_scan(tmp_path, capsys, seed: int, edge_shares: list) -> Counter:
 
 
 def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None:
-    # Fixed argv: empty sources and paths, and one point with each value out of domain in turn.
+    # Fixed argv: empty sources and paths, one point written to a .json and a .csv --out, and that point with
+    # each value out of domain in turn.
     defective = tmp_path / "defective.csv"
     defective.write_text("m1,defective,clean\nm2,defective,defective\n", encoding="utf-8")
     shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5"]
@@ -699,6 +710,8 @@ def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None
     runs = [["for", "--confusion", ""], ["for", "--records", ""], ["for", "--fn", "0", "--tn", "0"],
             ["for", "--records", str(defective)]]
     runs += [[command, *point, "--samples", "0", "--out", ""] for command in ("analyze", "sweep")]
+    runs += [[command, *point, "--samples", "0", f"--out={tmp_path / name}"]
+             for command in ("analyze", "sweep") for name in ("r.json", "r.csv")]
     for flag in ("--confusion", "--records"):
         runs += [["analyze", flag, "", *shape, "--t", "1", "--samples", "0"], ["analyze", flag, "", *point]]
     floats = ["--p", *shape[::2], "--t"]
@@ -712,6 +725,7 @@ def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None
             runs.append(argv)
     ends = _check_contract(runs, capsys)
     assert ends["for", 1] and ends["analyze", 1] and ends["sweep", 1], ends
+    assert ends["written", "analyze"] == ends["written", "sweep"] == 2, ends
     # Its delta and log_bound are beyond double range; the report is still standard JSON.
     assert _check_contract([["analyze", "--l", "10", "--p", "0.1", "--K", "1e200", "--m", "0", "--K-hat", "1",
                              "--m-hat", "0", "--t", "1", "--samples", "0"]], capsys)["JSON", "analyze", 0] == 1
