@@ -65,7 +65,8 @@ def _list_of(kind: type, what: str) -> Callable[[str], List]:
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=10_000,
-                        help="Monte Carlo draws per point (0 disables sampling; default 10000)")
+                        help="Monte Carlo draws per (l, p) population, one stream shared by all its points "
+                             "and times (0 disables sampling; default 10000)")
     parser.add_argument("--seed", type=int, default=12345, help="base seed (default 12345)")
     parser.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     parser.add_argument("--mode", choices=[AS_STATED, SIGN_CORRECTED, "both"], default="both",

@@ -6,23 +6,28 @@ Determinism contract: the sample index space is split into fixed-size blocks;
 block i draws from an independent substream derived from (seed, i), and the
 blocks' defect counts are merged with integer counts into one histogram, the
 distinct values drawn and their multiplicities.  Results are therefore
-bit-identical for any worker count and across runs.
+bit-identical for any worker count and across runs.  The sampling contract
+(samples, seed, workers, l < 2**63) is stated here once, one message per
+fault, for these estimators and report's analyze and sweep alike.
 
 The defect count depends on the population (l, p) alone, so a report draws
-one stream per population, once, and keeps it as its histogram: every point
-and every t of that population count X < c in it for each cutoff c and sum
-the SDP reliability over its distinct values; that mean, which depends on
-the residual hazard and t but not on the manual hazard, is computed once per
-(residual, t) and kept with the histogram.  The hazard and reliability tails
-and the reliability mean of all those points come from the same draws, so
-their checks are not independent.  The tail intervals are Wilson score
-intervals; the mean's is an empirical Bernstein bound, which stays valid for
-a bounded variable whose mean sits in a tail the draws rarely reach.
+one stream per population, once, at derive_population_seed of the base seed,
+l and p, and keeps it as its histogram: every point and every t of that
+population count X < c in it for each cutoff c and sum the SDP reliability
+over its distinct values; that mean, which depends on the residual hazard
+and t but not on the manual hazard, is computed once per (residual, t) and
+kept with the histogram.  The hazard and reliability tails and the
+reliability mean of all those points come from the same draws, so their
+checks are not independent.  The tail intervals are Wilson score intervals;
+the mean's is an empirical Bernstein bound, which stays valid for a bounded
+variable whose mean sits in a tail the draws rarely reach.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -41,6 +46,7 @@ __all__ = [
     "VERDICT_VIOLATED",
     "VERDICT_EXACT_ZERO",
     "wilson_interval",
+    "derive_population_seed",
     "estimate_tail_probability",
     "estimate_expected_reliability",
     "estimate_reliability_exceedance",
@@ -110,23 +116,34 @@ def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
     return low, high
 
 
-def _require_seed(seed: int) -> None:
+def _require_sampling(samples: int, seed: int, workers: int = 1, l: int = 0) -> None:
+    """The sampling contract: samples 0 (off) or >= 1000, a seed in [0, 2**64), workers >= 1, l < 2**63."""
+    if samples and samples < 1000:
+        raise ValueError(f"samples must be 0 (disabled) or >= 1000, got {samples}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
-
-
-def _require_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if l >= 2**63:  # numpy draws l as a C long
+        raise ValueError(f"l must be < 2**63 when sampling, got {l}")
 
 
 def _validate_sampling_args(pop: FailurePopulation, n: int, seed: int, workers: int) -> None:
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
-    if pop.l >= 2**63:  # numpy draws l as a C long
-        raise ValueError(f"l must be < 2**63 when sampling, got {pop.l}")
-    _require_seed(seed)
-    _require_workers(workers)
+    _require_sampling(n, seed, workers, pop.l)
+
+
+def derive_population_seed(base_seed: int, l: int, p: float) -> int:
+    """Content-addressed seed of the (l, p) population's draws: position-independent and stable.
+
+    ``base_seed`` must lie in [0, 2**64) and ``l`` below 2**63; distinct base
+    seeds give distinct payloads, so no two of them share a substream by
+    construction.
+    """
+    _require_sampling(0, base_seed, l=l)
+    digest = hashlib.sha256(struct.pack("<Qqd", base_seed, l, p)).digest()
+    return int.from_bytes(digest[:8], "little")
 
 
 def _block_sizes(n: int) -> List[int]:
@@ -201,6 +218,13 @@ def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     counts = np.zeros(len(values), dtype=np.int64)
     np.add.at(counts, where, np.concatenate([b[1] for b in blocks]))
     return _Draws(values, counts, n, seed)
+
+
+def _population_draws(pop: FailurePopulation, samples: int, seed: int, workers: int) -> Optional[_Draws]:
+    """The draws of the population's stream at its seed derived from ``seed``, or None with sampling off."""
+    if not samples:
+        return None
+    return _draw(pop, samples, derive_population_seed(seed, pop.l, pop.p), workers)
 
 
 def _mean_estimate(r: np.ndarray, draws: _Draws, bound: float) -> MonteCarloEstimate:

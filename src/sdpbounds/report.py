@@ -4,26 +4,20 @@ forms.
 
 Reports are plain dicts with a fixed key order so the JSON serialization is
 byte-stable; numeric fields round-trip bit-exactly through the shortest-
-round-trip float representation.  Monte Carlo draws depend only on the
-defect-count population (l, p): its seed is derived from the base seed and
-those two values (not a position), and its one stream is shared by every
-point and every t of that population, so any sweep point is independently
-recomputable by a single-point analysis.  The reliability mean depends on
-(l, p, K_hat, m_hat, t) alone, so it is computed once per population and
-(K_hat, m_hat, t) and every point of them reports that one estimate.  The MC
-checks of one population's points are therefore not independent: an unlucky
-stream shows at all of them.
+round-trip float representation.  Sampling follows montecarlo's contract and
+draws: each population (l, p) has one stream, at the seed
+montecarlo.derive_population_seed gives for the base seed, l and p (not a
+position), shared by every point and t of it, so any sweep point is
+independently recomputable by a single-point analysis.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import itertools
 import json
 import math
-import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -47,8 +41,8 @@ from .hazards import (
     weibull_hazard,
     weibull_reliability,
 )
-from .montecarlo import (AuditVerdict, MonteCarloEstimate, _draw, _Draws, _require_seed, _require_workers,
-                         audit_bound)
+from .montecarlo import (AuditVerdict, MonteCarloEstimate, _Draws, _population_draws, _require_sampling,
+                         audit_bound, derive_population_seed)
 
 __all__ = [
     "SweepGrid",
@@ -115,35 +109,6 @@ class SweepGrid:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
-
-
-def _require_sampling(samples: int, seed: int, workers: int = 1) -> None:
-    """The sampling contract of a run: samples 0 or >= 1000, a 64-bit seed, workers >= 1."""
-    if samples and samples < 1000:
-        raise ValueError(f"samples must be 0 (disabled) or >= 1000, got {samples}")
-    _require_seed(seed)
-    _require_workers(workers)
-
-
-def derive_population_seed(base_seed: int, l: int, p: float) -> int:
-    """Content-addressed seed of the (l, p) population's draws: position-independent and stable.
-
-    ``base_seed`` must lie in [0, 2**64) and ``l`` below 2**63; distinct base
-    seeds give distinct payloads, so no two of them share a substream by
-    construction.
-    """
-    _require_seed(base_seed)
-    if l >= 2**63:
-        raise ValueError(f"l must be < 2**63 when sampling, got {l}")
-    digest = hashlib.sha256(struct.pack("<Qqd", base_seed, l, p)).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-def _population_draws(l: int, p: float, samples: int, seed: int, workers: int) -> Optional[_Draws]:
-    """The seeded draws of the (l, p) population, or None with sampling off."""
-    if not samples:
-        return None
-    return _draw(FailurePopulation(l, p), samples, derive_population_seed(seed, l, p), workers)
 
 
 def _report_dict(report: BoundReport) -> Dict[str, object]:
@@ -239,7 +204,7 @@ def analyze(
     _require_sampling(samples, seed, workers)
     if not t_values:
         raise ValueError("at least one time point is required")
-    draws = _population_draws(l, p, samples, seed, workers)
+    draws = _population_draws(FailurePopulation(l, p), samples, seed, workers)
     points = [_point(l, p, k, m, k_hat, m_hat, t, modes, draws) for t in t_values]
     inputs = {"for_provenance": provenance or {"source": "literal"},
               "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values))))}
@@ -256,7 +221,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     point's domain error is raised with its coordinates in front (l and p
     alone for an error of the population's draws).
     """
-    _require_workers(workers)
+    _require_sampling(grid.samples, grid.seed, workers)
 
     def located(coord: Tuple, fn, *args):
         try:
@@ -267,7 +232,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
 
     points: List[Dict[str, object]] = []
     for (l, p), coords in itertools.groupby(itertools.product(*grid.axes), key=lambda coord: coord[:2]):
-        draws = located((l, p), _population_draws, l, p, grid.samples, grid.seed, workers)
+        draws = located((l, p), _population_draws, FailurePopulation(l, p), grid.samples, grid.seed, workers)
         points += [located(c, _point, *c, grid.modes, draws) for c in coords]
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sdpbounds.montecarlo as mc
+import sdpbounds.report
 from sdpbounds.bounds import (
     hazard_shortfall_bound,
     reference_chernoff_bound,
@@ -519,3 +520,61 @@ def test_l_at_or_above_2_63_with_sampling_is_rejected(capsys) -> None:
     for run in runs:
         with pytest.raises(ValueError, match="2\\*\\*63"):
             run()
+
+
+def test_population_seeds_are_pinned() -> None:
+    # Every Monte Carlo value of every report is drawn at these seeds: a change to their derivation shows here.
+    assert derive_population_seed(12345, 100, 0.1) == 2059918203918664797
+    assert derive_population_seed(0, 10, 0.01) == 5811070887516993662
+    assert derive_population_seed(2**64 - 1, 1000, 0.5) == 13482921620695766570
+
+
+def test_each_sampling_fault_has_one_message_at_every_entry_point(capsys) -> None:
+    assert sdpbounds.report.derive_population_seed is mc.derive_population_seed
+    axes = ((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,))
+    point = (10, 0.1, 1.0, 0.0, 1.0, 0.0, [1.0])
+    pop, huge_pop = FailurePopulation(10, 0.1), FailurePopulation(2**63, 0.1)
+    model, huge_model = (CombinedHazardModel(WeibullParams(1.0, 0.0), q) for q in (pop, huge_pop))
+    cli_args = ["--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1"]
+    faults = {
+        "samples must be 0 (disabled) or >= 1000, got 999": [
+            lambda: SweepGrid(*axes, samples=999),
+            lambda: analyze(*point, samples=999),
+        ],
+        f"seed must be >= 0 and < 2**64, got {2**64}": [
+            lambda: SweepGrid(*axes, seed=2**64),
+            lambda: analyze(*point, seed=2**64),
+            lambda: derive_population_seed(2**64, 10, 0.1),
+            lambda: estimate_tail_probability(pop, 1.0, 1000, seed=2**64),
+            lambda: estimate_expected_reliability(model, 1.0, 1000, seed=2**64),
+        ],
+        "workers must be >= 1, got 0": [
+            lambda: analyze(*point, workers=0),
+            lambda: sweep(SweepGrid(*axes), workers=0),
+            lambda: estimate_tail_probability(pop, 1.0, 1000, 1, workers=0),
+            lambda: estimate_expected_reliability(model, 1.0, 1000, 1, workers=0),
+        ],
+        f"l must be < 2**63 when sampling, got {2**63}": [
+            lambda: analyze(2**63, *point[1:], samples=1000),
+            lambda: derive_population_seed(1, 2**63, 0.1),
+            lambda: estimate_tail_probability(huge_pop, 1.0, 1000, 1),
+            lambda: estimate_expected_reliability(huge_model, 1.0, 1000, 1),
+        ],
+    }
+    for message, runs in faults.items():
+        for run in runs:
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == message
+    # A sweep puts the population in front of the same message, and the CLI prints it as its one error line.
+    with pytest.raises(ValueError) as info:
+        sweep(SweepGrid((2**63,), *axes[1:], samples=1000))
+    l_message = f"l={2**63}, p=0.1: l must be < 2**63 when sampling, got {2**63}"
+    assert str(info.value) == l_message
+    for flags, message in [(["--l", "10", "--seed", str(2**64)], f"seed must be >= 0 and < 2**64, got {2**64}"),
+                           (["--l", "10", "--workers", "0"], "workers must be >= 1, got 0")]:
+        for command in ("analyze", "sweep"):
+            assert main([command, *cli_args, *flags]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["sweep", *cli_args, "--l", str(2**63), "--samples", "1000"]) == 1
+    assert capsys.readouterr().err == f"error: {l_message}\n"
