@@ -13,7 +13,6 @@ independently recomputable by a single-point analysis.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -123,13 +122,11 @@ def _fields_dict(record: Union[AuditVerdict, MonteCarloEstimate, None]) -> Optio
     return None if record is None else dict(vars(record))
 
 
-def _point(l: int, p: float, k: float, m: float, k_hat: float, m_hat: float, t: float,
-           modes: Sequence[str], draws: Optional[_Draws]) -> Dict[str, object]:
+def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParams, t: float,
+           modes: Sequence[str], draws: Optional[_Draws], tails: Dict[float, float]) -> Dict[str, object]:
     """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling)."""
-    pop = FailurePopulation(l, p)
-    manual = WeibullParams(k, m)
-    residual = WeibullParams(k_hat, m_hat)
     model = CombinedHazardModel(residual, pop)
+    coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
 
     # The expectations are the means the bound reports substitute.
     manual_hazard = weibull_hazard(manual, t)
@@ -142,7 +139,7 @@ def _point(l: int, p: float, k: float, m: float, k_hat: float, m_hat: float, t: 
     reference_report = reference_chernoff_bound(pop, hazard_report.event_threshold)
 
     point: Dict[str, object] = {
-        **dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, t))),
+        **dict(zip(PARAM_NAMES, coord)),
         "expected_failures": reference_report.mu_used,
         "manual_hazard": manual_hazard,
         "expected_hazard": hazard_report.mu_used,
@@ -153,15 +150,17 @@ def _point(l: int, p: float, k: float, m: float, k_hat: float, m_hat: float, t: 
 
     # A point has at most two tail events, paired with the audits by position:
     # the reference audit shares the hazard cutoff and every mode shares the
-    # reliability cutoff.  Each distinct cutoff value gets one exact tail;
-    # with sampling on, every cutoff and the reliability mean read the
-    # population's draws.  The estimates stay positional, so each carries its
-    # own cutoff even where 0.0 == -0.0.
+    # reliability cutoff.  Each distinct cutoff value of the population gets
+    # one exact tail, kept in ``tails``; with sampling on, every cutoff and
+    # the reliability mean read the population's draws.  The estimates stay
+    # positional, so each carries its own cutoff even where 0.0 == -0.0.
     cutoffs = [hazard_report.event_threshold]
     if modes:
         cutoffs.append(reliability_reports[modes[0]].event_threshold)
-    oracle = {c: binomial_cdf_below(pop, c) for c in dict.fromkeys(cutoffs)}
-    exact_tails = [oracle[c] for c in cutoffs]
+    for c in cutoffs:
+        if c not in tails:
+            tails[c] = binomial_cdf_below(pop, c)
+    exact_tails = [tails[c] for c in cutoffs]
     tail_mc = [None if draws is None else draws.tail(c) for c in cutoffs]
 
     point["hazard_bound"] = _report_dict(hazard_report)
@@ -204,8 +203,10 @@ def analyze(
     _require_sampling(samples, seed, workers)
     if not t_values:
         raise ValueError("at least one time point is required")
-    draws = _population_draws(FailurePopulation(l, p), samples, seed, workers)
-    points = [_point(l, p, k, m, k_hat, m_hat, t, modes, draws) for t in t_values]
+    pop = FailurePopulation(l, p)
+    draws = _population_draws(pop, samples, seed, workers)
+    manual, residual, tails = WeibullParams(k, m), WeibullParams(k_hat, m_hat), {}
+    points = [_point(pop, manual, residual, t, modes, draws, tails) for t in t_values]
     inputs = {"for_provenance": provenance or {"source": "literal"},
               "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values))))}
     return _report("analyze", samples, seed, modes, inputs, points, {"audits": audit_summary(points)})
@@ -215,11 +216,12 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     """Cartesian-product evaluation with verdict tallies and monotonicity check.
 
     l and p are the outer axes, so each population's points are contiguous
-    in grid order: its draws are made once and shared by them, and ``workers``
-    threads draw their blocks.  Points are evaluated in grid order, and every
-    per-point record is reproducible by an analyze of that point alone.  A
-    point's domain error is raised with its coordinates in front (l and p
-    alone for an error of the population's draws).
+    in grid order: its draws and exact tails are made once and shared by them,
+    and ``workers`` threads draw their blocks.  Points are evaluated in grid
+    order, after every population is checked against the sampling contract,
+    and every per-point record is reproducible by an analyze of that point
+    alone.  A point's domain error is raised with its coordinates in front (l
+    and p alone for an error of the population's sampling or draws).
     """
     _require_sampling(grid.samples, grid.seed, workers)
 
@@ -230,10 +232,18 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
             where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
             raise ValueError(f"{where}: {exc}") from exc
 
+    populations = list(itertools.product(grid.l_values, grid.p_values))
+    for l, p in populations if grid.samples else ():
+        located((l, p), _require_sampling, grid.samples, grid.seed, workers, l)
+    manuals = [WeibullParams(k, m) for k, m in itertools.product(grid.k_values, grid.m_values)]
+    residuals = [WeibullParams(k, m) for k, m in itertools.product(grid.k_hat_values, grid.m_hat_values)]
     points: List[Dict[str, object]] = []
-    for (l, p), coords in itertools.groupby(itertools.product(*grid.axes), key=lambda coord: coord[:2]):
-        draws = located((l, p), _population_draws, FailurePopulation(l, p), grid.samples, grid.seed, workers)
-        points += [located(c, _point, *c, grid.modes, draws) for c in coords]
+    for l, p in populations:
+        pop, tails = FailurePopulation(l, p), {}
+        draws = located((l, p), _population_draws, pop, grid.samples, grid.seed, workers)
+        for manual, residual, t in itertools.product(manuals, residuals, grid.t_values):
+            coord = (l, p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
+            points.append(located(coord, _point, pop, manual, residual, t, grid.modes, draws, tails))
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}
     if len(grid.l_values) > 1:
@@ -354,10 +364,13 @@ def _flat_row(pt: Dict[str, object]) -> dict:
 
 
 def sweep_csv_text(points: Sequence[Dict[str, object]]) -> str:
-    """Flat CSV for sweep points; floats use shortest-round-trip text, and no points give ""."""
+    """Flat CSV for sweep points; floats use shortest-round-trip text, and no points give "".
+
+    A cell is a number, a fixed word or empty (None), so none is quoted; a non-zero float is formatted once."""
+    texts: Dict[float, str] = {}  # a zero is formatted in place (0.0 == -0.0), and only a float is looked up (2 == 2.0)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    rows = [_flat_row(pt) for pt in points]
-    writer.writerows(rows[:1])  # the header: a row's keys
-    writer.writerows(row.values() for row in rows)  # None is written as "", a float by its repr
+    buffer.writelines(",".join(_flat_row(pt)) + "\n" for pt in points[:1])  # the header: a row's keys
+    for pt in points:  # row by row, so no more than one row's cells are held
+        buffer.write(",".join([texts.get(v) or texts.setdefault(v, repr(v)) if type(v) is float and v
+                               else "" if v is None else str(v) for v in _flat_row(pt).values()]) + "\n")
     return buffer.getvalue()

@@ -23,6 +23,7 @@ import pytest
 
 import sdpbounds
 import sdpbounds.cli as cli
+import sdpbounds.report
 from sdpbounds.bounds import hazard_shortfall_bound, reference_chernoff_bound, reliability_excess_bound
 from sdpbounds.cli import main
 from sdpbounds.failures import FailurePopulation
@@ -373,6 +374,73 @@ def test_sweep_csv_layout_is_pinned(tmp_path, capsys) -> None:
         table = re.findall(r"^\| `\w+`[^|]*\| (.+) \|$", fh.read(), re.MULTILINE)
     plotted = {name for cell in table for name in re.findall(r"`(\w+)`", cell)}
     assert len(table) == 5 and plotted and plotted <= set(header.split(",")), plotted
+
+
+def _csv_writer_text(points) -> str:
+    """The sweep CSV as csv.writer writes it, the reference for the hand-joined rows."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    rows = [sdpbounds.report._flat_row(pt) for pt in points]
+    writer.writerows(rows[:1])
+    writer.writerows(row.values() for row in rows)
+    return buffer.getvalue()
+
+
+def test_sweep_csv_matches_csv_writer() -> None:
+    default = [tuple(values) for values in DEFAULT_AUDIT_AXES.values()]
+    grids = [SweepGrid(*default, samples=samples, seed=5, modes=modes)
+             for modes in (("as-stated", "sign-corrected"), ("as-stated",), ("sign-corrected",))
+             for samples in (0, 1000)]
+    grids.append(SweepGrid(*default, modes=()))
+    # Library grids: int axis values beside equal floats (K 2 and t 2.0), and a point whose
+    # hazard_log_bound is -0.0 beside 0.0 cells (l*p - K + 2*K_hat = 0).
+    grids.append(SweepGrid((10, 100), (0.1,), (2, 0.5), (0, 1), (1, 2.0), (0,), (2.0, 1)))
+    grids.append(SweepGrid((10,), (0.1,), (3.0,), (0.0,), (1.0,), (0.0,), (1.0,)))
+    texts = []
+    for grid in grids:
+        points = sweep(grid)["points"]
+        texts.append(sweep_csv_text(points))
+        assert texts[-1] == _csv_writer_text(points), grid
+        lines = texts[-1].splitlines()
+        assert len(lines) == len(points) + 1 and '"' not in texts[-1], grid
+        assert [line.split(",") for line in lines] == list(csv.reader(lines)), grid
+    _, *int_rows = texts[-2].splitlines()
+    assert {tuple(row.split(",")[2:7:4]) for row in int_rows} == {("2", "2.0"), ("2", "1"), ("0.5", "2.0"), ("0.5", "1")}
+    header, row = texts[-1].splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    assert record["hazard_log_bound"] == "-0.0" and record["m"] == record["hazard_delta"] == "0.0", record
+    assert sweep_csv_text([]) == ""
+
+
+def test_sweep_computes_each_exact_tail_once(monkeypatch) -> None:
+    # The oracle runs once per distinct (population, cutoff) of the default grid, not once per point.
+    calls = Counter()
+    oracle = sdpbounds.report.binomial_cdf_below
+    monkeypatch.setattr(sdpbounds.report, "binomial_cdf_below",
+                        lambda pop, c: calls.update([(pop.l, pop.p, c)]) or oracle(pop, c))
+    points = sweep(SweepGrid(*[tuple(values) for values in DEFAULT_AUDIT_AXES.values()]))["points"]
+    distinct = {(pt["l"], pt["p"], pt[name]["event_threshold"]) for pt in points
+                for name in ("hazard_bound", "reference_bound")}
+    distinct |= {(pt["l"], pt["p"], record["bound"]["event_threshold"]) for pt in points
+                 for record in pt["reliability_bound"].values()}
+    assert sum(calls.values()) == len(calls) == len(distinct) == 990
+
+
+def test_sweep_checks_each_population_sampling_contract_first(monkeypatch, capsys) -> None:
+    # An l of 2**63 cannot be sampled; the sweep fails before its first point, wherever that l stands.
+    evaluated = []
+    point = sdpbounds.report._point
+    monkeypatch.setattr(sdpbounds.report, "_point", lambda *args: evaluated.append(args) or point(*args))
+    axes = [arg for name, values in DEFAULT_AUDIT_AXES.items() if name != "l"
+            for arg in ("--" + name.replace("_", "-"), ",".join(map(str, values)))]
+    errors = []
+    for l_values in ("10,100,1000,9223372036854775808", "9223372036854775808,10,100,1000"):
+        assert main(["sweep", "--l", l_values, *axes, "--samples", "10000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not evaluated
+        errors.append(err)
+    assert errors == ["error: l=9223372036854775808, p=0.01: l must be < 2**63 when sampling, "
+                      "got 9223372036854775808\n"] * 2
 
 
 # ---------------------------------------------------------------------------
