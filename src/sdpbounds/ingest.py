@@ -325,7 +325,7 @@ def parse_confusion(text: str) -> ConfusionCounts:
     """Parse a confusion matrix from a JSON object with fields fn, tn[, fp, tp]."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer, or nesting too deep
         raise ParseError(f"invalid confusion JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("confusion input must be a JSON object")

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
@@ -73,7 +73,7 @@ DEFAULT_AUDIT_AXES = {
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis value lists for a Cartesian sweep plus sampling configuration."""
+    """Sweep axes and sampling configuration; its checks build the populations and hazard pairs swept."""
 
     l_values: Tuple[int, ...]
     p_values: Tuple[float, ...]
@@ -85,6 +85,8 @@ class SweepGrid:
     samples: int = 0
     seed: int = 0
     modes: Tuple[str, ...] = MODES
+    _populations: Tuple[FailurePopulation, ...] = field(init=False, repr=False, compare=False)
+    _pairs: Tuple[Tuple[WeibullParams, WeibullParams], ...] = field(init=False, repr=False, compare=False)
 
     @property
     def axes(self) -> Tuple[Tuple, ...]:
@@ -96,18 +98,18 @@ class SweepGrid:
         for name, values in zip(PARAM_NAMES, self.axes):
             if not values:
                 raise ValueError(f"grid axis {name} is empty")
-        # The domain types own the value checks; every axis value meets them.
-        for l, p in itertools.product(self.l_values, self.p_values):
-            FailurePopulation(l, p)
-        for k, m in itertools.product([*self.k_values, *self.k_hat_values],
-                                      [*self.m_values, *self.m_hat_values]):
-            WeibullParams(k, m)
+        # The domain types own the value checks, and what they build is what a report evaluates.
+        populations = [FailurePopulation(l, p) for l, p in itertools.product(self.l_values, self.p_values)]
+        manuals = [WeibullParams(k, m) for k, m in itertools.product(self.k_values, self.m_values)]
+        residuals = [WeibullParams(k, m) for k, m in itertools.product(self.k_hat_values, self.m_hat_values)]
         for t in self.t_values:
             _require_positive_time(t)
         _require_sampling(self.samples, self.seed)
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        object.__setattr__(self, "_populations", tuple(populations))
+        object.__setattr__(self, "_pairs", tuple(itertools.product(manuals, residuals)))
 
 
 def _report_dict(report: BoundReport) -> Dict[str, object]:
@@ -199,14 +201,14 @@ def analyze(
     modes: Sequence[str] = MODES,
     provenance: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Full-pipeline run report over a list of time points, which share one population's draws."""
+    """Full-pipeline run report over times that share one population's draws; it checks every input first."""
     _require_sampling(samples, seed, workers)
     if not t_values:
         raise ValueError("at least one time point is required")
-    pop = FailurePopulation(l, p)
+    grid = SweepGrid((l,), (p,), (k,), (m,), (k_hat,), (m_hat,), tuple(t_values), samples, seed, tuple(modes))
+    (pop,), ((manual, residual),), tails = grid._populations, grid._pairs, {}
     draws = _population_draws(pop, samples, seed, workers)
-    manual, residual, tails = WeibullParams(k, m), WeibullParams(k_hat, m_hat), {}
-    points = [_point(pop, manual, residual, t, modes, draws, tails) for t in t_values]
+    points = [_point(pop, manual, residual, t, grid.modes, draws, tails) for t in grid.t_values]
     inputs = {"for_provenance": provenance or {"source": "literal"},
               "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values))))}
     return _report("analyze", samples, seed, modes, inputs, points, {"audits": audit_summary(points)})
@@ -232,17 +234,14 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
             where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
             raise ValueError(f"{where}: {exc}") from exc
 
-    populations = list(itertools.product(grid.l_values, grid.p_values))
-    for l, p in populations if grid.samples else ():
-        located((l, p), _require_sampling, grid.samples, grid.seed, workers, l)
-    manuals = [WeibullParams(k, m) for k, m in itertools.product(grid.k_values, grid.m_values)]
-    residuals = [WeibullParams(k, m) for k, m in itertools.product(grid.k_hat_values, grid.m_hat_values)]
+    for pop in grid._populations if grid.samples else ():
+        located((pop.l, pop.p), _require_sampling, grid.samples, grid.seed, workers, pop.l)
     points: List[Dict[str, object]] = []
-    for l, p in populations:
-        pop, tails = FailurePopulation(l, p), {}
-        draws = located((l, p), _population_draws, pop, grid.samples, grid.seed, workers)
-        for manual, residual, t in itertools.product(manuals, residuals, grid.t_values):
-            coord = (l, p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
+    for pop in grid._populations:
+        tails: Dict[float, float] = {}
+        draws = located((pop.l, pop.p), _population_draws, pop, grid.samples, grid.seed, workers)
+        for (manual, residual), t in itertools.product(grid._pairs, grid.t_values):
+            coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
             points.append(located(coord, _point, pop, manual, residual, t, grid.modes, draws, tails))
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -171,6 +172,20 @@ def test_parse_confusion_json() -> None:
         parse_confusion('{"fn": -1, "tn": 2}')
     with pytest.raises(ParseError):
         parse_confusion('{"fn": 1.5, "tn": 2}')
+
+
+@pytest.mark.parametrize("fault", ["nesting", "digits"])
+def test_parse_confusion_json_that_cannot_be_built_is_a_parse_error(fault) -> None:
+    # json.loads raises RecursionError on deep nesting and ValueError past the int-to-str digit limit.
+    if fault == "nesting":
+        text = '{"fn": ' + "[" * 100_000 + "]" * 100_000 + ', "tn": 45}'
+    else:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python converts integers of any length")
+        text = '{"fn": 1' + "0" * limit + ', "tn": 45}'
+    with pytest.raises(ParseError, match="^invalid confusion JSON: "):
+        parse_confusion(text)
 
 
 def test_file_loaders(tmp_path) -> None:

@@ -89,6 +89,7 @@ def test_library_input_checks_name_what_they_reject() -> None:
         (lambda: reliability_by_integration(lambda t: 1.0, 1.0, tolerance=0.0), "tolerance must be > 0, got 0.0"),
         (lambda: SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,), modes=("bogus",)),
          "unknown mode 'bogus'"),
+        (lambda: analyze(10, 0.1, 1.0, 0.0, 1.0, 0.0, [1.0], modes=("bogus",)), "unknown mode 'bogus'"),
         (lambda: wilson_interval(0, 0), "n must be positive"),
         (lambda: MonteCarloEstimate(0.5, 0.1, 0.6, 0.7, 1000, 0), "interval [0.6, 0.7] does not contain estimate 0.5"),
         (lambda: MonteCarloEstimate(0.5, -1.0, 0.4, 0.6, 1000, 0), "std_error must be >= 0, got -1.0"),
@@ -520,6 +521,28 @@ def test_l_at_or_above_2_63_with_sampling_is_rejected(capsys) -> None:
     for run in runs:
         with pytest.raises(ValueError, match="2\\*\\*63"):
             run()
+
+
+def test_analyze_checks_every_input_before_it_draws(monkeypatch) -> None:
+    # Each fault is found before the population's 10**6 draws, with the message of the check that owns it.
+    drawn = []
+    draw_block = mc._draw_block
+    monkeypatch.setattr(mc, "_draw_block", lambda *args: drawn.append(args) or draw_block(*args))
+    point = dict(l=100, p=0.1, k=2.0, m=0.5, k_hat=1.0, m_hat=0.5, t_values=[1.0, 4.0])
+    faults = [
+        (dict(k=-2.0), "scale_k must be finite and > 0, got -2.0"),
+        (dict(m=-1.0), "shape_m must be finite and > -1, got -1.0"),
+        (dict(k_hat=math.inf), "scale_k must be finite and > 0, got inf"),
+        (dict(m_hat=math.nan), "shape_m must be finite and > -1, got nan"),
+        (dict(t_values=[1.0, -1.0]), "time t must be finite and > 0 for hazard evaluation, got -1.0"),
+        (dict(modes=("bogus",)), "unknown mode 'bogus'"),
+    ]
+    for change, message in faults:
+        with pytest.raises(ValueError) as info:
+            analyze(**{**point, **change}, samples=10**6, seed=1)
+        assert str(info.value) == message and not drawn, change
+    analyze(**point, samples=1000, seed=1)
+    assert len(drawn) == 1  # the counter does see a valid input's draws
 
 
 def test_population_seeds_are_pinned() -> None:

@@ -426,6 +426,16 @@ def test_sweep_computes_each_exact_tail_once(monkeypatch) -> None:
     assert sum(calls.values()) == len(calls) == len(distinct) == 990
 
 
+def test_sweep_builds_each_population_and_hazard_pair_once(monkeypatch) -> None:
+    # The grid's checks build the 9 populations and the 6 + 6 hazard parameter sets that the sweep evaluates.
+    built = Counter()
+    for name in ("FailurePopulation", "WeibullParams"):
+        cls = getattr(sdpbounds.report, name)
+        monkeypatch.setattr(sdpbounds.report, name, lambda *args, cls=cls: built.update([cls.__name__]) or cls(*args))
+    points = sweep(SweepGrid(*[tuple(values) for values in DEFAULT_AUDIT_AXES.values()]))["points"]
+    assert len(points) == 972 and built == {"FailurePopulation": 9, "WeibullParams": 12}
+
+
 def test_sweep_checks_each_population_sampling_contract_first(monkeypatch, capsys) -> None:
     # An l of 2**63 cannot be sampled; the sweep fails before its first point, wherever that l stands.
     evaluated = []
@@ -483,6 +493,22 @@ def test_cli_for_parse_error_exit_2(tmp_path, capsys) -> None:
     assert main(["for", "--records", str(bad)]) == 2
     assert "row 1" in capsys.readouterr().err
     assert main(["for", "--records", str(tmp_path / "missing.csv")]) == 2
+
+
+def test_cli_confusion_json_that_cannot_be_built_is_exit_2(tmp_path, capsys) -> None:
+    # A 10 KB file nested 5,000 deep and an fn one digit over the int-to-str limit are malformed input files.
+    shape = ["--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", "1", "--samples", "0"]
+    files = {"deep.json": '{"fn": ' + "[" * 5000 + "]" * 5000 + ', "tn": 45}'}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # 0: this Python converts integers of any length
+        files["long.json"] = '{"fn": 1' + "0" * limit + ', "tn": 45}'
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        for argv in (["for", "--confusion", str(path)], ["analyze", "--confusion", str(path), *shape]):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (argv, err[:200])
 
 
 def test_cli_unreadable_input_path_is_exit_2(tmp_path, capsys) -> None:
