@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .failures import FailurePopulation
 from .hazards import (
@@ -96,8 +96,8 @@ def reliability_event_threshold(manual: WeibullParams, residual: WeibullParams, 
     return weibull_average_hazard(manual, t) - weibull_average_hazard(residual, t)
 
 
-def _domain_flags(threshold: float, mu: float, log_bound: float) -> frozenset:
-    """Validity flags from the cutoff/mean geometry.
+def _domain_flags(threshold: float, mu: float, log_bound: float) -> List[str]:
+    """Validity flags from the cutoff/mean geometry, in sorted order.
 
     delta = 1 - threshold/mu, so 0 < delta <= 1 is exactly 0 <= threshold < mu
     and the boundaries delta in {0, 1} are threshold in {mu, 0}.  The flags are
@@ -105,33 +105,58 @@ def _domain_flags(threshold: float, mu: float, log_bound: float) -> frozenset:
     exactly 1.0 when |threshold| is many orders below mu, which would
     misclassify impossible events as in-range.
     """
-    flags = set()
-    if 0.0 <= threshold < mu:
-        flags.add(FLAG_DELTA_IN_RANGE)
+    flags = []
     if threshold == 0.0 or threshold == mu:
-        flags.add(FLAG_DELTA_BOUNDARY)
-    if threshold > 0.0:
-        flags.add(FLAG_THRESHOLD_POSITIVE)
+        flags.append(FLAG_DELTA_BOUNDARY)
+    if 0.0 <= threshold < mu:
+        flags.append(FLAG_DELTA_IN_RANGE)
     if threshold < mu:
-        flags.add(FLAG_THRESHOLD_BELOW_MU)
+        flags.append(FLAG_THRESHOLD_BELOW_MU)
+    if threshold > 0.0:
+        flags.append(FLAG_THRESHOLD_POSITIVE)
     if log_bound >= 0.0:
-        flags.add(FLAG_VACUOUS)
-    return frozenset(flags)
+        flags.append(FLAG_VACUOUS)
+    return flags
 
 
-def _bound_report(threshold: float, mu: float, log_bound: float,
-                  delta: Optional[float] = None, notes: Tuple[str, ...] = ()) -> BoundReport:
-    """The report on Pr[X < threshold] with mean mu; delta defaults to 1 - threshold/mu."""
-    return BoundReport(
-        event_threshold=threshold,
-        delta=1.0 - threshold / mu if delta is None else delta,
-        mu_used=mu,
-        log_bound=log_bound,
-        bound=math.exp(log_bound),
-        domain_flags=_domain_flags(threshold, mu, log_bound),
-        exact_probability=0.0 if threshold <= 0.0 else None,
-        notes=notes,
-    )
+def _fields(threshold: float, mu: float, log_bound: Optional[float] = None,
+            delta: Optional[float] = None, notes: Tuple[str, ...] = ()) -> Dict[str, object]:
+    """The BoundReport fields of the bound on Pr[X < threshold] with mean mu, flags and notes as lists.
+
+    delta defaults to 1 - threshold/mu, and log_bound to the textbook
+    exponent -mu*delta**2/2 (0 where threshold >= mu: with the bulk of the
+    distribution inside the event only the trivial bound holds).
+    """
+    if delta is None:
+        delta = 1.0 - threshold / mu
+    if log_bound is None:
+        log_bound = 0.0 if threshold >= mu else -mu * delta * delta / 2.0
+    return {
+        "event_threshold": threshold,
+        "delta": delta,
+        "mu_used": mu,
+        "log_bound": log_bound,
+        "bound": math.exp(log_bound),
+        "domain_flags": _domain_flags(threshold, mu, log_bound),
+        "exact_probability": 0.0 if threshold <= 0.0 else None,
+        "notes": list(notes),
+    }
+
+
+def _bound_report(fields: Dict[str, object]) -> BoundReport:
+    return BoundReport(**{**fields, "domain_flags": frozenset(fields["domain_flags"]), "notes": tuple(fields["notes"])})
+
+
+def _hazard_fields(lp: float, manual_hazard: float, residual_hazard: float, t: float) -> Dict[str, object]:
+    """hazard_shortfall_bound's fields from l*p and the two hazards at t."""
+    mu = residual_hazard + lp
+    two_mu = 2.0 * mu
+    if two_mu == math.inf:
+        raise ValueError(f"hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t={t}")
+    numerator = lp - manual_hazard + 2.0 * residual_hazard
+    square = numerator * numerator  # can overflow where -(numerator / (2*mu)) * numerator is finite
+    log_bound = -square / two_mu if square < math.inf else -(numerator / two_mu) * numerator
+    return _fields(manual_hazard - residual_hazard, mu, log_bound)
 
 
 def hazard_shortfall_bound(
@@ -148,16 +173,22 @@ def hazard_shortfall_bound(
     where the closed form would read inf/inf, is reported as a domain error.
     """
     residual_hazard = weibull_hazard(residual, t)
-    manual_hazard = weibull_hazard(manual, t)
-    lp = pop.l * pop.p
-    mu = residual_hazard + lp
-    if 2.0 * mu == math.inf:
-        raise ValueError(f"hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t={t}")
-    threshold = manual_hazard - residual_hazard
-    numerator = lp - manual_hazard + 2.0 * residual_hazard
-    square = numerator * numerator  # can overflow where -(numerator / (2*mu)) * numerator is finite
-    log_bound = -square / (2.0 * mu) if square < math.inf else -(numerator / (2.0 * mu)) * numerator
-    return _bound_report(threshold, mu, log_bound)
+    return _bound_report(_hazard_fields(pop.l * pop.p, weibull_hazard(manual, t), residual_hazard, t))
+
+
+def _reliability_fields(threshold: float, mu: float, mode: str) -> Dict[str, object]:
+    """reliability_excess_bound's fields from the reliability cutoff and the mode's proxy mu."""
+    notes = (
+        f"expectation proxy mode: {mode}",
+        "count-scale cutoff compared against a reliability-scale mean",
+    )
+    if mu > 0.0:
+        log_bound = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)
+        return _fields(threshold, mu, log_bound, notes=notes)
+    # exp underflow: proxy rounded to 0; the limit of the formula applies.
+    delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)
+    log_bound = -0.0 if threshold == 0.0 else -math.inf
+    return _fields(threshold, mu, log_bound, delta, notes + ("expectation proxy underflowed double precision",))
 
 
 def reliability_excess_bound(
@@ -180,19 +211,7 @@ def reliability_excess_bound(
     """
     threshold = reliability_event_threshold(manual, residual, t)
     mu = expected_sdp_reliability_bound(CombinedHazardModel(residual, pop), t, mode)
-
-    notes = (
-        f"expectation proxy mode: {mode}",
-        "count-scale cutoff compared against a reliability-scale mean",
-    )
-    if mu > 0.0:
-        log_bound = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)
-        return _bound_report(threshold, mu, log_bound, notes=notes)
-    # exp underflow: proxy rounded to 0; the limit of the formula applies.
-    delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)
-    log_bound = -0.0 if threshold == 0.0 else -math.inf
-    return _bound_report(threshold, mu, log_bound, delta,
-                         notes + ("expectation proxy underflowed double precision",))
+    return _bound_report(_reliability_fields(threshold, mu, mode))
 
 
 def reference_chernoff_bound(pop: FailurePopulation, threshold: float) -> BoundReport:
@@ -202,8 +221,4 @@ def reference_chernoff_bound(pop: FailurePopulation, threshold: float) -> BoundR
     whenever 0 < threshold < l*p, so the exact tail probability must never
     exceed it inside that domain.
     """
-    mu = pop.l * pop.p
-    delta = 1.0 - threshold / mu
-    # With the bulk of the distribution inside the event only the trivial bound holds.
-    log_bound = 0.0 if threshold >= mu else -mu * delta * delta / 2.0
-    return _bound_report(threshold, mu, log_bound, delta)
+    return _bound_report(_fields(threshold, pop.l * pop.p))

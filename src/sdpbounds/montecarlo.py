@@ -174,7 +174,8 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
 class _Draws:
     """A seed's n draws as a histogram: distinct defect counts, ascending, and their multiplicities.
 
-    ``means`` keeps the reliability-mean estimate of each (model, t) computed from them.
+    ``means`` keeps the reliability-mean estimate of each (model, t) computed from them, and
+    ``tails`` the tail estimate of each cutoff > 0.
     """
 
     values: np.ndarray
@@ -182,18 +183,26 @@ class _Draws:
     n: int
     seed: int
     means: Dict[Tuple[CombinedHazardModel, float], MonteCarloEstimate] = field(default_factory=dict)
+    tails: Dict[float, MonteCarloEstimate] = field(default_factory=dict)
 
     def tail(self, threshold: float) -> MonteCarloEstimate:
-        """Hit rate of X < threshold with its Wilson interval; a cutoff <= 0 is the impossible event."""
+        """Hit rate of X < threshold with its Wilson interval; a cutoff <= 0 is the impossible event.
+
+        Only a cutoff > 0 is kept: each other estimate carries its own cutoff (-0.0 too), and NaN is never hit.
+        """
         n, seed = self.n, self.seed
         if threshold <= 0.0:
             return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
-        # A NaN cutoff is live: it is counted and never hit.
-        count = int(np.sum(self.counts[self.values < threshold]))
-        p_hat = count / n
-        ci_low, ci_high = wilson_interval(count, n)
-        std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-        return MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
+        estimate = self.tails.get(threshold)
+        if estimate is None:
+            count = int(np.sum(self.counts[self.values < threshold]))
+            p_hat = count / n
+            ci_low, ci_high = wilson_interval(count, n)
+            std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
+            estimate = MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
+            if threshold > 0.0:
+                self.tails[threshold] = estimate
+        return estimate
 
     def mean(self, model: CombinedHazardModel, t: float) -> MonteCarloEstimate:
         """The mean SDP reliability of the model at t over the draws.
@@ -328,6 +337,18 @@ def tail_event_indicators(
     return np.concatenate(_map_blocks(n, 1, lambda i, size: _draw_block(pop, seed, i, size) < threshold))
 
 
+def _audit_fields(threshold: float, bound: float, exact: float) -> Dict[str, object]:
+    """audit_bound's AuditVerdict fields for a bound on Pr[X < threshold]."""
+    value = float(exact)
+    if threshold <= 0.0:
+        if value != 0.0:
+            raise ValueError(f"event mismatch: cutoff {threshold} makes the event "
+                             f"impossible but the exact probability is {value}")
+        return {"verdict": VERDICT_EXACT_ZERO, "bound_value": bound, "empirical_value": 0.0, "margin": bound}
+    verdict = VERDICT_VIOLATED if value > bound else VERDICT_HOLDS
+    return {"verdict": verdict, "bound_value": bound, "empirical_value": value, "margin": bound - value}
+
+
 def audit_bound(report: BoundReport, exact: float) -> AuditVerdict:
     """Compare a bound report with the exact probability of its event.
 
@@ -335,14 +356,4 @@ def audit_bound(report: BoundReport, exact: float) -> AuditVerdict:
     exact-zero-event verdict; a nonzero probability for such an event means
     the inputs describe different events and raises.
     """
-    bound = report.bound
-    value = float(exact)
-    if report.event_threshold <= 0.0:
-        if value != 0.0:
-            raise ValueError(
-                f"event mismatch: cutoff {report.event_threshold} makes the event "
-                f"impossible but the exact probability is {value}"
-            )
-        return AuditVerdict(VERDICT_EXACT_ZERO, bound, 0.0, bound)
-    verdict = VERDICT_VIOLATED if value > bound else VERDICT_HOLDS
-    return AuditVerdict(verdict, bound, value, bound - value)
+    return AuditVerdict(**_audit_fields(report.event_threshold, report.bound, exact))

@@ -19,15 +19,10 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .bounds import (
-    BoundReport,
-    hazard_shortfall_bound,
-    reference_chernoff_bound,
-    reliability_excess_bound,
-)
+from .bounds import _fields, _hazard_fields, _reliability_fields, reliability_event_threshold
 from .failures import FailurePopulation, binomial_cdf_below
 from .hazards import (
     AS_STATED,
@@ -36,12 +31,13 @@ from .hazards import (
     CombinedHazardModel,
     WeibullParams,
     _require_positive_time,
+    expected_sdp_reliability_bound,
     expected_sdp_reliability_exact,
     weibull_hazard,
     weibull_reliability,
 )
-from .montecarlo import (AuditVerdict, MonteCarloEstimate, _Draws, _population_draws, _require_sampling,
-                         audit_bound, derive_population_seed)
+from .montecarlo import (MonteCarloEstimate, _audit_fields, _Draws, _population_draws, _require_sampling,
+                         derive_population_seed)
 
 __all__ = [
     "SweepGrid",
@@ -112,43 +108,27 @@ class SweepGrid:
         object.__setattr__(self, "_pairs", tuple(itertools.product(manuals, residuals)))
 
 
-def _report_dict(report: BoundReport) -> Dict[str, object]:
-    record = {**vars(report), "domain_flags": sorted(report.domain_flags), "notes": list(report.notes)}
-    for name in ("delta", "log_bound"):  # beyond double range: JSON has no such number
-        if not math.isfinite(record[name]):
-            record[name] = None
-    return record
-
-
-def _fields_dict(record: Union[AuditVerdict, MonteCarloEstimate, None]) -> Optional[Dict[str, object]]:
+def _fields_dict(record: Optional[MonteCarloEstimate]) -> Optional[Dict[str, object]]:
     return None if record is None else dict(vars(record))
 
 
 def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParams, t: float,
            modes: Sequence[str], draws: Optional[_Draws], tails: Dict[float, float]) -> Dict[str, object]:
-    """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling)."""
+    """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling).
+
+    Each quantity is computed once, in the order that decides which of
+    several domain errors a point raises first; its bound and audit records
+    hold the fields of the public functions' objects.
+    """
     model = CombinedHazardModel(residual, pop)
     coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
+    lp = pop.l * pop.p
 
-    # The expectations are the means the bound reports substitute.
+    # The expectations are the means the bounds substitute.
     manual_hazard = weibull_hazard(manual, t)
-    hazard_report = hazard_shortfall_bound(pop, manual, residual, t)
+    hazard = _hazard_fields(lp, manual_hazard, weibull_hazard(residual, t), t)
     manual_reliability = weibull_reliability(manual, t)
     reliability_exact = expected_sdp_reliability_exact(model, t)
-    reliability_reports = {
-        mode: reliability_excess_bound(pop, manual, residual, t, mode) for mode in modes
-    }
-    reference_report = reference_chernoff_bound(pop, hazard_report.event_threshold)
-
-    point: Dict[str, object] = {
-        **dict(zip(PARAM_NAMES, coord)),
-        "expected_failures": reference_report.mu_used,
-        "manual_hazard": manual_hazard,
-        "expected_hazard": hazard_report.mu_used,
-        "manual_reliability": manual_reliability,
-        "expected_reliability_exact": reliability_exact,
-        "expected_reliability_bound": {mode: r.mu_used for mode, r in reliability_reports.items()},
-    }
 
     # A point has at most two tail events, paired with the audits by position:
     # the reference audit shares the hazard cutoff and every mode shares the
@@ -156,32 +136,50 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     # one exact tail, kept in ``tails``; with sampling on, every cutoff and
     # the reliability mean read the population's draws.  The estimates stay
     # positional, so each carries its own cutoff even where 0.0 == -0.0.
-    cutoffs = [hazard_report.event_threshold]
+    cutoffs = [hazard["event_threshold"]]
     if modes:
-        cutoffs.append(reliability_reports[modes[0]].event_threshold)
+        cutoffs.append(reliability_event_threshold(manual, residual, t))
+    reliability = {mode: _reliability_fields(cutoffs[1], expected_sdp_reliability_bound(model, t, mode), mode)
+                   for mode in modes}
+    reference = _fields(cutoffs[0], lp)  # reference_chernoff_bound's fields
+    for record in (hazard, *reliability.values(), reference):
+        for name in ("delta", "log_bound"):  # beyond double range: JSON has no such number
+            if not math.isfinite(record[name]):
+                record[name] = None
+
+    point: Dict[str, object] = {
+        **dict(zip(PARAM_NAMES, coord)),
+        "expected_failures": lp,
+        "manual_hazard": manual_hazard,
+        "expected_hazard": hazard["mu_used"],
+        "manual_reliability": manual_reliability,
+        "expected_reliability_exact": reliability_exact,
+        "expected_reliability_bound": {mode: record["mu_used"] for mode, record in reliability.items()},
+    }
+
     for c in cutoffs:
         if c not in tails:
             tails[c] = binomial_cdf_below(pop, c)
     exact_tails = [tails[c] for c in cutoffs]
     tail_mc = [None if draws is None else draws.tail(c) for c in cutoffs]
 
-    point["hazard_bound"] = _report_dict(hazard_report)
+    point["hazard_bound"] = hazard
     point["hazard_exact_tail"] = exact_tails[0]
-    point["hazard_audit"] = _fields_dict(audit_bound(hazard_report, exact_tails[0]))
+    point["hazard_audit"] = _audit_fields(cutoffs[0], hazard["bound"], exact_tails[0])
     point["hazard_tail_mc"] = _fields_dict(tail_mc[0])
 
     point["reliability_bound"] = {
         mode: {
-            "bound": _report_dict(rel_report),
-            "audit": _fields_dict(audit_bound(rel_report, exact_tails[1])),
+            "bound": record,
+            "audit": _audit_fields(cutoffs[1], record["bound"], exact_tails[1]),
             "exceedance_mc": _fields_dict(tail_mc[1]),
         }
-        for mode, rel_report in reliability_reports.items()
+        for mode, record in reliability.items()
     }
     point["reliability_exact_tail"] = exact_tails[1] if modes else None
 
-    point["reference_bound"] = _report_dict(reference_report)
-    point["reference_audit"] = _fields_dict(audit_bound(reference_report, exact_tails[0]))
+    point["reference_bound"] = reference
+    point["reference_audit"] = _audit_fields(cutoffs[0], reference["bound"], exact_tails[0])
 
     point["expected_reliability_mc"] = _fields_dict(None if draws is None else draws.mean(model, t))
     return point

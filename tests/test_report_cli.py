@@ -22,11 +22,14 @@ from collections import Counter
 import pytest
 
 import sdpbounds
+import sdpbounds.bounds
 import sdpbounds.cli as cli
+import sdpbounds.montecarlo
 import sdpbounds.report
 from sdpbounds.bounds import hazard_shortfall_bound, reference_chernoff_bound, reliability_excess_bound
+from sdpbounds.montecarlo import audit_bound
 from sdpbounds.cli import main
-from sdpbounds.failures import FailurePopulation
+from sdpbounds.failures import FailurePopulation, binomial_cdf_below
 from sdpbounds.hazards import CombinedHazardModel, WeibullParams, expected_sdp_reliability_bound, weibull_hazard
 from sdpbounds.report import (
     DEFAULT_AUDIT_AXES,
@@ -97,39 +100,52 @@ def test_analyze_point_identical_hazards_zero_event() -> None:
         assert record["audit"]["verdict"] == "exact-zero-event"
 
 
-def _bound_fields(report) -> dict:
-    return {
-        "event_threshold": report.event_threshold,
-        "delta": report.delta,
-        "mu_used": report.mu_used,
-        "log_bound": report.log_bound,
-        "bound": report.bound,
-        "domain_flags": sorted(report.domain_flags),
-        "exact_probability": report.exact_probability,
-        "notes": list(report.notes),
-    }
+def _report_dict(report) -> dict:
+    """The reference conversion of a BoundReport into a report record."""
+    record = {**vars(report), "domain_flags": sorted(report.domain_flags), "notes": list(report.notes)}
+    for name in ("delta", "log_bound"):
+        if not math.isfinite(record[name]):
+            record[name] = None
+    return record
 
 
-def test_report_matches_library_bit_for_bit_on_default_grid() -> None:
+def test_report_records_are_the_public_objects_fields() -> None:
+    # Every bound and audit record of a point is the converted result of the public function for it.
     def same(a, b) -> bool:
         # Floats print as their shortest round trip, so equal text is equal bits.
         return json.dumps(a) == json.dumps(b)
 
     axes = [DEFAULT_AUDIT_AXES[name] for name in ("l", "p", "K", "m", "K_hat", "m_hat", "t")]
-    for pt in sweep(SweepGrid(*axes, samples=0))["points"]:
+    # Both proxies underflow, with a reliability cutoff > 0, < 0 (an exact-zero audit) and == 0; then a hazard
+    # square that overflows, a hazard log_bound of -0.0, and identical hazards.
+    edges = [analyze_point(10_000, 0.5, k, 0.0, 1000.0, 0.0, 1.0) for k in (1e4, 1.0, 1000.0)]
+    edges += [analyze_point(17 * 10**307, 0.1, 1.0, 0.0, 1.0, 0.0, 1.0),
+              analyze_point(10, 0.1, 3.0, 0.0, 1.0, 0.0, 1.0), analyze_point(100, 0.1, 1.0, 0.5, 1.0, 0.5, 2.0)]
+    underflowed = [pt["reliability_bound"]["as-stated"] for pt in edges[:3]]
+    assert [record["bound"]["delta"] for record in underflowed] == [None, None, 1.0]
+    assert underflowed[1]["audit"]["verdict"] == "exact-zero-event"
+    assert repr(edges[4]["hazard_bound"]["log_bound"]) == "-0.0"
+    for pt in sweep(SweepGrid(*axes, samples=0))["points"] + edges:
         pop = FailurePopulation(pt["l"], pt["p"])
         manual, residual, t = WeibullParams(pt["K"], pt["m"]), WeibullParams(pt["K_hat"], pt["m_hat"]), pt["t"]
         hazard = hazard_shortfall_bound(pop, manual, residual, t)
+        reference = reference_chernoff_bound(pop, hazard.event_threshold)
+        exact = binomial_cdf_below(pop, hazard.event_threshold)
         assert same(pt["manual_hazard"], weibull_hazard(manual, t))
         assert same(pt["expected_hazard"], pt["l"] * pt["p"] + weibull_hazard(residual, t))
         assert same(pt["expected_failures"], pt["l"] * pt["p"])
-        assert same(pt["hazard_bound"], _bound_fields(hazard))
-        assert same(pt["reference_bound"], _bound_fields(reference_chernoff_bound(pop, hazard.event_threshold)))
+        assert same(pt["hazard_bound"], _report_dict(hazard))
+        assert same(pt["hazard_audit"], vars(audit_bound(hazard, exact)))
+        assert same(pt["reference_bound"], _report_dict(reference))
+        assert same(pt["reference_audit"], vars(audit_bound(reference, exact)))
         assert sorted(pt["reliability_bound"]) == ["as-stated", "sign-corrected"]
         for mode, record in pt["reliability_bound"].items():
             proxy = expected_sdp_reliability_bound(CombinedHazardModel(residual, pop), t, mode)
+            reliability = reliability_excess_bound(pop, manual, residual, t, mode)
             assert same(pt["expected_reliability_bound"][mode], proxy)
-            assert same(record["bound"], _bound_fields(reliability_excess_bound(pop, manual, residual, t, mode)))
+            assert same(record["bound"], _report_dict(reliability))
+            exact = binomial_cdf_below(pop, reliability.event_threshold)
+            assert same(record["audit"], vars(audit_bound(reliability, exact)))
 
 
 def test_analyze_report_shape_and_roundtrip(tmp_path) -> None:
@@ -426,14 +442,34 @@ def test_sweep_computes_each_exact_tail_once(monkeypatch) -> None:
     assert sum(calls.values()) == len(calls) == len(distinct) == 990
 
 
+def test_sweep_counts_each_monte_carlo_tail_once(monkeypatch) -> None:
+    # The draws of a population count each of its distinct cutoffs > 0 once; a cutoff <= 0 is never counted.
+    counted = Counter()
+    wilson = sdpbounds.montecarlo.wilson_interval
+    monkeypatch.setattr(sdpbounds.montecarlo, "wilson_interval", lambda k, n: counted.update([n]) or wilson(k, n))
+    grid = SweepGrid(*[tuple(values) for values in DEFAULT_AUDIT_AXES.values()], samples=1000, seed=4)
+    points = sweep(grid)["points"]
+    estimates = [(pt, pt["hazard_tail_mc"]) for pt in points]
+    estimates += [(pt, record["exceedance_mc"]) for pt in points for record in pt["reliability_bound"].values()]
+    distinct = {(pt["l"], pt["p"], mc["event_threshold"]) for pt, mc in estimates if mc["event_threshold"] > 0.0}
+    assert counted == {1000: len(distinct)} and len(distinct) == 558
+
+
 def test_sweep_builds_each_population_and_hazard_pair_once(monkeypatch) -> None:
     # The grid's checks build the 9 populations and the 6 + 6 hazard parameter sets that the sweep evaluates.
+    # Each point builds one hazard model, and its bound and audit records are built as dicts, not as the
+    # public BoundReport and AuditVerdict objects.
     built = Counter()
-    for name in ("FailurePopulation", "WeibullParams"):
-        cls = getattr(sdpbounds.report, name)
-        monkeypatch.setattr(sdpbounds.report, name, lambda *args, cls=cls: built.update([cls.__name__]) or cls(*args))
+    bindings = {sdpbounds.report: ("FailurePopulation", "WeibullParams", "CombinedHazardModel"),
+                sdpbounds.bounds: ("BoundReport", "CombinedHazardModel"),
+                sdpbounds.montecarlo: ("AuditVerdict", "CombinedHazardModel")}
+    for module, names in bindings.items():
+        for name in names:
+            cls = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, cls=cls, **kwargs: built.update([cls.__name__])
+                                or cls(*args, **kwargs))
     points = sweep(SweepGrid(*[tuple(values) for values in DEFAULT_AUDIT_AXES.values()]))["points"]
-    assert len(points) == 972 and built == {"FailurePopulation": 9, "WeibullParams": 12}
+    assert len(points) == 972 and built == {"FailurePopulation": 9, "WeibullParams": 12, "CombinedHazardModel": 972}
 
 
 def test_sweep_checks_each_population_sampling_contract_first(monkeypatch, capsys) -> None:
