@@ -9,9 +9,9 @@ exp(-mu*delta**2/2) for 0 < delta <= 1:
 * the reliability-comparison bound on Pr[SDP reliability > manual
   reliability], which substitutes the closed-form expected-reliability proxy.
 
-Both substitutions are evaluated verbatim, with domain-validity flags, so the
-auditor can compare them against exact tail probabilities.  The textbook
-application with mu = l*p is provided as an independently valid reference.
+Both substitutions are evaluated verbatim through one exponent rule, with
+domain-validity flags, so the auditor can compare them against exact tail
+probabilities; the textbook mu = l*p gives an independently valid reference.
 """
 
 from __future__ import annotations
@@ -147,16 +147,23 @@ def _bound_report(fields: Dict[str, object]) -> BoundReport:
     return BoundReport(**{**fields, "domain_flags": frozenset(fields["domain_flags"]), "notes": tuple(fields["notes"])})
 
 
+def _gap_exponent(gap: float, mu: float) -> float:
+    """-gap**2 / (2*mu) for mu > 0, the exponent of both comparison bounds: never positive, never raising.
+
+    Where gap**2 is not a normal, finite double or 2*mu is infinite, a quotient comes first, keeping full precision."""
+    square, two_mu = gap * gap, 2.0 * mu
+    if two_mu == math.inf:
+        return -(gap / mu) * (gap / 2.0)
+    return -square / two_mu if 2.0 ** -1022 <= square < math.inf else -(gap / two_mu) * gap
+
+
 def _hazard_fields(lp: float, manual_hazard: float, residual_hazard: float, t: float) -> Dict[str, object]:
     """hazard_shortfall_bound's fields from l*p and the two hazards at t."""
     mu = residual_hazard + lp
-    two_mu = 2.0 * mu
-    if two_mu == math.inf:
+    if 2.0 * mu == math.inf:
         raise ValueError(f"hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t={t}")
     numerator = lp - manual_hazard + 2.0 * residual_hazard
-    square = numerator * numerator  # can overflow where -(numerator / (2*mu)) * numerator is finite
-    log_bound = -square / two_mu if square < math.inf else -(numerator / two_mu) * numerator
-    return _fields(manual_hazard - residual_hazard, mu, log_bound)
+    return _fields(manual_hazard - residual_hazard, mu, _gap_exponent(numerator, mu))
 
 
 def hazard_shortfall_bound(
@@ -169,8 +176,8 @@ def hazard_shortfall_bound(
     fewer instantaneous hazards than the manually tested one at time t.
 
     With A = K_hat*t**m_hat, B = K*t**m and mu = A + l*p the closed form is
-    exp(-(l*p - B + 2*A)**2 / (2*(A + l*p))).  A 2*mu beyond double range,
-    where the closed form would read inf/inf, is reported as a domain error.
+    exp(-(l*p - B + 2*A)**2 / (2*mu)), by the exponent rule of both bounds.
+    A 2*mu beyond double range, which would read inf/inf, is a domain error.
     """
     residual_hazard = weibull_hazard(residual, t)
     return _bound_report(_hazard_fields(pop.l * pop.p, weibull_hazard(manual, t), residual_hazard, t))
@@ -183,8 +190,7 @@ def _reliability_fields(threshold: float, mu: float, mode: str) -> Dict[str, obj
         "count-scale cutoff compared against a reliability-scale mean",
     )
     if mu > 0.0:
-        log_bound = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)
-        return _fields(threshold, mu, log_bound, notes=notes)
+        return _fields(threshold, mu, _gap_exponent(mu - threshold, mu), notes=notes)
     # exp underflow: proxy rounded to 0; the limit of the formula applies.
     delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)
     log_bound = -0.0 if threshold == 0.0 else -math.inf
@@ -203,7 +209,7 @@ def reliability_excess_bound(
     The event rewrites to Pr[X < c] with c = K*t**m/(m+1) -
     K_hat*t**m_hat/(m_hat+1); the substituted mean is the closed-form
     expected-reliability proxy in the requested mode, and the simplified value
-    is exp(-(mu - c)**2 / (2*mu)).
+    is exp(-(mu - c)**2 / (2*mu)), by the exponent rule of both bounds.
 
     Note the scale mismatch recorded on the report: c is a defect-count cutoff
     while the proxy mu lives on the reliability scale.  The construction is

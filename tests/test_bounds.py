@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
 
+import mpmath
 import pytest
 
 from sdpbounds.bounds import (
@@ -17,6 +20,8 @@ from sdpbounds.bounds import (
     reference_chernoff_bound,
     reliability_event_threshold,
     reliability_excess_bound,
+    _hazard_fields,
+    _reliability_fields,
 )
 from sdpbounds.failures import FailurePopulation, binomial_cdf_below
 from sdpbounds.hazards import AS_STATED, SIGN_CORRECTED, WeibullParams
@@ -227,3 +232,45 @@ def test_hazard_bound_tighter_than_reference_can_be_violated() -> None:
     report = hazard_shortfall_bound(pop, manual, residual, 1.0)
     exact = binomial_cdf_below(pop, report.event_threshold)
     assert exact > report.bound
+
+
+def _exponent_misses(cases) -> list:
+    """The cases whose log_bound is positive or, where the 80-digit exponent -gap**2/(2*mu) lies in normal
+    double range, more than 1e-12 relative from it. Each case is (log_bound, gap, mu) with gap and mu exact."""
+    misses = []
+    with mpmath.workdps(80):
+        for log_bound, gap, mu in cases:
+            exponent = -gap * gap / (2 * mu)
+            in_range = sys.float_info.min <= -exponent <= sys.float_info.max
+            if not log_bound <= 0.0 or in_range and abs(log_bound - exponent) > 1e-12 * -exponent:
+                misses.append((log_bound, float(exponent)))
+    return misses
+
+
+def test_comparison_bound_exponents_match_mpmath() -> None:
+    # Both comparison bounds take one exponent rule. It never raises and never gives a positive log_bound,
+    # neither with the cutoff within ulps of the mean nor where gap**2 or 2*mu leaves double range.
+    rng = random.Random(11)
+    log_uniform = lambda low, high: math.exp(rng.uniform(math.log(low), math.log(high)))
+    pairs = [(6.785725020057171e+149, 6.7857250200571375e+149), (1.4035922178528375e+217,) * 2,
+             (1.7e308, 1.7e308 * (1 - 1e-9)), (1.7e308, 1e300), (1.7e308, -5e306), (1e-300, -1e-160)]
+    for i in range(20_000):
+        mu = log_uniform(1e-300, 1e308)
+        if i % 2:
+            pairs.append((mu, mu * (1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-17, 0))))
+        else:
+            pairs.append((mu, rng.choice((-1, 1)) * log_uniform(1e-300, 1e308)))
+    cases = [(_reliability_fields(c, mu, AS_STATED)["log_bound"], mpmath.mpf(mu) - mpmath.mpf(c), mpmath.mpf(mu))
+             for mu, c in pairs]
+    assert _exponent_misses(cases) == []
+    # The hazard's parts are integers times one power of two, so that its numerator l*p - K*t**m +
+    # 2*K_hat*t**m_hat is exact, however it cancels, and mpmath checks the exponent alone. The parts reach
+    # down to subnormals and up to where the square overflows but 2*mu does not.
+    cases = []
+    for _ in range(5_000):
+        scale = 2.0 ** rng.randint(-1074, 968)
+        lp, residual = rng.randint(1, 2**50), rng.randint(0, 2**50)
+        manual = max(0, lp + 2 * residual + rng.randint(-3, 3)) if rng.random() < 0.5 else rng.randint(0, 2**52)
+        log_bound = _hazard_fields(lp * scale, manual * scale, residual * scale, 1.0)["log_bound"]
+        cases.append((log_bound, mpmath.mpf(lp - manual + 2 * residual) * scale, mpmath.mpf(lp + residual) * scale))
+    assert _exponent_misses(cases) == []

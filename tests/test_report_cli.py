@@ -19,6 +19,7 @@ import sys
 import time
 from collections import Counter
 
+import mpmath
 import pytest
 
 import sdpbounds
@@ -767,11 +768,12 @@ def _draw_argv(rng: random.Random, choices: dict, edge_share: float) -> list:
     return argv + [f"--out={rng.choice(choices['--out'])}"] * edge()
 
 
-def _check_contract(runs, capsys) -> Counter:
+def _check_contract(runs, capsys, reports=None) -> Counter:
     # Each argv is one argparse accepts. A run ends in a report (exit 0, exit 3 under --strict, or for's exit 1
     # with "verdict: violated") with at most the count of violated audits on stderr, or in one "error: " line
     # on stderr, with nothing on stdout and no --out file. A report's stdout is the report alone (sweep's a CSV),
-    # or with --out the line naming the file and the audit summary. Returns the count of each end.
+    # or with --out the line naming the file and the audit summary. Returns the count of each end, and appends
+    # each JSON report to reports when given.
     ends = Counter()
     for argv in runs:
         out_path = next((token[len("--out="):] for token in argv if token.startswith("--out=")), None)
@@ -801,11 +803,13 @@ def _check_contract(runs, capsys) -> Counter:
         else:
             continue
         ends["JSON", argv[0], code] += 1
+        if reports is not None:
+            reports.append(report)
         for pt in report["points"]:
             bounds = [pt["hazard_bound"], pt["reference_bound"]]
             for bound in bounds + [record["bound"] for record in pt["reliability_bound"].values()]:
                 if bound["log_bound"] is not None:
-                    assert bound["bound"] == math.exp(bound["log_bound"]), argv
+                    assert bound["log_bound"] <= 0.0 and bound["bound"] == math.exp(bound["log_bound"]), argv
             for tail in (pt["hazard_exact_tail"], pt["reliability_exact_tail"]):
                 assert 0.0 <= tail <= 1.0, argv
             # Pr[X < c] <= exp(-(lp - c)**2 / (2lp)) for 0 < c < lp (Mitzenmacher & Upfal, Thm 4.5).
@@ -878,6 +882,33 @@ def test_cli_analyze_invariants_on_a_seeded_extreme_scan(tmp_path, capsys) -> No
     ends = _seeded_scan(tmp_path, capsys, 7, [0.0])
     assert ends["JSON", "analyze", 0] >= 100 and ends["for", 0] and ends["sweep", 0], ends
     assert time.perf_counter() - started < 30.0
+
+
+def test_cli_reliability_verdicts_near_the_as_stated_proxy(capsys) -> None:
+    # With l*p = 1e-300, m = m_hat = 0 and t = 1, the reliability cutoff K - K_hat lies within a relative
+    # epsilon of the as-stated proxy exp(K_hat) and Pr[X < c] is 1. Each verdict is the one that the 80-digit
+    # exponent gives. The first two argv are fixed: c within ulps of mu near 7e149, where an expanded exponent
+    # cancels, and c == mu near 1.4e217, where c*c overflows; the second bound is 1, so its audit holds.
+    shape = ["--l", "1", "--p", "1e-300", "--m", "0", "--m-hat", "0", "--t", "1", "--mode", "as-stated",
+             "--samples", "0"]
+    runs = [["analyze", *shape, "--K", "6.7857250200571375e+149", "--K-hat", "345.0"],
+            ["analyze", *shape, "--K", "1.4035922178528375e+217", "--K-hat", "500"]]
+    rng = random.Random(31)
+    for _ in range(200):
+        k_hat = rng.uniform(1.0, 709.0)
+        k = (math.exp(k_hat) + k_hat) * (1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-17, -1))
+        runs.append(["analyze", *shape, "--K", repr(k), "--K-hat", repr(k_hat)])
+    reports = []
+    assert _check_contract(runs, capsys, reports)["JSON", "analyze", 0] == len(runs)
+    records = [report["points"][0]["reliability_bound"]["as-stated"] for report in reports]
+    assert all(record["bound"]["log_bound"] is not None for record in records[:2])
+    assert records[1]["audit"]["verdict"] == "holds"
+    with mpmath.workdps(80):
+        for report, record in zip(reports, records):
+            mu, c = mpmath.mpf(record["bound"]["mu_used"]), mpmath.mpf(record["bound"]["event_threshold"])
+            bound = math.exp(float(-(mu - c) ** 2 / (2 * mu)))
+            exact = report["points"][0]["reliability_exact_tail"]
+            assert record["audit"]["verdict"] == ("violated" if exact > bound else "holds"), record
 
 
 def test_report_json_layout_by_kind(tmp_path, capsys) -> None:
@@ -1169,3 +1200,16 @@ def test_public_surface_matches_readme() -> None:
             assert hasattr(module, name), f"sdpbounds.{info.name}.{name}"
     for name in sdpbounds.__all__:
         assert hasattr(sdpbounds, name), name
+
+
+def test_readme_library_example_prints_what_its_comments_state(capsys) -> None:
+    # Each commented print of the README's library example prints its comment, where "..." stands for any text.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        code = re.search(r"## Library\n\n```python\n(.*?)```", fh.read(), re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    stated = [re.search(r"# (.*)$", line) for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(stated) and sum(map(bool, stated)) == 2, (printed, stated)
+    for line, comment in zip(printed, stated):
+        if comment:
+            assert re.fullmatch(".*".join(map(re.escape, comment.group(1).split("..."))), line), (line, comment)
