@@ -190,7 +190,9 @@ def _reliability_fields(threshold: float, mu: float, mode: str) -> Dict[str, obj
         "count-scale cutoff compared against a reliability-scale mean",
     )
     if mu > 0.0:
-        return _fields(threshold, mu, _gap_exponent(mu - threshold, mu), notes=notes)
+        gap = mu - threshold  # can overflow where the exponent does not; then halves of both, times 4, keep its bits
+        exponent = _gap_exponent(gap, mu) if gap < math.inf else 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)
+        return _fields(threshold, mu, exponent, notes=notes)
     # exp underflow: proxy rounded to 0; the limit of the formula applies.
     delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)
     log_bound = -0.0 if threshold == 0.0 else -math.inf

@@ -12,15 +12,17 @@ fault, for these estimators and report's analyze and sweep alike.
 
 The defect count depends on the population (l, p) alone, so a report draws
 one stream per population, once, at derive_population_seed of the base seed,
-l and p, and keeps it as its histogram: every point and every t of that
-population count X < c in it for each cutoff c and sum the SDP reliability
-over its distinct values; that mean, which depends on the residual hazard
-and t but not on the manual hazard, is computed once per (residual, t) and
-kept with the histogram.  The hazard and reliability tails and the
-reliability mean of all those points come from the same draws, so their
-checks are not independent.  The tail intervals are Wilson score intervals;
-the mean's is an empirical Bernstein bound, which stays valid for a bounded
-variable whose mean sits in a tail the draws rarely reach.
+l and p, and keeps it as its histogram, the kernel of every estimate here: it
+builds the fields of each distinct tail (X < c, one search of its cumulative
+counts) and mean (of the SDP reliability, which depends on the residual
+hazard and t but not on the manual hazard) once, through MonteCarloEstimate
+and its checks, and keeps them in one record store that every point and t of
+the population reads.  The public estimators wrap those fields.  The hazard
+and reliability tails and the reliability mean of all those points come from
+the same draws, so their checks are not independent.  The tail intervals
+are Wilson score intervals; the mean's is an empirical Bernstein bound,
+which stays valid for a bounded variable whose mean sits in a tail the draws
+rarely reach.
 """
 
 from __future__ import annotations
@@ -172,50 +174,80 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
 
 @dataclass(eq=False)
 class _Draws:
-    """A seed's n draws as a histogram: distinct defect counts, ascending, and their multiplicities.
+    """A seed's n draws as a histogram, and the record store of the estimates made from them.
 
-    ``means`` keeps the reliability-mean estimate of each (model, t) computed from them, and
-    ``tails`` the tail estimate of each cutoff > 0.
+    ``values`` holds the distinct defect counts, ascending, ``counts`` their multiplicities and ``below``
+    the number of draws below each value, n last, so the hits of X < c are one search away.  ``records``
+    keeps the fields of each tail by its cutoff > 0 and of each mean by its (residual, t), each built once
+    through MonteCarloEstimate, whose checks run then; they are shared, so a caller keeps a copy.
     """
 
     values: np.ndarray
     counts: np.ndarray
+    below: np.ndarray
     n: int
     seed: int
-    means: Dict[Tuple[CombinedHazardModel, float], MonteCarloEstimate] = field(default_factory=dict)
-    tails: Dict[float, MonteCarloEstimate] = field(default_factory=dict)
+    records: Dict[object, Dict[str, object]] = field(default_factory=dict)
 
-    def tail(self, threshold: float) -> MonteCarloEstimate:
-        """Hit rate of X < threshold with its Wilson interval; a cutoff <= 0 is the impossible event.
+    def tail(self, threshold: float) -> Dict[str, object]:
+        """The fields of the hit rate of X < threshold with its Wilson interval; a cutoff <= 0 is the impossible event.
 
-        Only a cutoff > 0 is kept: each other estimate carries its own cutoff (-0.0 too), and NaN is never hit.
+        Only a cutoff > 0 is kept: each other record carries its own cutoff (-0.0 too), and NaN is never hit.
         """
         n, seed = self.n, self.seed
         if threshold <= 0.0:
-            return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
-        estimate = self.tails.get(threshold)
-        if estimate is None:
-            count = int(np.sum(self.counts[self.values < threshold]))
+            return vars(MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold))
+        fields = self.records.get(threshold)
+        if fields is None:
+            count = int(self.below[np.searchsorted(self.values, threshold)]) if threshold > 0.0 else 0
             p_hat = count / n
             ci_low, ci_high = wilson_interval(count, n)
             std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-            estimate = MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
+            fields = vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))
             if threshold > 0.0:
-                self.tails[threshold] = estimate
-        return estimate
+                self.records[threshold] = fields
+        return fields
 
-    def mean(self, model: CombinedHazardModel, t: float) -> MonteCarloEstimate:
-        """The mean SDP reliability of the model at t over the draws.
+    def mean(self, model: CombinedHazardModel, t: float) -> Dict[str, object]:
+        """The fields of the mean SDP reliability r of the model at t over the draws, with a two-sided
+        empirical Bernstein interval for r in [0, bound], bound = weibull_reliability(residual, t).
 
-        It is computed on the first call for a (model, t) and kept: equal
-        keys give the same bits (a shape of -0.0 as 0.0), and a mean that
-        raises is not kept, so every call for it raises the same error.
+        Maurer & Pontil (2009), Thm 4, with delta = 0.05 split across the two
+        sides and scaled from [0, 1] to [0, bound].  Unlike mean +- z*se it holds
+        when the draws miss the lower defect-count tail that carries the mean.
+
+        The sums weigh r at each distinct value by the multiplicities, exactly
+        rounded, in units of 2**E, the power of two that puts the largest r in
+        [0.5, 1), so r*r and the variance cannot underflow; a power-of-two
+        scaling is exact, so every result equals the unscaled computation
+        wherever that one does not underflow.
+
+        The draws fix the population, so the fields are computed on the first
+        call for a (residual, t) and kept: equal keys give the same bits (a
+        shape of -0.0 as 0.0), and a mean that raises is not kept, so every
+        call for it raises the same error.
         """
-        mean = self.means.get((model, t))
-        if mean is None:
+        key = (model.residual, t)
+        fields = self.records.get(key)
+        if fields is None:
+            n = self.n
             r = sdp_reliability(model, self.values, t)
-            mean = self.means[model, t] = _mean_estimate(r, self, weibull_reliability(model.residual, t))
-        return mean
+            bound = weibull_reliability(model.residual, t)
+            top = math.frexp(float(np.max(r)))[1]
+            r = np.ldexp(r, -top)
+            total = math.fsum(self.counts * r)
+            total_sq = math.fsum(self.counts * (r * r))
+            scaled_mean = total / n
+            variance = max(0.0, (total_sq - n * scaled_mean * scaled_mean) / (n - 1))
+            mean = math.ldexp(scaled_mean, top)
+            std_error = math.ldexp(math.sqrt(variance / n), top)
+            half = (math.ldexp(math.sqrt(2.0 * variance * _LOG_4_OVER_DELTA / n), top)
+                    + 7.0 * bound * _LOG_4_OVER_DELTA / (3.0 * (n - 1)))
+            # Rounding can leave the mean of equal draws an ulp outside [0, bound].
+            ci_low = min(max(0.0, mean - half), mean)
+            ci_high = max(min(bound, mean + half), mean)
+            fields = self.records[key] = vars(MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, self.seed))
+        return fields
 
 
 def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
@@ -226,7 +258,7 @@ def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     values, where = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
     counts = np.zeros(len(values), dtype=np.int64)
     np.add.at(counts, where, np.concatenate([b[1] for b in blocks]))
-    return _Draws(values, counts, n, seed)
+    return _Draws(values, counts, np.concatenate(([0], np.cumsum(counts))), n, seed)
 
 
 def _population_draws(pop: FailurePopulation, samples: int, seed: int, workers: int) -> Optional[_Draws]:
@@ -234,37 +266,6 @@ def _population_draws(pop: FailurePopulation, samples: int, seed: int, workers: 
     if not samples:
         return None
     return _draw(pop, samples, derive_population_seed(seed, pop.l, pop.p), workers)
-
-
-def _mean_estimate(r: np.ndarray, draws: _Draws, bound: float) -> MonteCarloEstimate:
-    """Sample mean of r in [0, bound] with a two-sided empirical Bernstein interval.
-
-    Maurer & Pontil (2009), Thm 4, with delta = 0.05 split across the two
-    sides and scaled from [0, 1] to [0, bound].  Unlike mean +- z*se it holds
-    when the draws miss the lower defect-count tail that carries the mean.
-
-    ``r`` holds the reliability at each distinct value of the draws.  The
-    sums weigh it by the multiplicities, exactly rounded, in units of 2**E,
-    the power of two that puts the largest r in [0.5, 1), so r*r and the
-    variance cannot underflow; a power-of-two scaling is exact, so every
-    result equals the unscaled computation wherever that one does not
-    underflow.
-    """
-    n, seed = draws.n, draws.seed
-    top = math.frexp(float(np.max(r)))[1]
-    r = np.ldexp(r, -top)
-    total = math.fsum(draws.counts * r)
-    total_sq = math.fsum(draws.counts * (r * r))
-    scaled_mean = total / n
-    variance = max(0.0, (total_sq - n * scaled_mean * scaled_mean) / (n - 1))
-    mean = math.ldexp(scaled_mean, top)
-    std_error = math.ldexp(math.sqrt(variance / n), top)
-    half = (math.ldexp(math.sqrt(2.0 * variance * _LOG_4_OVER_DELTA / n), top)
-            + 7.0 * bound * _LOG_4_OVER_DELTA / (3.0 * (n - 1)))
-    # Rounding can leave the mean of equal draws an ulp outside [0, bound].
-    ci_low = min(max(0.0, mean - half), mean)
-    ci_high = max(min(bound, mean + half), mean)
-    return MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, seed)
 
 
 def estimate_tail_probability(
@@ -282,8 +283,8 @@ def estimate_tail_probability(
     """
     if threshold <= 0.0:
         _validate_sampling_args(pop, n, seed, workers)
-        return _Draws((), (), n, seed).tail(threshold)
-    return _draw(pop, n, seed, workers).tail(threshold)
+        return MonteCarloEstimate(**_Draws((), (), (), n, seed).tail(threshold))
+    return MonteCarloEstimate(**_draw(pop, n, seed, workers).tail(threshold))
 
 
 def estimate_expected_reliability(
@@ -300,7 +301,7 @@ def estimate_expected_reliability(
     standard error.  At a population's seed this is the estimate that
     report.analyze reports, from the same draws as the tail counts.
     """
-    return _draw(model.population, n, seed, workers).mean(model, t)
+    return MonteCarloEstimate(**_draw(model.population, n, seed, workers).mean(model, t))
 
 
 def estimate_reliability_exceedance(

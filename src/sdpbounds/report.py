@@ -36,8 +36,7 @@ from .hazards import (
     weibull_hazard,
     weibull_reliability,
 )
-from .montecarlo import (MonteCarloEstimate, _audit_fields, _Draws, _population_draws, _require_sampling,
-                         derive_population_seed)
+from .montecarlo import _audit_fields, _Draws, _population_draws, _require_sampling, derive_population_seed
 
 __all__ = [
     "SweepGrid",
@@ -108,17 +107,13 @@ class SweepGrid:
         object.__setattr__(self, "_pairs", tuple(itertools.product(manuals, residuals)))
 
 
-def _fields_dict(record: Optional[MonteCarloEstimate]) -> Optional[Dict[str, object]]:
-    return None if record is None else dict(vars(record))
-
-
 def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParams, t: float,
            modes: Sequence[str], draws: Optional[_Draws], tails: Dict[float, float]) -> Dict[str, object]:
     """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling).
 
     Each quantity is computed once, in the order that decides which of
-    several domain errors a point raises first; its bound and audit records
-    hold the fields of the public functions' objects.
+    several domain errors a point raises first; its bound, audit and Monte
+    Carlo records hold the fields of the public functions' objects.
     """
     model = CombinedHazardModel(residual, pop)
     coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
@@ -166,13 +161,13 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     point["hazard_bound"] = hazard
     point["hazard_exact_tail"] = exact_tails[0]
     point["hazard_audit"] = _audit_fields(cutoffs[0], hazard["bound"], exact_tails[0])
-    point["hazard_tail_mc"] = _fields_dict(tail_mc[0])
+    point["hazard_tail_mc"] = tail_mc[0] and dict(tail_mc[0])
 
     point["reliability_bound"] = {
         mode: {
             "bound": record,
             "audit": _audit_fields(cutoffs[1], record["bound"], exact_tails[1]),
-            "exceedance_mc": _fields_dict(tail_mc[1]),
+            "exceedance_mc": tail_mc[1] and dict(tail_mc[1]),
         }
         for mode, record in reliability.items()
     }
@@ -181,7 +176,7 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     point["reference_bound"] = reference
     point["reference_audit"] = _audit_fields(cutoffs[0], reference["bound"], exact_tails[0])
 
-    point["expected_reliability_mc"] = _fields_dict(None if draws is None else draws.mean(model, t))
+    point["expected_reliability_mc"] = None if draws is None else dict(draws.mean(model, t))
     return point
 
 

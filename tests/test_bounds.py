@@ -249,11 +249,12 @@ def _exponent_misses(cases) -> list:
 
 def test_comparison_bound_exponents_match_mpmath() -> None:
     # Both comparison bounds take one exponent rule. It never raises and never gives a positive log_bound,
-    # neither with the cutoff within ulps of the mean nor where gap**2 or 2*mu leaves double range.
+    # neither with the cutoff within ulps of the mean nor where gap**2, 2*mu or mu - c leaves double range.
     rng = random.Random(11)
     log_uniform = lambda low, high: math.exp(rng.uniform(math.log(low), math.log(high)))
     pairs = [(6.785725020057171e+149, 6.7857250200571375e+149), (1.4035922178528375e+217,) * 2,
-             (1.7e308, 1.7e308 * (1 - 1e-9)), (1.7e308, 1e300), (1.7e308, -5e306), (1e-300, -1e-160)]
+             (1.7e308, 1.7e308 * (1 - 1e-9)), (1.7e308, 1e300), (1.7e308, -5e306), (1e-300, -1e-160),
+             (1.6716168936798752e+308, -3e307)]
     for i in range(20_000):
         mu = log_uniform(1e-300, 1e308)
         if i % 2:

@@ -342,9 +342,11 @@ def test_shared_tail_pass_equals_single_cutoff_calls() -> None:
     for c, single in zip(thresholds, singles):
         if c > 0.0:
             assert single.estimate == np.count_nonzero(tail_event_indicators(pop, c, n, seed=77)) / n
+    # The kernel's records are the public estimates' fields, in field order, which is the report's key order.
     for workers in (1, 4):
         draws = mc._draw(pop, n, 77, workers)
-        assert tuple(draws.tail(c) for c in thresholds) == singles
+        assert [list(draws.tail(c).items()) for c in thresholds] == [
+            list(dataclasses.asdict(single).items()) for single in singles]
 
 
 def _count_draw_seeds(monkeypatch) -> list:
@@ -431,6 +433,33 @@ def test_one_draw_per_population(monkeypatch) -> None:
     report = analyze(100, 0.1, 2.0, 0.5, 1.0, 0.5, [0.25, 1.0, 4.0], samples=10_000, seed=3)
     assert seeds == [derive_population_seed(3, 100, 0.1)]
     assert [pt["hazard_tail_mc"]["seed"] for pt in report["points"]] == seeds * 3
+
+
+def test_sweep_estimates_pass_the_estimate_checks(monkeypatch) -> None:
+    # Each kept estimate is built through MonteCarloEstimate, so its checks run on the report path too: a Wilson
+    # interval that misses the hit rate, or a NaN mean, stops a sampled sweep.
+    grid = SweepGrid((10, 100), (0.1,), (2.0,), (0.5,), (1.0,), (0.5,), (1.0, 4.0), samples=1000, seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "wilson_interval", lambda k, n: (2.0, 3.0))
+        with pytest.raises(ValueError, match=r"interval \[2\.0, 3\.0\] does not contain estimate "):
+            sweep(grid)
+    monkeypatch.setattr(mc, "sdp_reliability", lambda model, x, t: np.full(len(x), math.nan))
+    with pytest.raises(ValueError, match=r"t=1\.0: interval \[.*\] does not contain estimate nan$"):
+        sweep(grid)
+
+
+def test_sampled_sweep_report_is_a_tree() -> None:
+    # No dict or list is reachable twice, so no two points, nor two modes of one point, share a Monte Carlo record.
+    grid = SweepGrid(*(tuple(DEFAULT_AUDIT_AXES[name]) for name in PARAM_NAMES), samples=1000, seed=4)
+    seen, records, stack = set(), 0, [sweep(grid)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            assert id(node) not in seen, node
+            seen.add(id(node))
+            records += isinstance(node, dict) and "n_samples" in node
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    assert records == 972 * 4  # the hazard tail, one exceedance per mode and the reliability mean
 
 
 def test_tail_estimates_keep_their_stream() -> None:

@@ -860,9 +860,16 @@ def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None
     ends = _check_contract(runs, capsys)
     assert ends["for", 1] and ends["analyze", 1] and ends["sweep", 1], ends
     assert ends["written", "analyze"] == ends["written", "sweep"] == 2, ends
-    # Its delta and log_bound are beyond double range; the report is still standard JSON.
-    assert _check_contract([["analyze", "--l", "10", "--p", "0.1", "--K", "1e200", "--m", "0", "--K-hat", "1",
-                             "--m-hat", "0", "--t", "1", "--samples", "0"]], capsys)["JSON", "analyze", 0] == 1
+    # Its delta and log_bound are beyond double range; the report is still standard JSON. In the second, mu - c
+    # overflows (mu 1.67e308, c -3e307) but the as-stated exponent, -1.1627e308 to 50 digits, does not.
+    reports = []
+    runs = [["analyze", "--l", "10", "--p", "0.1", "--K", "1e200", "--m", "0", "--K-hat", "1", "--m-hat", "0",
+             "--t", "1", "--samples", "0"],
+            ["analyze", "--l", "1", "--p", "1e-300", "--K", "1e-300", "--m", "0", "--K-hat", "3e307", "--m-hat", "0",
+             "--t", "2.3657e-305", "--mode", "as-stated", "--samples", "0"]]
+    assert _check_contract(runs, capsys, reports)["JSON", "analyze", 0] == 2
+    log_bound = reports[1]["points"][0]["reliability_bound"]["as-stated"]["bound"]["log_bound"]
+    assert log_bound == pytest.approx(-1.1627284906431188e308, rel=1e-12)
 
 
 def test_cli_analyze_reports_no_nan_on_extreme_inputs(tmp_path, capsys) -> None:
