@@ -13,16 +13,15 @@ fault, for these estimators and report's analyze and sweep alike.
 The defect count depends on the population (l, p) alone, so a report draws
 one stream per population, once, at derive_population_seed of the base seed,
 l and p, and keeps it as its histogram, the kernel of every estimate here: it
-builds the fields of each distinct tail (X < c, one search of its cumulative
-counts) and mean (of the SDP reliability, which depends on the residual
-hazard and t but not on the manual hazard) once, through MonteCarloEstimate
-and its checks, and keeps them in one record store that every point and t of
-the population reads.  The public estimators wrap those fields.  The hazard
-and reliability tails and the reliability mean of all those points come from
-the same draws, so their checks are not independent.  The tail intervals
-are Wilson score intervals; the mean's is an empirical Bernstein bound,
-which stays valid for a bounded variable whose mean sits in a tail the draws
-rarely reach.
+builds the fields of each distinct tail (X < c) and mean (of the SDP
+reliability, which depends on the residual hazard and t but not on the
+manual hazard) once, through MonteCarloEstimate and its checks, and keeps
+them in two record stores that every point and t of the population reads.
+The public estimators wrap those fields.  The hazard and reliability tails
+and the reliability mean of all those points come from the same draws, so
+their checks are not independent.  The tail intervals are Wilson score
+intervals; the mean's is an empirical Bernstein bound, which stays valid
+for a bounded variable whose mean sits in a tail the draws rarely reach.
 """
 
 from __future__ import annotations
@@ -174,20 +173,19 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
 
 @dataclass(eq=False)
 class _Draws:
-    """A seed's n draws as a histogram, and the record store of the estimates made from them.
+    """A seed's n draws as a histogram, and the record stores of the estimates made from them.
 
-    ``values`` holds the distinct defect counts, ascending, ``counts`` their multiplicities and ``below``
-    the number of draws below each value, n last, so the hits of X < c are one search away.  ``records``
-    keeps the fields of each tail by its cutoff > 0 and of each mean by its (residual, t), each built once
-    through MonteCarloEstimate, whose checks run then; they are shared, so a caller keeps a copy.
+    ``values`` holds the distinct defect counts, ascending, and ``counts`` their multiplicities.  ``tails``
+    keeps the fields of each tail by its cutoff > 0 and ``means`` those of each mean by its (residual, t),
+    each built once through MonteCarloEstimate, whose checks run then; they are shared, so a caller keeps a copy.
     """
 
     values: np.ndarray
     counts: np.ndarray
-    below: np.ndarray
     n: int
     seed: int
-    records: Dict[object, Dict[str, object]] = field(default_factory=dict)
+    tails: Dict[float, Dict[str, object]] = field(default_factory=dict)
+    means: Dict[Tuple[WeibullParams, float], Dict[str, object]] = field(default_factory=dict)
 
     def tail(self, threshold: float) -> Dict[str, object]:
         """The fields of the hit rate of X < threshold with its Wilson interval; a cutoff <= 0 is the impossible event.
@@ -197,15 +195,15 @@ class _Draws:
         n, seed = self.n, self.seed
         if threshold <= 0.0:
             return vars(MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold))
-        fields = self.records.get(threshold)
+        fields = self.tails.get(threshold)
         if fields is None:
-            count = int(self.below[np.searchsorted(self.values, threshold)]) if threshold > 0.0 else 0
+            count = int(np.sum(self.counts[self.values < threshold]))
             p_hat = count / n
             ci_low, ci_high = wilson_interval(count, n)
             std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
             fields = vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))
             if threshold > 0.0:
-                self.records[threshold] = fields
+                self.tails[threshold] = fields
         return fields
 
     def mean(self, model: CombinedHazardModel, t: float) -> Dict[str, object]:
@@ -228,7 +226,7 @@ class _Draws:
         call for it raises the same error.
         """
         key = (model.residual, t)
-        fields = self.records.get(key)
+        fields = self.means.get(key)
         if fields is None:
             n = self.n
             r = sdp_reliability(model, self.values, t)
@@ -246,7 +244,7 @@ class _Draws:
             # Rounding can leave the mean of equal draws an ulp outside [0, bound].
             ci_low = min(max(0.0, mean - half), mean)
             ci_high = max(min(bound, mean + half), mean)
-            fields = self.records[key] = vars(MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, self.seed))
+            fields = self.means[key] = vars(MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, self.seed))
         return fields
 
 
@@ -258,7 +256,7 @@ def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     values, where = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
     counts = np.zeros(len(values), dtype=np.int64)
     np.add.at(counts, where, np.concatenate([b[1] for b in blocks]))
-    return _Draws(values, counts, np.concatenate(([0], np.cumsum(counts))), n, seed)
+    return _Draws(values, counts, n, seed)
 
 
 def _population_draws(pop: FailurePopulation, samples: int, seed: int, workers: int) -> Optional[_Draws]:
@@ -283,7 +281,7 @@ def estimate_tail_probability(
     """
     if threshold <= 0.0:
         _validate_sampling_args(pop, n, seed, workers)
-        return MonteCarloEstimate(**_Draws((), (), (), n, seed).tail(threshold))
+        return MonteCarloEstimate(**_Draws((), (), n, seed).tail(threshold))
     return MonteCarloEstimate(**_draw(pop, n, seed, workers).tail(threshold))
 
 

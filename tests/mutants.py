@@ -35,7 +35,8 @@ class Mutant(NamedTuple):
 
 
 _MC = "src/sdpbounds/montecarlo.py"
-_TAIL_COUNT = "count = int(self.below[np.searchsorted(self.values, threshold)]) if threshold > 0.0 else 0"
+_RELIABILITY_EXPONENT = ("exponent = _gap_exponent(gap, mu) if gap < math.inf else "
+                         "4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)")
 _TAIL_RECORD = "vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))"
 
 MUTANTS = [
@@ -43,21 +44,16 @@ MUTANTS = [
            '{"estimate": p_hat, "std_error": std_error, "ci_low": ci_low, "ci_high": ci_high, "n_samples": n, '
            '"seed": seed, "event_threshold": threshold}',
            ["tests/test_montecarlo.py::test_sweep_estimates_pass_the_estimate_checks"]),
-    Mutant("tail-search-right-side", _MC, "np.searchsorted(self.values, threshold)",
-           'np.searchsorted(self.values, threshold, side="right")',
-           ["tests/test_montecarlo.py::test_tail_estimates_keep_their_stream"]),
-    Mutant("tail-nan-rule-dropped", _MC, _TAIL_COUNT,
-           "count = int(self.below[np.searchsorted(self.values, threshold)])",
-           ["tests/test_montecarlo.py::test_tail_estimates_keep_their_stream"]),
     Mutant("point-shares-kept-record", "src/sdpbounds/report.py",
            'point["hazard_tail_mc"] = tail_mc[0] and dict(tail_mc[0])', 'point["hazard_tail_mc"] = tail_mc[0]',
-           ["tests/test_montecarlo.py::test_sampled_sweep_report_is_a_tree"]),
+           ["tests/test_report_cli.py::test_sampled_sweep_report_is_a_tree"]),
     Mutant("mean-keyed-without-t", _MC, "key = (model.residual, t)", "key = model.residual",
            ["tests/test_montecarlo.py::test_one_reliability_mean_per_population_residual_and_t",
             "tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis"]),
-    Mutant("expanded-reliability-exponent", "src/sdpbounds/bounds.py",
-           "exponent = _gap_exponent(gap, mu) if gap < math.inf else "
-           "4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)",
+    Mutant("half-gap-on-every-call", "src/sdpbounds/bounds.py", _RELIABILITY_EXPONENT,
+           "exponent = 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)",
+           ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath"]),
+    Mutant("expanded-reliability-exponent", "src/sdpbounds/bounds.py", _RELIABILITY_EXPONENT,
            "exponent = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)",
            ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath",
             "tests/test_report_cli.py::test_cli_reliability_verdicts_near_the_as_stated_proxy"]),

@@ -261,6 +261,9 @@ def test_comparison_bound_exponents_match_mpmath() -> None:
             pairs.append((mu, mu * (1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-17, 0))))
         else:
             pairs.append((mu, rng.choice((-1, 1)) * log_uniform(1e-300, 1e308)))
+    # Down among the subnormals, where halving mu or c is inexact: a rule that passed half the gap on every
+    # call would lose up to 5.5e-9 relative on an in-range exponent here.
+    pairs += [(log_uniform(5e-324, 1e-300), rng.choice((-1, 1)) * log_uniform(5e-324, 1e-300)) for _ in range(2_000)]
     cases = [(_reliability_fields(c, mu, AS_STATED)["log_bound"], mpmath.mpf(mu) - mpmath.mpf(c), mpmath.mpf(mu))
              for mu, c in pairs]
     assert _exponent_misses(cases) == []

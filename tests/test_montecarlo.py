@@ -448,20 +448,6 @@ def test_sweep_estimates_pass_the_estimate_checks(monkeypatch) -> None:
         sweep(grid)
 
 
-def test_sampled_sweep_report_is_a_tree() -> None:
-    # No dict or list is reachable twice, so no two points, nor two modes of one point, share a Monte Carlo record.
-    grid = SweepGrid(*(tuple(DEFAULT_AUDIT_AXES[name]) for name in PARAM_NAMES), samples=1000, seed=4)
-    seen, records, stack = set(), 0, [sweep(grid)]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (dict, list)):
-            assert id(node) not in seen, node
-            seen.add(id(node))
-            records += isinstance(node, dict) and "n_samples" in node
-            stack.extend(node.values() if isinstance(node, dict) else node)
-    assert records == 972 * 4  # the hazard tail, one exceedance per mode and the reliability mean
-
-
 def test_tail_estimates_keep_their_stream() -> None:
     # Hit counts pinned from 0.2.0, which counted each block: the histogram keeps a seed's tail stream.
     pop = FailurePopulation(100, 0.1)

@@ -443,17 +443,39 @@ def test_sweep_computes_each_exact_tail_once(monkeypatch) -> None:
     assert sum(calls.values()) == len(calls) == len(distinct) == 990
 
 
-def test_sweep_counts_each_monte_carlo_tail_once(monkeypatch) -> None:
-    # The draws of a population count each of its distinct cutoffs > 0 once; a cutoff <= 0 is never counted.
+@pytest.fixture(scope="module")
+def sampled_default_sweep():
+    """The default grid's report at samples=1000, seed=4, swept once for the tests that read it, and the
+    sample size of each Wilson interval that the sweep computed."""
     counted = Counter()
     wilson = sdpbounds.montecarlo.wilson_interval
-    monkeypatch.setattr(sdpbounds.montecarlo, "wilson_interval", lambda k, n: counted.update([n]) or wilson(k, n))
-    grid = SweepGrid(*[tuple(values) for values in DEFAULT_AUDIT_AXES.values()], samples=1000, seed=4)
-    points = sweep(grid)["points"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdpbounds.montecarlo, "wilson_interval", lambda k, n: counted.update([n]) or wilson(k, n))
+        grid = SweepGrid(*[tuple(values) for values in DEFAULT_AUDIT_AXES.values()], samples=1000, seed=4)
+        return sweep(grid), counted
+
+
+def test_sweep_counts_each_monte_carlo_tail_once(sampled_default_sweep) -> None:
+    # The draws of a population count each of its distinct cutoffs > 0 once; a cutoff <= 0 is never counted.
+    report, counted = sampled_default_sweep
+    points = report["points"]
     estimates = [(pt, pt["hazard_tail_mc"]) for pt in points]
     estimates += [(pt, record["exceedance_mc"]) for pt in points for record in pt["reliability_bound"].values()]
     distinct = {(pt["l"], pt["p"], mc["event_threshold"]) for pt, mc in estimates if mc["event_threshold"] > 0.0}
     assert counted == {1000: len(distinct)} and len(distinct) == 558
+
+
+def test_sampled_sweep_report_is_a_tree(sampled_default_sweep) -> None:
+    # No dict or list is reachable twice, so no two points, nor two modes of one point, share a Monte Carlo record.
+    seen, records, stack = set(), 0, [sampled_default_sweep[0]]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            assert id(node) not in seen, node
+            seen.add(id(node))
+            records += isinstance(node, dict) and "n_samples" in node
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    assert records == 972 * 4  # the hazard tail, one exceedance per mode and the reliability mean
 
 
 def test_sweep_builds_each_population_and_hazard_pair_once(monkeypatch) -> None:
