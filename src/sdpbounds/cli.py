@@ -238,6 +238,9 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:  # e.g. a --samples whose blocks cannot even be listed
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
     try:  # line by line: an unbuffered stdout drops the rest of a partial write without an error
         sys.stdout.writelines(text.splitlines(keepends=True))
         sys.stdout.flush()

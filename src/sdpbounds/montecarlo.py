@@ -13,10 +13,10 @@ fault, for these estimators and report's analyze and sweep alike.
 The defect count depends on the population (l, p) alone, so a report draws
 one stream per population, once, at derive_population_seed of the base seed,
 l and p, and keeps it as its histogram, the kernel of every estimate here: it
-builds the fields of each distinct tail (X < c) and mean (of the SDP
-reliability, which depends on the residual hazard and t but not on the
-manual hazard) once, through MonteCarloEstimate and its checks, and keeps
-them in two record stores that every point and t of the population reads.
+builds the fields of a tail (X < c) or a mean (of the SDP reliability, which
+depends on the residual hazard and t but not on the manual hazard) through
+MonteCarloEstimate and its checks, and keeps each mean by (residual, t); the
+report keeps each tail beside its exact twin, once per population and cutoff.
 The public estimators wrap those fields.  The hazard and reliability tails
 and the reliability mean of all those points come from the same draws, so
 their checks are not independent.  The tail intervals are Wilson score
@@ -173,38 +173,32 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
 
 @dataclass(eq=False)
 class _Draws:
-    """A seed's n draws as a histogram, and the record stores of the estimates made from them.
+    """A seed's n draws as a histogram, and the store of the means made from them.
 
-    ``values`` holds the distinct defect counts, ascending, and ``counts`` their multiplicities.  ``tails``
-    keeps the fields of each tail by its cutoff > 0 and ``means`` those of each mean by its (residual, t),
-    each built once through MonteCarloEstimate, whose checks run then; they are shared, so a caller keeps a copy.
+    ``values`` holds the distinct defect counts, ascending, and ``counts`` their multiplicities.  Each
+    estimate's fields are built through MonteCarloEstimate, whose checks run then.  ``means`` keeps those of
+    each mean by its (residual, t); they are shared, so a caller keeps a copy.
     """
 
     values: np.ndarray
     counts: np.ndarray
     n: int
     seed: int
-    tails: Dict[float, Dict[str, object]] = field(default_factory=dict)
     means: Dict[Tuple[WeibullParams, float], Dict[str, object]] = field(default_factory=dict)
 
     def tail(self, threshold: float) -> Dict[str, object]:
-        """The fields of the hit rate of X < threshold with its Wilson interval; a cutoff <= 0 is the impossible event.
+        """The fields of the hit rate of X < threshold with its Wilson interval, with the cutoff as given.
 
-        Only a cutoff > 0 is kept: each other record carries its own cutoff (-0.0 too), and NaN is never hit.
+        A cutoff <= 0 is the impossible event, counted without the draws; a NaN cutoff is never hit.
         """
         n, seed = self.n, self.seed
         if threshold <= 0.0:
             return vars(MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold))
-        fields = self.tails.get(threshold)
-        if fields is None:
-            count = int(np.sum(self.counts[self.values < threshold]))
-            p_hat = count / n
-            ci_low, ci_high = wilson_interval(count, n)
-            std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-            fields = vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))
-            if threshold > 0.0:
-                self.tails[threshold] = fields
-        return fields
+        count = int(np.sum(self.counts[self.values < threshold]))
+        p_hat = count / n
+        ci_low, ci_high = wilson_interval(count, n)
+        std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
+        return vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))
 
     def mean(self, model: CombinedHazardModel, t: float) -> Dict[str, object]:
         """The fields of the mean SDP reliability r of the model at t over the draws, with a two-sided

@@ -108,13 +108,25 @@ class SweepGrid:
 
 
 def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParams, t: float,
-           modes: Sequence[str], draws: Optional[_Draws], tails: Dict[float, float]) -> Dict[str, object]:
+           modes: Sequence[str], draws: Optional[_Draws], tails: Dict[float, tuple]) -> Dict[str, object]:
     """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling).
 
     Each quantity is computed once, in the order that decides which of
-    several domain errors a point raises first; its bound, audit and Monte
-    Carlo records hold the fields of the public functions' objects.
+    several domain errors a point raises first: the hazards and bounds come
+    before any tail.  ``tails`` is the population's table, cutoff -> (exact
+    tail, Monte Carlo tail fields or None), and each bound record reads its
+    tail, audit and a copy of its Monte Carlo tail by its own cutoff and bound.
+    A cutoff here is a difference of finite doubles >= +0.0, so no key stands
+    for -0.0 or NaN.  The records hold the fields of the public objects.
     """
+
+    def audited(record: Dict[str, object]) -> Tuple[float, Dict[str, object], Optional[Dict[str, object]]]:
+        threshold = record["event_threshold"]
+        if threshold not in tails:
+            tails[threshold] = binomial_cdf_below(pop, threshold), None if draws is None else draws.tail(threshold)
+        exact, mc = tails[threshold]
+        return exact, _audit_fields(threshold, record["bound"], exact), mc and dict(mc)
+
     model = CombinedHazardModel(residual, pop)
     coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
     lp = pop.l * pop.p
@@ -124,19 +136,10 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     hazard = _hazard_fields(lp, manual_hazard, weibull_hazard(residual, t), t)
     manual_reliability = weibull_reliability(manual, t)
     reliability_exact = expected_sdp_reliability_exact(model, t)
-
-    # A point has at most two tail events, paired with the audits by position:
-    # the reference audit shares the hazard cutoff and every mode shares the
-    # reliability cutoff.  Each distinct cutoff value of the population gets
-    # one exact tail, kept in ``tails``; with sampling on, every cutoff and
-    # the reliability mean read the population's draws.  The estimates stay
-    # positional, so each carries its own cutoff even where 0.0 == -0.0.
-    cutoffs = [hazard["event_threshold"]]
-    if modes:
-        cutoffs.append(reliability_event_threshold(manual, residual, t))
-    reliability = {mode: _reliability_fields(cutoffs[1], expected_sdp_reliability_bound(model, t, mode), mode)
+    threshold = reliability_event_threshold(manual, residual, t) if modes else None
+    reliability = {mode: _reliability_fields(threshold, expected_sdp_reliability_bound(model, t, mode), mode)
                    for mode in modes}
-    reference = _fields(cutoffs[0], lp)  # reference_chernoff_bound's fields
+    reference = _fields(hazard["event_threshold"], lp)  # reference_chernoff_bound's fields
     for record in (hazard, *reliability.values(), reference):
         for name in ("delta", "log_bound"):  # beyond double range: JSON has no such number
             if not math.isfinite(record[name]):
@@ -152,29 +155,16 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
         "expected_reliability_bound": {mode: record["mu_used"] for mode, record in reliability.items()},
     }
 
-    for c in cutoffs:
-        if c not in tails:
-            tails[c] = binomial_cdf_below(pop, c)
-    exact_tails = [tails[c] for c in cutoffs]
-    tail_mc = [None if draws is None else draws.tail(c) for c in cutoffs]
-
     point["hazard_bound"] = hazard
-    point["hazard_exact_tail"] = exact_tails[0]
-    point["hazard_audit"] = _audit_fields(cutoffs[0], hazard["bound"], exact_tails[0])
-    point["hazard_tail_mc"] = tail_mc[0] and dict(tail_mc[0])
+    point["hazard_exact_tail"], point["hazard_audit"], point["hazard_tail_mc"] = audited(hazard)
 
-    point["reliability_bound"] = {
-        mode: {
-            "bound": record,
-            "audit": _audit_fields(cutoffs[1], record["bound"], exact_tails[1]),
-            "exceedance_mc": tail_mc[1] and dict(tail_mc[1]),
-        }
-        for mode, record in reliability.items()
-    }
-    point["reliability_exact_tail"] = exact_tails[1] if modes else None
+    point["reliability_bound"], point["reliability_exact_tail"] = {}, None
+    for mode, record in reliability.items():
+        point["reliability_exact_tail"], audit, mc = audited(record)
+        point["reliability_bound"][mode] = {"bound": record, "audit": audit, "exceedance_mc": mc}
 
     point["reference_bound"] = reference
-    point["reference_audit"] = _audit_fields(cutoffs[0], reference["bound"], exact_tails[0])
+    point["reference_audit"] = audited(reference)[1]
 
     point["expected_reliability_mc"] = None if draws is None else dict(draws.mean(model, t))
     return point
@@ -231,7 +221,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
         located((pop.l, pop.p), _require_sampling, grid.samples, grid.seed, workers, pop.l)
     points: List[Dict[str, object]] = []
     for pop in grid._populations:
-        tails: Dict[float, float] = {}
+        tails: Dict[float, tuple] = {}
         draws = located((pop.l, pop.p), _population_draws, pop, grid.samples, grid.seed, workers)
         for (manual, residual), t in itertools.product(grid._pairs, grid.t_values):
             coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)

@@ -35,30 +35,61 @@ class Mutant(NamedTuple):
 
 
 _MC = "src/sdpbounds/montecarlo.py"
+_REPORT = "src/sdpbounds/report.py"
+_BOUNDS = "src/sdpbounds/bounds.py"
+_INGEST = "src/sdpbounds/ingest.py"
 _RELIABILITY_EXPONENT = ("exponent = _gap_exponent(gap, mu) if gap < math.inf else "
                          "4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)")
 _TAIL_RECORD = "vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))"
+_RELIABILITY_TAIL = 'point["reliability_exact_tail"], audit, mc = audited(record)'
 
 MUTANTS = [
     Mutant("tail-record-built-directly", _MC, _TAIL_RECORD,
            '{"estimate": p_hat, "std_error": std_error, "ci_low": ci_low, "ci_high": ci_high, "n_samples": n, '
            '"seed": seed, "event_threshold": threshold}',
            ["tests/test_montecarlo.py::test_sweep_estimates_pass_the_estimate_checks"]),
-    Mutant("point-shares-kept-record", "src/sdpbounds/report.py",
-           'point["hazard_tail_mc"] = tail_mc[0] and dict(tail_mc[0])', 'point["hazard_tail_mc"] = tail_mc[0]',
+    Mutant("point-shares-kept-record", _REPORT, "mc and dict(mc)", "mc",
            ["tests/test_report_cli.py::test_sampled_sweep_report_is_a_tree"]),
+    Mutant("reference-audit-reads-hazard-bound", _REPORT, "audited(reference)[1]", "audited(hazard)[1]",
+           ["tests/test_acceptance.py::test_criterion7_audit_integrity",
+            "tests/test_report_cli.py::test_report_records_are_the_public_objects_fields"]),
+    Mutant("reliability-exact-tail-from-hazard-cutoff", _REPORT, _RELIABILITY_TAIL,
+           '(_, audit, mc), point["reliability_exact_tail"] = audited(record), point["hazard_exact_tail"]',
+           ["tests/test_report_cli.py::test_each_tail_is_read_at_its_own_bound_cutoff"]),
     Mutant("mean-keyed-without-t", _MC, "key = (model.residual, t)", "key = model.residual",
            ["tests/test_montecarlo.py::test_one_reliability_mean_per_population_residual_and_t",
             "tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis"]),
-    Mutant("half-gap-on-every-call", "src/sdpbounds/bounds.py", _RELIABILITY_EXPONENT,
+    Mutant("seed-packed-big-endian", _MC, 'struct.pack("<Qqd"', 'struct.pack(">Qqd"',
+           ["tests/test_montecarlo.py::test_population_seeds_are_pinned"]),
+    Mutant("wilson-z-one-sided", _MC, "_Z95 = 1.959963984540054", "_Z95 = 1.645",
+           ["tests/test_montecarlo.py::test_wilson_coverage_across_seeds"]),
+    Mutant("draws-at-inflated-p", _MC, "rng.binomial(pop.l, pop.p, size=size)",
+           "rng.binomial(pop.l, min(1.0, 1.02 * pop.p), size=size)",
+           ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf"]),
+    Mutant("half-gap-on-every-call", _BOUNDS, _RELIABILITY_EXPONENT,
            "exponent = 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)",
            ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath"]),
-    Mutant("expanded-reliability-exponent", "src/sdpbounds/bounds.py", _RELIABILITY_EXPONENT,
+    Mutant("expanded-reliability-exponent", _BOUNDS, _RELIABILITY_EXPONENT,
            "exponent = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)",
            ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath",
             "tests/test_report_cli.py::test_cli_reliability_verdicts_near_the_as_stated_proxy"]),
-    Mutant("square-normal-range-test-dropped", "src/sdpbounds/bounds.py", "2.0 ** -1022 <= square < math.inf",
+    Mutant("square-normal-range-test-dropped", _BOUNDS, "2.0 ** -1022 <= square < math.inf",
            "0.0 < square < math.inf", ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath"]),
+    Mutant("reference-delta-quotient", _BOUNDS, "delta = 1.0 - threshold / mu", "delta = (mu - threshold) / mu",
+           ["tests/test_report_cli.py::test_delta_is_one_minus_the_cutoff_over_mu"]),
+    Mutant("delta-boundary-rule-dropped", _BOUNDS, "flags.append(FLAG_DELTA_BOUNDARY)", "pass",
+           ["tests/test_bounds.py::test_hazard_bound_zero_threshold",
+            "tests/test_bounds.py::test_hazard_bound_delta_zero_boundary"]),
+    Mutant("zeros-looked-up-in-csv-table", _REPORT, "if type(v) is float and v", "if type(v) is float",
+           ["tests/test_report_cli.py::test_sweep_csv_matches_csv_writer"]),
+    Mutant("chunks-of-16384-bytes", _INGEST, "_CHUNK_BYTES = 8192", "_CHUNK_BYTES = 16384",
+           ["tests/test_ingest.py::test_block_reader_matches_text_mode_at_chunk_and_block_edges"]),
+    Mutant("byte-order-mark-kept", _INGEST, 'getincrementaldecoder("utf-8-sig")', 'getincrementaldecoder("utf-8")',
+           ["tests/test_ingest.py::test_byte_order_mark_is_skipped"]),
+    Mutant("nul-check-dropped", _INGEST, 'if "\\0" in line:', "if False:",
+           ["tests/test_ingest.py::test_nul_is_a_parse_error_on_every_python"]),
+    Mutant("unreadable-input-not-mapped", "src/sdpbounds/cli.py", "except (OSError, UnicodeDecodeError) as exc:",
+           "except UnicodeDecodeError as exc:", ["tests/test_report_cli.py::test_cli_unreadable_input_path_is_exit_2"]),
 ]
 
 

@@ -478,6 +478,35 @@ def test_sampled_sweep_report_is_a_tree(sampled_default_sweep) -> None:
     assert records == 972 * 4  # the hazard tail, one exceedance per mode and the reliability mean
 
 
+def test_each_tail_is_read_at_its_own_bound_cutoff(sampled_default_sweep) -> None:
+    # Each exact tail is the oracle's at its own bound's cutoff, and each Monte Carlo tail record carries that
+    # cutoff bit for bit, sign included: on the default grid, and on a grid whose K = K_hat and m = m_hat make
+    # both cutoffs of every point +0.0.
+    grid = SweepGrid((10, 100), (0.1, 0.5), (1.0,), (0.5,), (1.0,), (0.5,), (0.25, 1.0, 4.0), samples=1000, seed=4)
+    zeros = sweep(grid)["points"]
+    assert {record["event_threshold"].hex() for pt in zeros
+            for record in (pt["hazard_bound"], *(r["bound"] for r in pt["reliability_bound"].values()))} == {"0x0.0p+0"}
+    for pt in sampled_default_sweep[0]["points"] + zeros:
+        pop = FailurePopulation(pt["l"], pt["p"])
+        hazard, modes = pt["hazard_bound"], pt["reliability_bound"].values()
+        assert pt["hazard_exact_tail"] == binomial_cdf_below(pop, hazard["event_threshold"])
+        for record in modes:
+            assert pt["reliability_exact_tail"] == binomial_cdf_below(pop, record["bound"]["event_threshold"])
+        for bound, mc in [(hazard, pt["hazard_tail_mc"])] + [(r["bound"], r["exceedance_mc"]) for r in modes]:
+            assert mc["event_threshold"].hex() == bound["event_threshold"].hex(), pt
+
+
+def test_delta_is_one_minus_the_cutoff_over_mu(sampled_default_sweep) -> None:
+    # Every finite delta of a bound with mu > 0 is the documented 1 - c/mu, bit for bit.
+    records = [record for pt in sampled_default_sweep[0]["points"]
+               for record in (pt["hazard_bound"], pt["reference_bound"],
+                              *(r["bound"] for r in pt["reliability_bound"].values()))]
+    checked = [record for record in records if record["mu_used"] > 0.0 and record["delta"] is not None]
+    assert len(checked) == len(records) == 972 * 4  # on the default grid every delta is finite and every mu > 0
+    for record in checked:
+        assert record["delta"].hex() == (1.0 - record["event_threshold"] / record["mu_used"]).hex(), record
+
+
 def test_sweep_builds_each_population_and_hazard_pair_once(monkeypatch) -> None:
     # The grid's checks build the 9 populations and the 6 + 6 hazard parameter sets that the sweep evaluates.
     # Each point builds one hazard model, and its bound and audit records are built as dicts, not as the
@@ -879,6 +908,9 @@ def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None
             argv = [command, *point, "--samples", "1000", "--seed", "12345", "--workers", "1"]
             argv[argv.index(flag) + 1] = value
             runs.append(argv)
+    # Draws too many to plan for run out of memory at once, and that is one error line too.
+    runs += [["sweep", "--l", "10", "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1",
+              "--samples", samples] for samples in ("1" + "0" * 23, str(2**63 - 1))]
     ends = _check_contract(runs, capsys)
     assert ends["for", 1] and ends["analyze", 1] and ends["sweep", 1], ends
     assert ends["written", "analyze"] == ends["written", "sweep"] == 2, ends
