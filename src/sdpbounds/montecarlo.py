@@ -12,13 +12,12 @@ fault, for these estimators and report's analyze and sweep alike.
 
 The defect count depends on the population (l, p) alone, so a report draws
 one stream per population, once, at derive_population_seed of the base seed,
-l and p, and keeps it as its histogram, the kernel of every estimate here: it
-builds the fields of a tail (X < c) or a mean (of the SDP reliability, which
-depends on the residual hazard and t but not on the manual hazard) through
-MonteCarloEstimate and its checks, and keeps each mean by (residual, t); the
-report keeps each tail beside its exact twin, once per population and cutoff.
-The public estimators wrap those fields.  The hazard and reliability tails
-and the reliability mean of all those points come from the same draws, so
+l and p, as its histogram, the kernel of every estimate here: it builds the
+fields of a tail (X < c) or a mean (of the SDP reliability, which depends on
+the residual hazard and t but not on the manual hazard) through
+MonteCarloEstimate and its checks, afresh on every call.  The public
+estimators wrap those fields.  The hazard and reliability tails and the
+reliability mean of all the population's points come from the same draws, so
 their checks are not independent.  The tail intervals are Wilson score
 intervals; the mean's is an empirical Bernstein bound, which stays valid
 for a bounded variable whose mean sits in a tail the draws rarely reach.
@@ -30,7 +29,7 @@ import hashlib
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -171,20 +170,18 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
         return [f.result() for f in futures]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Draws:
-    """A seed's n draws as a histogram, and the store of the means made from them.
+    """A seed's n draws as a histogram, the kernel of the Monte Carlo estimates.
 
-    ``values`` holds the distinct defect counts, ascending, and ``counts`` their multiplicities.  Each
-    estimate's fields are built through MonteCarloEstimate, whose checks run then.  ``means`` keeps those of
-    each mean by its (residual, t); they are shared, so a caller keeps a copy.
+    ``values`` holds the distinct defect counts, ascending, and ``counts`` their multiplicities.  Each call
+    builds an estimate's fields through MonteCarloEstimate, whose checks run then.
     """
 
     values: np.ndarray
     counts: np.ndarray
     n: int
     seed: int
-    means: Dict[Tuple[WeibullParams, float], Dict[str, object]] = field(default_factory=dict)
 
     def tail(self, threshold: float) -> Dict[str, object]:
         """The fields of the hit rate of X < threshold with its Wilson interval, with the cutoff as given.
@@ -213,33 +210,24 @@ class _Draws:
         [0.5, 1), so r*r and the variance cannot underflow; a power-of-two
         scaling is exact, so every result equals the unscaled computation
         wherever that one does not underflow.
-
-        The draws fix the population, so the fields are computed on the first
-        call for a (residual, t) and kept: equal keys give the same bits (a
-        shape of -0.0 as 0.0), and a mean that raises is not kept, so every
-        call for it raises the same error.
         """
-        key = (model.residual, t)
-        fields = self.means.get(key)
-        if fields is None:
-            n = self.n
-            r = sdp_reliability(model, self.values, t)
-            bound = weibull_reliability(model.residual, t)
-            top = math.frexp(float(np.max(r)))[1]
-            r = np.ldexp(r, -top)
-            total = math.fsum(self.counts * r)
-            total_sq = math.fsum(self.counts * (r * r))
-            scaled_mean = total / n
-            variance = max(0.0, (total_sq - n * scaled_mean * scaled_mean) / (n - 1))
-            mean = math.ldexp(scaled_mean, top)
-            std_error = math.ldexp(math.sqrt(variance / n), top)
-            half = (math.ldexp(math.sqrt(2.0 * variance * _LOG_4_OVER_DELTA / n), top)
-                    + 7.0 * bound * _LOG_4_OVER_DELTA / (3.0 * (n - 1)))
-            # Rounding can leave the mean of equal draws an ulp outside [0, bound].
-            ci_low = min(max(0.0, mean - half), mean)
-            ci_high = max(min(bound, mean + half), mean)
-            fields = self.means[key] = vars(MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, self.seed))
-        return fields
+        n = self.n
+        r = sdp_reliability(model, self.values, t)
+        bound = weibull_reliability(model.residual, t)
+        top = math.frexp(float(np.max(r)))[1]
+        r = np.ldexp(r, -top)
+        total = math.fsum(self.counts * r)
+        total_sq = math.fsum(self.counts * (r * r))
+        scaled_mean = total / n
+        variance = max(0.0, (total_sq - n * scaled_mean * scaled_mean) / (n - 1))
+        mean = math.ldexp(scaled_mean, top)
+        std_error = math.ldexp(math.sqrt(variance / n), top)
+        half = (math.ldexp(math.sqrt(2.0 * variance * _LOG_4_OVER_DELTA / n), top)
+                + 7.0 * bound * _LOG_4_OVER_DELTA / (3.0 * (n - 1)))
+        # Rounding can leave the mean of equal draws an ulp outside [0, bound].
+        ci_low = min(max(0.0, mean - half), mean)
+        ci_high = max(min(bound, mean + half), mean)
+        return vars(MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, self.seed))
 
 
 def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:

@@ -108,23 +108,27 @@ class SweepGrid:
 
 
 def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParams, t: float,
-           modes: Sequence[str], draws: Optional[_Draws], tails: Dict[float, tuple]) -> Dict[str, object]:
+           modes: Sequence[str], draws: Optional[_Draws], kept: Dict[object, object]) -> Dict[str, object]:
     """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling).
 
     Each quantity is computed once, in the order that decides which of
     several domain errors a point raises first: the hazards and bounds come
-    before any tail.  ``tails`` is the population's table, cutoff -> (exact
-    tail, Monte Carlo tail fields or None), and each bound record reads its
-    tail, audit and a copy of its Monte Carlo tail by its own cutoff and bound.
+    before any tail, and the Monte Carlo mean last.  ``kept`` holds what the
+    population's points share, each built the first time a point asks for it
+    and never if it raises: by cutoff the (exact tail, Monte Carlo tail fields
+    or None), by (residual, t) the Monte Carlo mean fields or None (a shape of
+    -0.0 is 0.0).  Each bound record reads its tail, audit and a copy of its
+    Monte Carlo tail by its own cutoff and bound, and the point a copy of its
+    mean.
     A cutoff here is a difference of finite doubles >= +0.0, so no key stands
     for -0.0 or NaN.  The records hold the fields of the public objects.
     """
 
     def audited(record: Dict[str, object]) -> Tuple[float, Dict[str, object], Optional[Dict[str, object]]]:
         threshold = record["event_threshold"]
-        if threshold not in tails:
-            tails[threshold] = binomial_cdf_below(pop, threshold), None if draws is None else draws.tail(threshold)
-        exact, mc = tails[threshold]
+        if threshold not in kept:
+            kept[threshold] = binomial_cdf_below(pop, threshold), None if draws is None else draws.tail(threshold)
+        exact, mc = kept[threshold]
         return exact, _audit_fields(threshold, record["bound"], exact), mc and dict(mc)
 
     model = CombinedHazardModel(residual, pop)
@@ -166,7 +170,10 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     point["reference_bound"] = reference
     point["reference_audit"] = audited(reference)[1]
 
-    point["expected_reliability_mc"] = None if draws is None else dict(draws.mean(model, t))
+    key = (residual, t)
+    if key not in kept:
+        kept[key] = None if draws is None else draws.mean(model, t)
+    point["expected_reliability_mc"] = kept[key] and dict(kept[key])
     return point
 
 
@@ -189,9 +196,9 @@ def analyze(
     if not t_values:
         raise ValueError("at least one time point is required")
     grid = SweepGrid((l,), (p,), (k,), (m,), (k_hat,), (m_hat,), tuple(t_values), samples, seed, tuple(modes))
-    (pop,), ((manual, residual),), tails = grid._populations, grid._pairs, {}
+    (pop,), ((manual, residual),), kept = grid._populations, grid._pairs, {}
     draws = _population_draws(pop, samples, seed, workers)
-    points = [_point(pop, manual, residual, t, grid.modes, draws, tails) for t in grid.t_values]
+    points = [_point(pop, manual, residual, t, grid.modes, draws, kept) for t in grid.t_values]
     inputs = {"for_provenance": provenance or {"source": "literal"},
               "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values))))}
     return _report("analyze", samples, seed, modes, inputs, points, {"audits": audit_summary(points)})
@@ -201,7 +208,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     """Cartesian-product evaluation with verdict tallies and monotonicity check.
 
     l and p are the outer axes, so each population's points are contiguous
-    in grid order: its draws and exact tails are made once and shared by them,
+    in grid order: its draws and kept values are made once and shared by them,
     and ``workers`` threads draw their blocks.  Points are evaluated in grid
     order, after every population is checked against the sampling contract,
     and every per-point record is reproducible by an analyze of that point
@@ -221,11 +228,11 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
         located((pop.l, pop.p), _require_sampling, grid.samples, grid.seed, workers, pop.l)
     points: List[Dict[str, object]] = []
     for pop in grid._populations:
-        tails: Dict[float, tuple] = {}
+        kept: Dict[object, object] = {}
         draws = located((pop.l, pop.p), _population_draws, pop, grid.samples, grid.seed, workers)
         for (manual, residual), t in itertools.product(grid._pairs, grid.t_values):
             coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
-            points.append(located(coord, _point, pop, manual, residual, t, grid.modes, draws, tails))
+            points.append(located(coord, _point, pop, manual, residual, t, grid.modes, draws, kept))
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}
     if len(grid.l_values) > 1:

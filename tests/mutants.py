@@ -56,9 +56,15 @@ MUTANTS = [
     Mutant("reliability-exact-tail-from-hazard-cutoff", _REPORT, _RELIABILITY_TAIL,
            '(_, audit, mc), point["reliability_exact_tail"] = audited(record), point["hazard_exact_tail"]',
            ["tests/test_report_cli.py::test_each_tail_is_read_at_its_own_bound_cutoff"]),
-    Mutant("mean-keyed-without-t", _MC, "key = (model.residual, t)", "key = model.residual",
+    Mutant("mean-keyed-without-t", _REPORT, "key = (residual, t)", "key = residual",
            ["tests/test_montecarlo.py::test_one_reliability_mean_per_population_residual_and_t",
             "tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis"]),
+    Mutant("point-shares-kept-mean", _REPORT, "kept[key] and dict(kept[key])", "kept[key]",
+           ["tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis",
+            "tests/test_report_cli.py::test_sampled_sweep_report_is_a_tree"]),
+    Mutant("tail-counts-the-cutoff", _MC, "self.values < threshold", "self.values <= threshold",
+           ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf",
+            "tests/test_montecarlo.py::test_tail_estimates_keep_their_stream"]),
     Mutant("seed-packed-big-endian", _MC, 'struct.pack("<Qqd"', 'struct.pack(">Qqd"',
            ["tests/test_montecarlo.py::test_population_seeds_are_pinned"]),
     Mutant("wilson-z-one-sided", _MC, "_Z95 = 1.959963984540054", "_Z95 = 1.645",
@@ -66,6 +72,9 @@ MUTANTS = [
     Mutant("draws-at-inflated-p", _MC, "rng.binomial(pop.l, pop.p, size=size)",
            "rng.binomial(pop.l, min(1.0, 1.02 * pop.p), size=size)",
            ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf"]),
+    Mutant("oracle-as-lower-incomplete-beta", "src/sdpbounds/failures.py", "special.betaincc(k + 1, pop.l - k, pop.p)",
+           "special.betainc(pop.l - k, k + 1, 1.0 - pop.p)",
+           ["tests/test_failures.py::test_cdf_accuracy_large_l", "tests/test_failures.py::test_cdf_matches_pmf_sum"]),
     Mutant("half-gap-on-every-call", _BOUNDS, _RELIABILITY_EXPONENT,
            "exponent = 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)",
            ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath"]),
@@ -82,6 +91,10 @@ MUTANTS = [
             "tests/test_bounds.py::test_hazard_bound_delta_zero_boundary"]),
     Mutant("zeros-looked-up-in-csv-table", _REPORT, "if type(v) is float and v", "if type(v) is float",
            ["tests/test_report_cli.py::test_sweep_csv_matches_csv_writer"]),
+    Mutant("comma-count-check-dropped", _INGEST, "or np.count_nonzero(codes == 44) != (arity - 1) * n", "or False",
+           ["tests/test_ingest.py::test_grouped_tally_matches_record_by_record_reference"]),
+    Mutant("carriage-return-count-check-dropped", _INGEST, "cr not in (0, n)", "False",
+           ["tests/test_ingest.py::test_block_reader_matches_text_mode_at_chunk_and_block_edges"]),
     Mutant("chunks-of-16384-bytes", _INGEST, "_CHUNK_BYTES = 8192", "_CHUNK_BYTES = 16384",
            ["tests/test_ingest.py::test_block_reader_matches_text_mode_at_chunk_and_block_edges"]),
     Mutant("byte-order-mark-kept", _INGEST, 'getincrementaldecoder("utf-8-sig")', 'getincrementaldecoder("utf-8")',
