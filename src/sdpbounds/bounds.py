@@ -9,9 +9,9 @@ exp(-mu*delta**2/2) for 0 < delta <= 1:
 * the reliability-comparison bound on Pr[SDP reliability > manual
   reliability], which substitutes the closed-form expected-reliability proxy.
 
-Both substitutions are evaluated verbatim through one exponent rule, with
-domain-validity flags, so the auditor can compare them against exact tail
-probabilities; the textbook mu = l*p gives an independently valid reference.
+Both substitutions are evaluated verbatim, with domain-validity flags, for the
+auditor to compare against exact tail probabilities; the textbook mean mu = l*p
+gives an independent reference.  All three bounds share one exponent rule.
 """
 
 from __future__ import annotations
@@ -123,14 +123,14 @@ def _fields(threshold: float, mu: float, log_bound: Optional[float] = None,
             delta: Optional[float] = None, notes: Tuple[str, ...] = ()) -> Dict[str, object]:
     """The BoundReport fields of the bound on Pr[X < threshold] with mean mu, flags and notes as lists.
 
-    delta defaults to 1 - threshold/mu, and log_bound to the textbook
-    exponent -mu*delta**2/2 (0 where threshold >= mu: with the bulk of the
-    distribution inside the event only the trivial bound holds).
+    delta defaults to 1 - threshold/mu, and log_bound to the textbook exponent -mu*delta**2/2, which is
+    -(mu - threshold)**2/(2*mu), the rule of all three bounds (0 where threshold >= mu: with the bulk of
+    the distribution inside the event only the trivial bound holds).
     """
     if delta is None:
         delta = 1.0 - threshold / mu
     if log_bound is None:
-        log_bound = 0.0 if threshold >= mu else -mu * delta * delta / 2.0
+        log_bound = 0.0 if threshold >= mu else _cutoff_exponent(threshold, mu)
     return {
         "event_threshold": threshold,
         "delta": delta,
@@ -148,13 +148,19 @@ def _bound_report(fields: Dict[str, object]) -> BoundReport:
 
 
 def _gap_exponent(gap: float, mu: float) -> float:
-    """-gap**2 / (2*mu) for mu > 0, the exponent of both comparison bounds: never positive, never raising.
+    """-gap**2 / (2*mu) for mu > 0, the exponent of all three bounds: never positive, never raising.
 
     Where gap**2 is not a normal, finite double or 2*mu is infinite, a quotient comes first, keeping full precision."""
     square, two_mu = gap * gap, 2.0 * mu
     if two_mu == math.inf:
         return -(gap / mu) * (gap / 2.0)
     return -square / two_mu if 2.0 ** -1022 <= square < math.inf else -(gap / two_mu) * gap
+
+
+def _cutoff_exponent(threshold: float, mu: float) -> float:
+    """_gap_exponent of mu - threshold for mu > 0; where that gap overflows, halves of both, times 4, keep its bits."""
+    gap = mu - threshold
+    return _gap_exponent(gap, mu) if gap < math.inf else 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)
 
 
 def _hazard_fields(lp: float, manual_hazard: float, residual_hazard: float, t: float) -> Dict[str, object]:
@@ -176,7 +182,7 @@ def hazard_shortfall_bound(
     fewer instantaneous hazards than the manually tested one at time t.
 
     With A = K_hat*t**m_hat, B = K*t**m and mu = A + l*p the closed form is
-    exp(-(l*p - B + 2*A)**2 / (2*mu)), by the exponent rule of both bounds.
+    exp(-(l*p - B + 2*A)**2 / (2*mu)), by the exponent rule of all three bounds.
     A 2*mu beyond double range, which would read inf/inf, is a domain error.
     """
     residual_hazard = weibull_hazard(residual, t)
@@ -190,9 +196,7 @@ def _reliability_fields(threshold: float, mu: float, mode: str) -> Dict[str, obj
         "count-scale cutoff compared against a reliability-scale mean",
     )
     if mu > 0.0:
-        gap = mu - threshold  # can overflow where the exponent does not; then halves of both, times 4, keep its bits
-        exponent = _gap_exponent(gap, mu) if gap < math.inf else 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)
-        return _fields(threshold, mu, exponent, notes=notes)
+        return _fields(threshold, mu, _cutoff_exponent(threshold, mu), notes=notes)
     # exp underflow: proxy rounded to 0; the limit of the formula applies.
     delta = -math.inf if threshold > 0.0 else (math.inf if threshold < 0.0 else 1.0)
     log_bound = -0.0 if threshold == 0.0 else -math.inf
@@ -211,7 +215,7 @@ def reliability_excess_bound(
     The event rewrites to Pr[X < c] with c = K*t**m/(m+1) -
     K_hat*t**m_hat/(m_hat+1); the substituted mean is the closed-form
     expected-reliability proxy in the requested mode, and the simplified value
-    is exp(-(mu - c)**2 / (2*mu)), by the exponent rule of both bounds.
+    is exp(-(mu - c)**2 / (2*mu)), by the exponent rule of all three bounds.
 
     Note the scale mismatch recorded on the report: c is a defect-count cutoff
     while the proxy mu lives on the reliability scale.  The construction is
@@ -227,6 +231,6 @@ def reference_chernoff_bound(pop: FailurePopulation, threshold: float) -> BoundR
 
     Unlike the two comparison bounds above, this application is valid
     whenever 0 < threshold < l*p, so the exact tail probability must never
-    exceed it inside that domain.
+    exceed it inside that domain; its exponent takes their rule.
     """
     return _bound_report(_fields(threshold, pop.l * pop.p))

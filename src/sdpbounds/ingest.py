@@ -10,17 +10,18 @@ grow with the number of rows.
 Every input file is UTF-8, and one byte-order mark at its start is skipped.
 A records file is decoded in the 8192-byte chunks, and with the
 ``utf-8-sig`` decoder, of a text-mode file, so a bad byte reports the same
-position, and scanned in blocks of about 64K characters of whole lines;
-``tally_records`` scans a string in the same blocks.  Lines end at LF, CRLF
-or a lone CR, as in a text-mode file opened with ``newline=""``.  A plain
-block of ``id,label[,label]`` lines is counted with scans, without
-splitting fields: numpy counts its line feeds and commas as bytes of its
-UTF-8 text, and ``str.count`` its label pairs.  csv reads the header and
-the first record, which fixes the column count; the rest of that record's
-block is scanned like any later block.  A quote, a stray CR, a NUL, a padded
-or mixed-case label, a blank or over-long line, or any malformed line sends
-its block through csv, record by record, which alone states the record
-rules.  The counts and errors are the same either way.
+position, and scanned in blocks of about 64K characters of whole lines, as
+is a ``tally_records`` string, whose blocks end at other lines where the
+text is not ASCII.  Lines end at LF, CRLF or a lone CR, as in a text-mode
+file opened with ``newline=""``.  A plain block of ``id,label[,label]``
+lines is counted with scans, without splitting fields: numpy counts its
+line feeds and commas as bytes of its UTF-8 text, and ``str.count`` its
+label pairs.  csv reads the header and the first record, which fixes the
+column count; the rest of that record's block is scanned like any later
+block.  A quote, a stray CR, a NUL, a padded or mixed-case label, a blank
+or over-long line, or any malformed line sends its block through csv,
+record by record, which alone states the record rules.  The counts and
+errors are the same either way.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -196,14 +198,6 @@ def _plain_pairs(text: str, arity: int) -> Optional[_Pairs]:
     return +counts if sum(counts.values()) == n else None
 
 
-def _decoded(fb: BinaryIO) -> Iterator[str]:
-    """The text of ``fb`` as a ``utf-8-sig`` text-mode file decodes it: in its chunks, with its decoder."""
-    decode = codecs.getincrementaldecoder("utf-8-sig")().decode
-    while chunk := fb.read1(_CHUNK_BYTES):
-        yield decode(chunk)
-    yield decode(b"", True)
-
-
 def _blocks(pieces: Iterable[str]) -> Iterator[str]:
     """``pieces`` joined into blocks of whole lines, about _BLOCK_CHARS long.
 
@@ -310,7 +304,7 @@ def tally_records(source: str) -> RecordTally:
     Layout: ``module_id,predicted[,actual]`` with an optional header row.  The
     actual column must be present on every data row or on none of them;
     labels are matched case-insensitively.  No record list is built.  The
-    string is cut into blocks and lines as load_record_tally cuts a file's text.
+    counts and errors are those of load_record_tally on the string's UTF-8 file.
     """
     return _tally(_blocks(source[i:i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS)))
 
@@ -318,7 +312,7 @@ def tally_records(source: str) -> RecordTally:
 def load_record_tally(path: Union[str, Path]) -> RecordTally:
     """tally_records of a UTF-8 file, read in blocks; one byte-order mark at its start is skipped."""
     with open(path, "rb") as fb:
-        return _tally(_blocks(_decoded(fb)))
+        return _tally(_blocks(codecs.iterdecode(iter(partial(fb.read1, _CHUNK_BYTES), b""), "utf-8-sig")))
 
 
 def parse_confusion(text: str) -> ConfusionCounts:

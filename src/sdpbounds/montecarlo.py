@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -148,6 +149,8 @@ def derive_population_seed(base_seed: int, l: int, p: float) -> int:
 
 def _block_sizes(n: int) -> List[int]:
     full, rest = divmod(n, BLOCK_SIZE)
+    if full > sys.maxsize:  # past a list's index range, where [BLOCK_SIZE] * full raises OverflowError
+        raise MemoryError(f"{n} samples make {full} blocks, more than a list can hold")
     sizes = [BLOCK_SIZE] * full
     if rest:
         sizes.append(rest)
@@ -166,8 +169,7 @@ def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) ->
     if workers <= 1 or len(sizes) <= 1:
         return [block_fn(i, s) for i, s in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(block_fn, i, s) for i, s in enumerate(sizes)]
-        return [f.result() for f in futures]
+        return list(pool.map(block_fn, range(len(sizes)), sizes))
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,8 +38,8 @@ _MC = "src/sdpbounds/montecarlo.py"
 _REPORT = "src/sdpbounds/report.py"
 _BOUNDS = "src/sdpbounds/bounds.py"
 _INGEST = "src/sdpbounds/ingest.py"
-_RELIABILITY_EXPONENT = ("exponent = _gap_exponent(gap, mu) if gap < math.inf else "
-                         "4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)")
+_CUTOFF_EXPONENT = ("return _gap_exponent(gap, mu) if gap < math.inf else "
+                    "4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)")
 _TAIL_RECORD = "vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))"
 _RELIABILITY_TAIL = 'point["reliability_exact_tail"], audit, mc = audited(record)'
 
@@ -69,21 +69,30 @@ MUTANTS = [
            ["tests/test_montecarlo.py::test_population_seeds_are_pinned"]),
     Mutant("wilson-z-one-sided", _MC, "_Z95 = 1.959963984540054", "_Z95 = 1.645",
            ["tests/test_montecarlo.py::test_wilson_coverage_across_seeds"]),
+    Mutant("estimator-n-check-dropped", _MC, "if n < 1000:", "if False:",
+           ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point"]),
+    Mutant("block-count-overflow-not-mapped", _MC, "if full > sys.maxsize:", "if False:",
+           ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point",
+            "tests/test_report_cli.py::test_cli_accepted_argv_returns_with_one_error_line"]),
     Mutant("draws-at-inflated-p", _MC, "rng.binomial(pop.l, pop.p, size=size)",
            "rng.binomial(pop.l, min(1.0, 1.02 * pop.p), size=size)",
            ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf"]),
     Mutant("oracle-as-lower-incomplete-beta", "src/sdpbounds/failures.py", "special.betaincc(k + 1, pop.l - k, pop.p)",
            "special.betainc(pop.l - k, k + 1, 1.0 - pop.p)",
            ["tests/test_failures.py::test_cdf_accuracy_large_l", "tests/test_failures.py::test_cdf_matches_pmf_sum"]),
-    Mutant("half-gap-on-every-call", _BOUNDS, _RELIABILITY_EXPONENT,
-           "exponent = 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)",
+    Mutant("half-gap-on-every-call", _BOUNDS, _CUTOFF_EXPONENT,
+           "return 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)",
            ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath"]),
-    Mutant("expanded-reliability-exponent", _BOUNDS, _RELIABILITY_EXPONENT,
-           "exponent = -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)",
+    Mutant("expanded-reliability-exponent", _BOUNDS, _CUTOFF_EXPONENT,
+           "return -(0.5 * mu - threshold + 0.5 * threshold * threshold / mu)",
            ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath",
             "tests/test_report_cli.py::test_cli_reliability_verdicts_near_the_as_stated_proxy"]),
     Mutant("square-normal-range-test-dropped", _BOUNDS, "2.0 ** -1022 <= square < math.inf",
            "0.0 < square < math.inf", ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath"]),
+    Mutant("reference-textbook-exponent", _BOUNDS, "else _cutoff_exponent(threshold, mu)",
+           "else -mu * delta * delta / 2.0",
+           ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath",
+            "tests/test_report_cli.py::test_cli_accepted_argv_returns_with_one_error_line"]),
     Mutant("reference-delta-quotient", _BOUNDS, "delta = 1.0 - threshold / mu", "delta = (mu - threshold) / mu",
            ["tests/test_report_cli.py::test_delta_is_one_minus_the_cutoff_over_mu"]),
     Mutant("delta-boundary-rule-dropped", _BOUNDS, "flags.append(FLAG_DELTA_BOUNDARY)", "pass",
@@ -97,7 +106,7 @@ MUTANTS = [
            ["tests/test_ingest.py::test_block_reader_matches_text_mode_at_chunk_and_block_edges"]),
     Mutant("chunks-of-16384-bytes", _INGEST, "_CHUNK_BYTES = 8192", "_CHUNK_BYTES = 16384",
            ["tests/test_ingest.py::test_block_reader_matches_text_mode_at_chunk_and_block_edges"]),
-    Mutant("byte-order-mark-kept", _INGEST, 'getincrementaldecoder("utf-8-sig")', 'getincrementaldecoder("utf-8")',
+    Mutant("byte-order-mark-kept", _INGEST, 'b""), "utf-8-sig")', 'b""), "utf-8")',
            ["tests/test_ingest.py::test_byte_order_mark_is_skipped"]),
     Mutant("nul-check-dropped", _INGEST, 'if "\\0" in line:', "if False:",
            ["tests/test_ingest.py::test_nul_is_a_parse_error_on_every_python"]),

@@ -20,6 +20,7 @@ from sdpbounds.bounds import (
     reference_chernoff_bound,
     reliability_event_threshold,
     reliability_excess_bound,
+    _fields,
     _hazard_fields,
     _reliability_fields,
 )
@@ -267,6 +268,10 @@ def test_comparison_bound_exponents_match_mpmath() -> None:
     cases = [(_reliability_fields(c, mu, AS_STATED)["log_bound"], mpmath.mpf(mu) - mpmath.mpf(c), mpmath.mpf(mu))
              for mu, c in pairs]
     assert _exponent_misses(cases) == []
+    # The reference bound, the textbook -mu*delta**2/2, takes the same rule below its mean and is 0 at or above it.
+    cases = [(_fields(c, mu)["log_bound"], mpmath.mpf(mu) - mpmath.mpf(c), mpmath.mpf(mu)) for mu, c in pairs if c < mu]
+    assert len(cases) > 10_000 and _exponent_misses(cases) == []
+    assert all(_fields(c, mu)["log_bound"] == 0.0 for mu, c in pairs if c >= mu)
     # The hazard's parts are integers times one power of two, so that its numerator l*p - K*t**m +
     # 2*K_hat*t**m_hat is exact, however it cancels, and mpmath checks the exponent alone. The parts reach
     # down to subnormals and up to where the square overflows but 2*mu does not.

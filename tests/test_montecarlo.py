@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -574,7 +575,17 @@ def test_each_sampling_fault_has_one_message_at_every_entry_point(capsys) -> Non
     pop, huge_pop = FailurePopulation(10, 0.1), FailurePopulation(2**63, 0.1)
     model, huge_model = (CombinedHazardModel(WeibullParams(1.0, 0.0), q) for q in (pop, huge_pop))
     cli_args = ["--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1"]
+
+    def drawing(n: int) -> list:
+        """Each estimator that draws, called at n draws."""
+        return [partial(estimate_tail_probability, pop, 1.0, n, 1),
+                partial(estimate_expected_reliability, model, 1.0, n, 1),
+                partial(estimate_reliability_exceedance, model, WeibullParams(2.0, 0.0), 1.0, n, 1),
+                partial(tail_event_indicators, pop, 1.0, n, 1)]
+
     faults = {
+        **{f"n must be >= 1000, got {n}": [*drawing(n), partial(estimate_tail_probability, pop, 0.0, n, 1)]
+           for n in (0, 999)},
         "samples must be 0 (disabled) or >= 1000, got 999": [
             lambda: SweepGrid(*axes, samples=999),
             lambda: analyze(*point, samples=999),
@@ -604,6 +615,10 @@ def test_each_sampling_fault_has_one_message_at_every_entry_point(capsys) -> Non
             with pytest.raises(ValueError) as info:
                 run()
             assert str(info.value) == message
+    # From 2**78 draws on, the blocks pass a list's index range: each drawing estimator runs out of memory.
+    for run in drawing(2**78) + drawing(10**30):
+        with pytest.raises(MemoryError):
+            run()
     # A sweep puts the population in front of the same message, and the CLI prints it as its one error line.
     with pytest.raises(ValueError) as info:
         sweep(SweepGrid((2**63,), *axes[1:], samples=1000))

@@ -908,22 +908,34 @@ def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None
             argv = [command, *point, "--samples", "1000", "--seed", "12345", "--workers", "1"]
             argv[argv.index(flag) + 1] = value
             runs.append(argv)
-    # Draws too many to plan for run out of memory at once, and that is one error line too.
-    runs += [["sweep", "--l", "10", "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1",
-              "--samples", samples] for samples in ("1" + "0" * 23, str(2**63 - 1))]
+    # Draws too many to plan for run out of memory at once, and that is one error line too, also where the
+    # blocks would outnumber a list's index range (2**78 draws and up).
+    one = ["--l", "10", "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1"]
+    runs += [["sweep", *one, "--samples", samples] for samples in ("1" + "0" * 23, str(2**63 - 1))]
+    runs += [[command, *one, "--samples", samples] for command in ("analyze", "sweep") for samples in
+             (str(2**78), str(10**30))]
     ends = _check_contract(runs, capsys)
     assert ends["for", 1] and ends["analyze", 1] and ends["sweep", 1], ends
     assert ends["written", "analyze"] == ends["written", "sweep"] == 2, ends
     # Its delta and log_bound are beyond double range; the report is still standard JSON. In the second, mu - c
-    # overflows (mu 1.67e308, c -3e307) but the as-stated exponent, -1.1627e308 to 50 digits, does not.
+    # overflows (mu 1.67e308, c -3e307) but the as-stated exponent, -1.1627e308 to 50 digits, does not. In the
+    # third, the reference's mu*delta*delta overflows (delta 2.1e62) but its exponent, -1.368e308, does not.
     reports = []
     runs = [["analyze", "--l", "10", "--p", "0.1", "--K", "1e200", "--m", "0", "--K-hat", "1", "--m-hat", "0",
              "--t", "1", "--samples", "0"],
             ["analyze", "--l", "1", "--p", "1e-300", "--K", "1e-300", "--m", "0", "--K-hat", "3e307", "--m-hat", "0",
-             "--t", "2.3657e-305", "--mode", "as-stated", "--samples", "0"]]
-    assert _check_contract(runs, capsys, reports)["JSON", "analyze", 0] == 2
+             "--t", "2.3657e-305", "--mode", "as-stated", "--samples", "0"],
+            ["analyze", "--l", str(10**184), "--p", "0.6102709551490809", "--K", "1", "--m", "0",
+             "--K-hat", "1.2921766887687885e+246", "--m-hat", "0", "--t", "1", "--samples", "0",
+             "--mode", "sign-corrected"]]
+    assert _check_contract(runs, capsys, reports)["JSON", "analyze", 0] == 3
     log_bound = reports[1]["points"][0]["reliability_bound"]["as-stated"]["bound"]["log_bound"]
     assert log_bound == pytest.approx(-1.1627284906431188e308, rel=1e-12)
+    reference = reports[2]["points"][0]["reference_bound"]
+    with mpmath.workdps(60):
+        mu, c = mpmath.mpf(reference["mu_used"]), mpmath.mpf(reference["event_threshold"])
+        exponent = float(-(mu - c) ** 2 / (2 * mu))
+    assert reference["log_bound"] == exponent == -1.3680157812766793e+308
 
 
 def test_cli_analyze_reports_no_nan_on_extreme_inputs(tmp_path, capsys) -> None:
