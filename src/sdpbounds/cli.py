@@ -238,7 +238,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except MemoryError:  # e.g. a --samples whose blocks cannot even be listed
+    except MemoryError:  # e.g. an input file or a report too large to hold
         print("error: out of memory", file=sys.stderr)
         return EXIT_DOMAIN
     try:  # line by line: an unbuffered stdout drops the rest of a partial write without an error

@@ -243,13 +243,6 @@ def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
     return _Draws(values, counts, n, seed)
 
 
-def _population_draws(pop: FailurePopulation, samples: int, seed: int, workers: int) -> Optional[_Draws]:
-    """The draws of the population's stream at its seed derived from ``seed``, or None with sampling off."""
-    if not samples:
-        return None
-    return _draw(pop, samples, derive_population_seed(seed, pop.l, pop.p), workers)
-
-
 def estimate_tail_probability(
     pop: FailurePopulation,
     threshold: float,

@@ -7,19 +7,20 @@ byte-stable; numeric fields round-trip bit-exactly through the shortest-
 round-trip float representation.  Sampling follows montecarlo's contract and
 draws: each population (l, p) has one stream, at the seed
 montecarlo.derive_population_seed gives for the base seed, l and p (not a
-position), shared by every point and t of it, so any sweep point is
-independently recomputable by a single-point analysis.
+position), shared by every point and t of it through _population's caches, so
+any sweep point is independently recomputable by a single-point analysis.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bounds import _fields, _hazard_fields, _reliability_fields, reliability_event_threshold
@@ -36,7 +37,7 @@ from .hazards import (
     weibull_hazard,
     weibull_reliability,
 )
-from .montecarlo import _audit_fields, _Draws, _population_draws, _require_sampling, derive_population_seed
+from .montecarlo import _audit_fields, _draw, _require_sampling, derive_population_seed
 
 __all__ = [
     "SweepGrid",
@@ -100,6 +101,8 @@ class SweepGrid:
         for t in self.t_values:
             _require_positive_time(t)
         _require_sampling(self.samples, self.seed)
+        if self.samples * len(populations) > 2**32:  # 2 to 7 minutes of draws at one worker (README)
+            raise ValueError(f"samples x populations = {self.samples * len(populations)} draws, more than 2**32")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
@@ -107,28 +110,32 @@ class SweepGrid:
         object.__setattr__(self, "_pairs", tuple(itertools.product(manuals, residuals)))
 
 
+def _population(pop: FailurePopulation, grid: SweepGrid, workers: int) -> Tuple[Callable, Callable]:
+    """The population's draws (None with sampling off) and the caches its points share, which keep no raise:
+    tail(cutoff) gives (exact tail, Monte Carlo tail or None), mean(residual, t) the Monte Carlo mean or None."""
+    draws = _draw(pop, grid.samples, derive_population_seed(grid.seed, pop.l, pop.p), workers) if grid.samples else None
+    tail = functools.cache(lambda cutoff: (binomial_cdf_below(pop, cutoff), draws and draws.tail(cutoff)))
+    mean = functools.cache(lambda residual, t: draws and draws.mean(CombinedHazardModel(residual, pop), t))
+    return tail, mean
+
+
 def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParams, t: float,
-           modes: Sequence[str], draws: Optional[_Draws], kept: Dict[object, object]) -> Dict[str, object]:
-    """One point's hazards, reliabilities, bounds and audits, from the population's draws (None: no sampling).
+           modes: Sequence[str], tail: Callable, mean: Callable) -> Dict[str, object]:
+    """One point's hazards, reliabilities, bounds and audits, from its population's caches (_population).
 
     Each quantity is computed once, in the order that decides which of
     several domain errors a point raises first: the hazards and bounds come
-    before any tail, and the Monte Carlo mean last.  ``kept`` holds what the
-    population's points share, each built the first time a point asks for it
-    and never if it raises: by cutoff the (exact tail, Monte Carlo tail fields
-    or None), by (residual, t) the Monte Carlo mean fields or None (a shape of
-    -0.0 is 0.0).  Each bound record reads its tail, audit and a copy of its
-    Monte Carlo tail by its own cutoff and bound, and the point a copy of its
-    mean.
-    A cutoff here is a difference of finite doubles >= +0.0, so no key stands
-    for -0.0 or NaN.  The records hold the fields of the public objects.
+    before any tail, and the Monte Carlo mean last.  Each bound record reads
+    its tail, audit and a copy of its Monte Carlo tail by its own cutoff and
+    bound, and the point a copy of its mean by residual and t (a shape of
+    -0.0 is 0.0).  A cutoff here is a difference of finite doubles >= +0.0,
+    so no key stands for -0.0 or NaN.  The records hold the fields of the
+    public objects.
     """
 
     def audited(record: Dict[str, object]) -> Tuple[float, Dict[str, object], Optional[Dict[str, object]]]:
         threshold = record["event_threshold"]
-        if threshold not in kept:
-            kept[threshold] = binomial_cdf_below(pop, threshold), None if draws is None else draws.tail(threshold)
-        exact, mc = kept[threshold]
+        exact, mc = tail(threshold)
         return exact, _audit_fields(threshold, record["bound"], exact), mc and dict(mc)
 
     model = CombinedHazardModel(residual, pop)
@@ -170,10 +177,8 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     point["reference_bound"] = reference
     point["reference_audit"] = audited(reference)[1]
 
-    key = (residual, t)
-    if key not in kept:
-        kept[key] = None if draws is None else draws.mean(model, t)
-    point["expected_reliability_mc"] = kept[key] and dict(kept[key])
+    mc = mean(residual, t)
+    point["expected_reliability_mc"] = mc and dict(mc)
     return point
 
 
@@ -193,12 +198,10 @@ def analyze(
 ) -> Dict[str, object]:
     """Full-pipeline run report over times that share one population's draws; it checks every input first."""
     _require_sampling(samples, seed, workers)
-    if not t_values:
-        raise ValueError("at least one time point is required")
     grid = SweepGrid((l,), (p,), (k,), (m,), (k_hat,), (m_hat,), tuple(t_values), samples, seed, tuple(modes))
-    (pop,), ((manual, residual),), kept = grid._populations, grid._pairs, {}
-    draws = _population_draws(pop, samples, seed, workers)
-    points = [_point(pop, manual, residual, t, grid.modes, draws, kept) for t in grid.t_values]
+    (pop,), ((manual, residual),) = grid._populations, grid._pairs
+    tail, mean = _population(pop, grid, workers)
+    points = [_point(pop, manual, residual, t, grid.modes, tail, mean) for t in grid.t_values]
     inputs = {"for_provenance": provenance or {"source": "literal"},
               "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values))))}
     return _report("analyze", samples, seed, modes, inputs, points, {"audits": audit_summary(points)})
@@ -208,31 +211,27 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
     """Cartesian-product evaluation with verdict tallies and monotonicity check.
 
     l and p are the outer axes, so each population's points are contiguous
-    in grid order: its draws and kept values are made once and shared by them,
-    and ``workers`` threads draw their blocks.  Points are evaluated in grid
-    order, after every population is checked against the sampling contract,
-    and every per-point record is reproducible by an analyze of that point
-    alone.  A point's domain error is raised with its coordinates in front (l
-    and p alone for an error of the population's sampling or draws).
+    in grid order: its draws and caches (_population) are made once and shared
+    by them, and ``workers`` threads draw their blocks.  Points are evaluated
+    in grid order, after every population is checked against the sampling
+    contract, and every per-point record is reproducible by an analyze of that
+    point alone.  A point's domain error is raised with its coordinates in
+    front (l and p alone for an error of the population's sampling or draws).
     """
     _require_sampling(grid.samples, grid.seed, workers)
-
-    def located(coord: Tuple, fn, *args):
-        try:
-            return fn(*args)
-        except ValueError as exc:
-            where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
-            raise ValueError(f"{where}: {exc}") from exc
-
-    for pop in grid._populations if grid.samples else ():
-        located((pop.l, pop.p), _require_sampling, grid.samples, grid.seed, workers, pop.l)
     points: List[Dict[str, object]] = []
-    for pop in grid._populations:
-        kept: Dict[object, object] = {}
-        draws = located((pop.l, pop.p), _population_draws, pop, grid.samples, grid.seed, workers)
-        for (manual, residual), t in itertools.product(grid._pairs, grid.t_values):
-            coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
-            points.append(located(coord, _point, pop, manual, residual, t, grid.modes, draws, kept))
+    try:
+        for coord in ((pop.l, pop.p) for pop in grid._populations if grid.samples):
+            _require_sampling(grid.samples, grid.seed, workers, coord[0])
+        for pop in grid._populations:
+            coord = (pop.l, pop.p)
+            caches = _population(pop, grid, workers)
+            for (manual, residual), t in itertools.product(grid._pairs, grid.t_values):
+                coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
+                points.append(_point(pop, manual, residual, t, grid.modes, *caches))
+    except ValueError as exc:
+        where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
+        raise ValueError(f"{where}: {exc}") from exc
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}
     if len(grid.l_values) > 1:

@@ -48,7 +48,7 @@ MUTANTS = [
            '{"estimate": p_hat, "std_error": std_error, "ci_low": ci_low, "ci_high": ci_high, "n_samples": n, '
            '"seed": seed, "event_threshold": threshold}',
            ["tests/test_montecarlo.py::test_sweep_estimates_pass_the_estimate_checks"]),
-    Mutant("point-shares-kept-record", _REPORT, "mc and dict(mc)", "mc",
+    Mutant("point-shares-kept-record", _REPORT, "exact), mc and dict(mc)", "exact), mc",
            ["tests/test_report_cli.py::test_sampled_sweep_report_is_a_tree"]),
     Mutant("reference-audit-reads-hazard-bound", _REPORT, "audited(reference)[1]", "audited(hazard)[1]",
            ["tests/test_acceptance.py::test_criterion7_audit_integrity",
@@ -56,12 +56,21 @@ MUTANTS = [
     Mutant("reliability-exact-tail-from-hazard-cutoff", _REPORT, _RELIABILITY_TAIL,
            '(_, audit, mc), point["reliability_exact_tail"] = audited(record), point["hazard_exact_tail"]',
            ["tests/test_report_cli.py::test_each_tail_is_read_at_its_own_bound_cutoff"]),
-    Mutant("mean-keyed-without-t", _REPORT, "key = (residual, t)", "key = residual",
+    Mutant("mean-keyed-without-t", _REPORT, "mc = mean(residual, t)", "mc = mean(residual, 1.0)",
            ["tests/test_montecarlo.py::test_one_reliability_mean_per_population_residual_and_t",
             "tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis"]),
-    Mutant("point-shares-kept-mean", _REPORT, "kept[key] and dict(kept[key])", "kept[key]",
+    Mutant("point-shares-kept-mean", _REPORT, 'point["expected_reliability_mc"] = mc and dict(mc)',
+           'point["expected_reliability_mc"] = mc',
            ["tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis",
             "tests/test_report_cli.py::test_sampled_sweep_report_is_a_tree"]),
+    Mutant("caches-shared-across-populations", _REPORT, "caches = _population(pop, grid, workers)",
+           "caches = caches if points else _population(pop, grid, workers)",
+           ["tests/test_report_cli.py::test_sweep_computes_each_exact_tail_once"]),
+    Mutant("draw-ceiling-checks-samples-alone", _REPORT, "if self.samples * len(populations) > 2**32:",
+           "if self.samples > 2**32:",
+           ["tests/test_report_cli.py::test_draws_past_the_ceiling_are_refused_before_any_draw"]),
+    Mutant("empty-axis-check-dropped", _REPORT, "if not values:", "if False:",
+           ["tests/test_montecarlo.py::test_analyze_checks_every_input_before_it_draws"]),
     Mutant("tail-counts-the-cutoff", _MC, "self.values < threshold", "self.values <= threshold",
            ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf",
             "tests/test_montecarlo.py::test_tail_estimates_keep_their_stream"]),
@@ -72,8 +81,7 @@ MUTANTS = [
     Mutant("estimator-n-check-dropped", _MC, "if n < 1000:", "if False:",
            ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point"]),
     Mutant("block-count-overflow-not-mapped", _MC, "if full > sys.maxsize:", "if False:",
-           ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point",
-            "tests/test_report_cli.py::test_cli_accepted_argv_returns_with_one_error_line"]),
+           ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point"]),
     Mutant("draws-at-inflated-p", _MC, "rng.binomial(pop.l, pop.p, size=size)",
            "rng.binomial(pop.l, min(1.0, 1.02 * pop.p), size=size)",
            ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf"]),

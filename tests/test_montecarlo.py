@@ -539,7 +539,7 @@ def test_l_at_or_above_2_63_with_sampling_is_rejected(capsys) -> None:
             run()
 
 
-def test_analyze_checks_every_input_before_it_draws(monkeypatch) -> None:
+def test_analyze_checks_every_input_before_it_draws(monkeypatch, capsys) -> None:
     # Each fault is found before the population's 10**6 draws, with the message of the check that owns it.
     drawn = []
     draw_block = mc._draw_block
@@ -552,11 +552,17 @@ def test_analyze_checks_every_input_before_it_draws(monkeypatch) -> None:
         (dict(m_hat=math.nan), "shape_m must be finite and > -1, got nan"),
         (dict(t_values=[1.0, -1.0]), "time t must be finite and > 0 for hazard evaluation, got -1.0"),
         (dict(modes=("bogus",)), "unknown mode 'bogus'"),
+        (dict(t_values=[]), "grid axis t is empty"),
     ]
     for change, message in faults:
         with pytest.raises(ValueError) as info:
             analyze(**{**point, **change}, samples=10**6, seed=1)
         assert str(info.value) == message and not drawn, change
+    # The CLI's analyze and sweep print the message of SweepGrid's check for an empty --t.
+    argv = ["--l", "100", "--p", "0.1", "--K", "2", "--m", "0.5", "--K-hat", "1", "--m-hat", "0.5", "--t", ""]
+    for command in ("analyze", "sweep"):
+        assert main([command, *argv, "--samples", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: grid axis t is empty\n")
     analyze(**point, samples=1000, seed=1)
     assert len(drawn) == 1  # the counter does see a valid input's draws
 

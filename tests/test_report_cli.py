@@ -541,6 +541,29 @@ def test_sweep_checks_each_population_sampling_contract_first(monkeypatch, capsy
                       "got 9223372036854775808\n"] * 2
 
 
+def test_draws_past_the_ceiling_are_refused_before_any_draw(monkeypatch, capsys) -> None:
+    # samples x populations may reach 2**32 draws and no more; here three populations, not --samples, pass it.
+    # Every draw runs out of memory, so a run that reaches one ends in "out of memory" instead.
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sdpbounds.montecarlo, "_draw_block", exhausted)
+    shapes = ((1.0,), (0.0,), (1.0,), (0.0,), (1.0,))
+    assert len(SweepGrid((10, 20), (0.1, 0.2), *shapes, samples=2**30)._populations) == 4
+    message = f"samples x populations = {3 * 2**31} draws, more than 2**32"
+    with pytest.raises(ValueError) as info:
+        SweepGrid((10, 20, 30), (0.1,), *shapes, samples=2**31)
+    assert str(info.value) == message
+    one = ["--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1"]
+    assert main(["sweep", "--l", "10,20,30", *one, "--samples", str(2**31)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["analyze", "--l", "10", *one, "--samples", str(2**32 + 1)]) == 1
+    assert capsys.readouterr() == ("", f"error: samples x populations = {2**32 + 1} draws, more than 2**32\n")
+    for command in ("analyze", "sweep"):
+        assert main([command, "--l", "10", *one, "--samples", "1000"]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 # ---------------------------------------------------------------------------
 # CLI surface.
 # ---------------------------------------------------------------------------
@@ -908,12 +931,15 @@ def test_cli_accepted_argv_returns_with_one_error_line(tmp_path, capsys) -> None
             argv = [command, *point, "--samples", "1000", "--seed", "12345", "--workers", "1"]
             argv[argv.index(flag) + 1] = value
             runs.append(argv)
-    # Draws too many to plan for run out of memory at once, and that is one error line too, also where the
-    # blocks would outnumber a list's index range (2**78 draws and up).
+    # More than 2**32 draws are refused at once, in one error line: 2**40 would draw for hours, and from 2**78 on
+    # the blocks would outnumber a list's index range.
     one = ["--l", "10", "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1", "--m-hat", "0", "--t", "1"]
-    runs += [["sweep", *one, "--samples", samples] for samples in ("1" + "0" * 23, str(2**63 - 1))]
-    runs += [[command, *one, "--samples", samples] for command in ("analyze", "sweep") for samples in
-             (str(2**78), str(10**30))]
+    huge = [["sweep", *one, "--samples", samples] for samples in ("1" + "0" * 23, str(2**63 - 1))]
+    huge += [[command, *one, "--samples", samples] for command in ("analyze", "sweep") for samples in
+             (str(2**40), str(2**78), str(10**30))]
+    started = time.perf_counter()
+    assert _check_contract(huge, capsys) == Counter({("analyze", 1): 3, ("sweep", 1): 5})
+    assert time.perf_counter() - started < 1.0
     ends = _check_contract(runs, capsys)
     assert ends["for", 1] and ends["analyze", 1] and ends["sweep", 1], ends
     assert ends["written", "analyze"] == ends["written", "sweep"] == 2, ends
