@@ -173,7 +173,7 @@ def log_expected_sdp_reliability_bound(model: CombinedHazardModel, t: float, mod
     positively (as-stated).
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ValueError(f"unknown mode {mode!r}")
     pop = model.population
     residual_integral = weibull_cumulative_hazard(model.residual, t)
     bernoulli_part = pop.l * pop.p * math.expm1(-t)

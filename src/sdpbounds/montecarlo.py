@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -164,11 +165,11 @@ def _draw_block(pop: FailurePopulation, seed: int, block_index: int, size: int) 
 
 
 def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) -> List[object]:
-    """Apply block_fn(block_index, size) to every block, results in index order."""
+    """Apply block_fn(block_index, size) to every block, results in index order, in at most one thread a CPU."""
     sizes = _block_sizes(n)
     if workers <= 1 or len(sizes) <= 1:
         return [block_fn(i, s) for i, s in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(sizes), os.cpu_count() or 1)) as pool:
         return list(pool.map(block_fn, range(len(sizes)), sizes))
 
 

@@ -7,8 +7,9 @@ byte-stable; numeric fields round-trip bit-exactly through the shortest-
 round-trip float representation.  Sampling follows montecarlo's contract and
 draws: each population (l, p) has one stream, at the seed
 montecarlo.derive_population_seed gives for the base seed, l and p (not a
-position), shared by every point and t of it through _population's caches, so
-any sweep point is independently recomputable by a single-point analysis.
+position), shared by every point and t of it through _population's caches.
+analyze is the one-population sweep, so an analyze of any sweep point alone
+gives that point's record, and the same error line.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class SweepGrid:
         residuals = [WeibullParams(k, m) for k, m in itertools.product(self.k_hat_values, self.m_hat_values)]
         for t in self.t_values:
             _require_positive_time(t)
-        _require_sampling(self.samples, self.seed)
+        for pop in populations:  # every sampling fault, l < 2**63 too, before any draw
+            _require_sampling(self.samples, self.seed, l=pop.l if self.samples else 0)
         if self.samples * len(populations) > 2**32:  # 2 to 7 minutes of draws at one worker (README)
             raise ValueError(f"samples x populations = {self.samples * len(populations)} draws, more than 2**32")
         for mode in self.modes:
@@ -123,14 +125,14 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
            modes: Sequence[str], tail: Callable, mean: Callable) -> Dict[str, object]:
     """One point's hazards, reliabilities, bounds and audits, from its population's caches (_population).
 
-    Each quantity is computed once, in the order that decides which of
-    several domain errors a point raises first: the hazards and bounds come
-    before any tail, and the Monte Carlo mean last.  Each bound record reads
-    its tail, audit and a copy of its Monte Carlo tail by its own cutoff and
-    bound, and the point a copy of its mean by residual and t (a shape of
-    -0.0 is 0.0).  A cutoff here is a difference of finite doubles >= +0.0,
-    so no key stands for -0.0 or NaN.  The records hold the fields of the
-    public objects.
+    Each quantity is computed once, in the order that decides which of several
+    domain errors a point raises first (sweep puts the point in front): the
+    hazards and bounds come before any tail, and the Monte Carlo mean last.
+    Each bound record reads its tail, audit and a copy of its Monte Carlo tail
+    by its own cutoff and bound, and the point a copy of its mean by residual
+    and t (a shape of -0.0 is 0.0).  A cutoff here is a difference of finite
+    doubles >= +0.0, so no key stands for -0.0 or NaN.  The records hold the
+    fields of the public objects.
     """
 
     def audited(record: Dict[str, object]) -> Tuple[float, Dict[str, object], Optional[Dict[str, object]]]:
@@ -196,15 +198,12 @@ def analyze(
     modes: Sequence[str] = MODES,
     provenance: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Full-pipeline run report over times that share one population's draws; it checks every input first."""
-    _require_sampling(samples, seed, workers)
+    """The one-population sweep over times that share its draws, under analyze's own header and inputs."""
     grid = SweepGrid((l,), (p,), (k,), (m,), (k_hat,), (m_hat,), tuple(t_values), samples, seed, tuple(modes))
-    (pop,), ((manual, residual),) = grid._populations, grid._pairs
-    tail, mean = _population(pop, grid, workers)
-    points = [_point(pop, manual, residual, t, grid.modes, tail, mean) for t in grid.t_values]
+    swept = sweep(grid, workers)
     inputs = {"for_provenance": provenance or {"source": "literal"},
               "params": dict(zip(PARAM_NAMES, (l, p, k, m, k_hat, m_hat, list(t_values))))}
-    return _report("analyze", samples, seed, modes, inputs, points, {"audits": audit_summary(points)})
+    return _report("analyze", samples, seed, modes, inputs, swept["points"], swept["summary"])
 
 
 def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
@@ -212,26 +211,23 @@ def sweep(grid: SweepGrid, workers: int = 1) -> Dict[str, object]:
 
     l and p are the outer axes, so each population's points are contiguous
     in grid order: its draws and caches (_population) are made once and shared
-    by them, and ``workers`` threads draw their blocks.  Points are evaluated
-    in grid order, after every population is checked against the sampling
-    contract, and every per-point record is reproducible by an analyze of that
-    point alone.  A point's domain error is raised with its coordinates in
-    front (l and p alone for an error of the population's sampling or draws).
+    by them, and up to ``workers`` threads draw their blocks.  The grid has
+    checked every input but ``workers``, sampling included, before any draw.
+    Points are evaluated in grid order, and every per-point record is
+    reproducible by an analyze of that point alone.  A point's domain error is
+    raised with its coordinates in front.
     """
     _require_sampling(grid.samples, grid.seed, workers)
     points: List[Dict[str, object]] = []
-    try:
-        for coord in ((pop.l, pop.p) for pop in grid._populations if grid.samples):
-            _require_sampling(grid.samples, grid.seed, workers, coord[0])
-        for pop in grid._populations:
-            coord = (pop.l, pop.p)
-            caches = _population(pop, grid, workers)
-            for (manual, residual), t in itertools.product(grid._pairs, grid.t_values):
-                coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
+    for pop in grid._populations:
+        caches = _population(pop, grid, workers)
+        for (manual, residual), t in itertools.product(grid._pairs, grid.t_values):
+            try:
                 points.append(_point(pop, manual, residual, t, grid.modes, *caches))
-    except ValueError as exc:
-        where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
-        raise ValueError(f"{where}: {exc}") from exc
+            except ValueError as exc:
+                coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
+                where = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, coord))
+                raise ValueError(f"{where}: {exc}") from exc
 
     summary: Dict[str, object] = {"audits": audit_summary(points)}
     if len(grid.l_values) > 1:

@@ -69,6 +69,9 @@ MUTANTS = [
     Mutant("draw-ceiling-checks-samples-alone", _REPORT, "if self.samples * len(populations) > 2**32:",
            "if self.samples > 2**32:",
            ["tests/test_report_cli.py::test_draws_past_the_ceiling_are_refused_before_any_draw"]),
+    Mutant("sweepgrid-l-check-dropped", _REPORT, "l=pop.l if self.samples else 0", "l=0",
+           ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point",
+            "tests/test_report_cli.py::test_sweep_checks_each_population_sampling_contract_first"]),
     Mutant("empty-axis-check-dropped", _REPORT, "if not values:", "if False:",
            ["tests/test_montecarlo.py::test_analyze_checks_every_input_before_it_draws"]),
     Mutant("tail-counts-the-cutoff", _MC, "self.values < threshold", "self.values <= threshold",
@@ -82,6 +85,8 @@ MUTANTS = [
            ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point"]),
     Mutant("block-count-overflow-not-mapped", _MC, "if full > sys.maxsize:", "if False:",
            ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point"]),
+    Mutant("thread-cap-dropped", _MC, "max_workers=min(workers, len(sizes), os.cpu_count() or 1)",
+           "max_workers=workers", ["tests/test_montecarlo.py::test_block_pool_opens_no_more_threads_than_cpus"]),
     Mutant("draws-at-inflated-p", _MC, "rng.binomial(pop.l, pop.p, size=size)",
            "rng.binomial(pop.l, min(1.0, 1.02 * pop.p), size=size)",
            ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf"]),

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import threading
 from functools import partial
 
 import numpy as np
@@ -16,6 +18,7 @@ from sdpbounds.bounds import (
     hazard_shortfall_bound,
     reference_chernoff_bound,
     reliability_event_threshold,
+    reliability_excess_bound,
 )
 from sdpbounds.cli import main
 from sdpbounds.failures import FailurePopulation, binomial_cdf_below
@@ -91,6 +94,8 @@ def test_library_input_checks_name_what_they_reject() -> None:
         (lambda: SweepGrid((10,), (0.1,), (1.0,), (0.0,), (1.0,), (0.0,), (1.0,), modes=("bogus",)),
          "unknown mode 'bogus'"),
         (lambda: analyze(10, 0.1, 1.0, 0.0, 1.0, 0.0, [1.0], modes=("bogus",)), "unknown mode 'bogus'"),
+        (lambda: reliability_excess_bound(FailurePopulation(10, 0.1), flat, flat, 1.0, mode="bogus"),
+         "unknown mode 'bogus'"),
         (lambda: wilson_interval(0, 0), "n must be positive"),
         (lambda: MonteCarloEstimate(0.5, 0.1, 0.6, 0.7, 1000, 0), "interval [0.6, 0.7] does not contain estimate 0.5"),
         (lambda: MonteCarloEstimate(0.5, -1.0, 0.4, 0.6, 1000, 0), "std_error must be >= 0, got -1.0"),
@@ -138,6 +143,22 @@ def test_determinism_across_workers_and_runs() -> None:
         for other in results[1:]:
             assert other == first
 
+
+
+def test_block_pool_opens_no_more_threads_than_cpus(monkeypatch) -> None:
+    # A huge workers count opens a pool of at most one thread a CPU, and the blocks come back in index order.
+    pools, threads = [], set()
+
+    class Pool(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers: int) -> None:
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    blocks = mc._map_blocks(3 * mc.BLOCK_SIZE, 10**6, lambda i, size: threads.add(threading.get_ident()) or (i, size))
+    assert blocks == [(i, mc.BLOCK_SIZE) for i in range(3)]
+    assert pools == [2] and len(threads) <= 2
 
 def test_wilson_coverage_across_seeds() -> None:
     # 95% nominal interval; demand >= 93/100 coverage (binomial slack).
@@ -610,6 +631,8 @@ def test_each_sampling_fault_has_one_message_at_every_entry_point(capsys) -> Non
             lambda: estimate_expected_reliability(model, 1.0, 1000, 1, workers=0),
         ],
         f"l must be < 2**63 when sampling, got {2**63}": [
+            lambda: SweepGrid((2**63,), *axes[1:], samples=1000),
+            lambda: sweep(SweepGrid((2**63,), *axes[1:], samples=1000)),
             lambda: analyze(2**63, *point[1:], samples=1000),
             lambda: derive_population_seed(1, 2**63, 0.1),
             lambda: estimate_tail_probability(huge_pop, 1.0, 1000, 1),
@@ -625,15 +648,10 @@ def test_each_sampling_fault_has_one_message_at_every_entry_point(capsys) -> Non
     for run in drawing(2**78) + drawing(10**30):
         with pytest.raises(MemoryError):
             run()
-    # A sweep puts the population in front of the same message, and the CLI prints it as its one error line.
-    with pytest.raises(ValueError) as info:
-        sweep(SweepGrid((2**63,), *axes[1:], samples=1000))
-    l_message = f"l={2**63}, p=0.1: l must be < 2**63 when sampling, got {2**63}"
-    assert str(info.value) == l_message
+    # The CLI prints each as its one error line, the same for analyze and sweep.
     for flags, message in [(["--l", "10", "--seed", str(2**64)], f"seed must be >= 0 and < 2**64, got {2**64}"),
-                           (["--l", "10", "--workers", "0"], "workers must be >= 1, got 0")]:
+                           (["--l", "10", "--workers", "0"], "workers must be >= 1, got 0"),
+                           (["--l", str(2**63), "--samples", "1000"], f"l must be < 2**63 when sampling, got {2**63}")]:
         for command in ("analyze", "sweep"):
             assert main([command, *cli_args, *flags]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
-    assert main(["sweep", *cli_args, "--l", str(2**63), "--samples", "1000"]) == 1
-    assert capsys.readouterr().err == f"error: {l_message}\n"

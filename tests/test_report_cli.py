@@ -525,7 +525,7 @@ def test_sweep_builds_each_population_and_hazard_pair_once(monkeypatch) -> None:
 
 
 def test_sweep_checks_each_population_sampling_contract_first(monkeypatch, capsys) -> None:
-    # An l of 2**63 cannot be sampled; the sweep fails before its first point, wherever that l stands.
+    # An l of 2**63 cannot be sampled; the grid refuses it before the first point, wherever that l stands.
     evaluated = []
     point = sdpbounds.report._point
     monkeypatch.setattr(sdpbounds.report, "_point", lambda *args: evaluated.append(args) or point(*args))
@@ -537,8 +537,7 @@ def test_sweep_checks_each_population_sampling_contract_first(monkeypatch, capsy
         out, err = capsys.readouterr()
         assert out == "" and not evaluated
         errors.append(err)
-    assert errors == ["error: l=9223372036854775808, p=0.01: l must be < 2**63 when sampling, "
-                      "got 9223372036854775808\n"] * 2
+    assert errors == ["error: l must be < 2**63 when sampling, got 9223372036854775808\n"] * 2
 
 
 def test_draws_past_the_ceiling_are_refused_before_any_draw(monkeypatch, capsys) -> None:
@@ -773,7 +772,30 @@ def test_cli_hazard_bound_overflow_is_one_line_error(capsys) -> None:
         "analyze", "--l", "10", "--p", "0.1", "--K", "1", "--m", "0", "--K-hat", "1e308", "--m-hat", "0",
         "--t", "1", "--samples", "0", "--mode", "sign-corrected",
     ]) == 1
-    assert capsys.readouterr().err == "error: hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t=1.0\n"
+    assert capsys.readouterr().err == ("error: l=10, p=0.1, K=1.0, m=0.0, K_hat=1e+308, m_hat=0.0, t=1.0: "
+                                       "hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t=1.0\n")
+
+
+def test_analyze_and_sweep_of_one_point_end_in_the_same_error_line(capsys) -> None:
+    # analyze is the one-population sweep: each fault of one point gives both commands one identical line.
+    point = {"--l": "10", "--p": "0.1", "--K": "1", "--m": "0", "--K-hat": "1", "--m-hat": "0", "--t": "1",
+             "--samples": "0"}
+    faults = [
+        ({"--K-hat": "1e308"}, "l=10, p=0.1, K=1.0, m=0.0, K_hat=1e+308, m_hat=0.0, t=1.0: "
+                               "hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t=1.0"),
+        ({"--K": "1e300", "--m": "1", "--t": "1e10"},
+         "l=10, p=0.1, K=1e+300, m=1.0, K_hat=1.0, m_hat=0.0, t=10000000000.0: "
+         "scale_k * t**1.0 overflows at time t=10000000000.0 (shape_m=1.0)"),
+        ({"--K-hat": "1000"}, "l=10, p=0.1, K=1.0, m=0.0, K_hat=1000.0, m_hat=0.0, t=1.0: "
+                              "expected-reliability proxy (as-stated) overflows at time t=1.0"),
+        ({"--l": str(2**63), "--samples": "1000"}, f"l must be < 2**63 when sampling, got {2**63}"),
+        ({"--K": "-2", "--workers": "0"}, "scale_k must be finite and > 0, got -2.0"),
+    ]
+    for change, message in faults:
+        argv = [arg for flag, value in {**point, **change}.items() for arg in (flag, value)]
+        for command in ("analyze", "sweep"):
+            assert main([command, *argv]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n"), (command, change)
 
 
 def test_cli_hazard_log_bound_is_finite_when_its_square_overflows(capsys) -> None:
