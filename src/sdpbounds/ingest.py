@@ -16,12 +16,12 @@ text is not ASCII.  Lines end at LF, CRLF or a lone CR, as in a text-mode
 file opened with ``newline=""``.  A plain block of ``id,label[,label]``
 lines is counted with scans, without splitting fields: numpy counts its
 line feeds and commas as bytes of its UTF-8 text, and ``str.count`` its
-label pairs.  csv reads the header and the first record, which fixes the
-column count; the rest of that record's block is scanned like any later
-block.  A quote, a stray CR, a NUL, a padded or mixed-case label, a blank
-or over-long line, or any malformed line sends its block through csv,
-record by record, which alone states the record rules.  The counts and
-errors are the same either way.
+label pairs.  csv reads the first block, the first two lines of the first
+piece, which fix the column count.  A quote, a stray CR, a NUL, a padded or
+mixed-case label, a blank or over-long line, or any malformed line sends
+its block through csv, record by record, which alone states the record
+rules.  The counts and errors are the same either way.  A line that runs
+longer than any field without a comma or line end goes to csv unfinished.
 """
 
 from __future__ import annotations
@@ -198,19 +198,32 @@ def _plain_pairs(text: str, arity: int) -> Optional[_Pairs]:
     return +counts if sum(counts.values()) == n else None
 
 
-def _blocks(pieces: Iterable[str]) -> Iterator[str]:
-    """``pieces`` joined into blocks of whole lines, about _BLOCK_CHARS long.
+def _blocks(pieces: Iterator[str]) -> Iterator[str]:
+    """``pieces`` joined into blocks of whole lines: the first piece's first two, if it has two, then about _BLOCK_CHARS.
 
+    A block that cannot end at a line feed ends where it stands once its last
+    ``window`` characters hold no comma, CR or LF: no field is that long,
+    even quoted with every quote doubled, so csv rejects that line within
+    the block, at the row and with the message it gives at the line's end.
     A decode error in ``pieces`` comes after the lines that a text-mode file
     returns before it.
     """
     text = ""
+    window = 2 * csv.field_size_limit() + 3  # more characters than a field can hold
     try:
+        text = next(pieces, "")
+        if cut := text.find("\n", text.find("\n") + 1) + 1:
+            yield text[:cut]
+            text = text[cut:]
         for piece in pieces:
+            # No closure may name text: ``text += piece`` resizes in place only while text is a plain local.
             text += piece
             if len(text) >= _BLOCK_CHARS and (cut := text.rfind("\n", len(text) - len(piece)) + 1):
                 yield text[:cut]
                 text = text[cut:]
+            elif (start := len(text) - window) >= 0 and max(map(text.rfind, ",\r\n", [start] * 3)) < 0:
+                yield text
+                text = ""
     except UnicodeDecodeError:
         # Text mode holds back a final CR, which a LF may follow.
         end = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
@@ -224,9 +237,9 @@ def _blocks(pieces: Iterable[str]) -> Iterator[str]:
 def _tally(blocks: Iterator[str]) -> RecordTally:
     """Count the label pairs of records read in blocks of whole lines.
 
-    A block that the string scans cannot count is split into lines as
-    ``io.StringIO(block, newline="")`` splits it, and read by csv; the rest
-    of the first record's block, if it holds no quote, is scanned first.
+    Once the first record has fixed the column count, the string scans count
+    each block they can.  Any other block is split into lines as
+    ``io.StringIO(block, newline="")`` splits it, and read by csv.
     """
     pairs: _Pairs = Counter()
     arity: Optional[int] = None
@@ -242,15 +255,10 @@ def _tally(blocks: Iterator[str]) -> RecordTally:
         spans = '"' in block
         rest = chain.from_iterable(io.StringIO(more, newline="") for more in blocks)
         records = _iter_records(chain(lines, rest) if spans else lines, row, arity)
-        if arity is None:
-            for first_row, first_module, predicted, actual in records:
-                arity = 2 if actual is None else 3
-                pairs[predicted, actual] += 1
-                break
-            if arity and not spans and (plain := _plain_pairs("".join(lines[first_row - row + 1:]), arity)):
-                pairs.update(plain)
-                row += len(lines)
-                continue
+        if arity is None and (first := next(records, None)):
+            _, first_module, predicted, actual = first
+            arity = 2 if actual is None else 3
+            pairs[predicted, actual] += 1
         pairs.update(map(_LABEL_PAIR, records))
         if spans:
             break
@@ -354,7 +362,7 @@ def false_omission_rate(counts: ConfusionCounts) -> float:
 
 
 def validate_assumptions(counts: ConfusionCounts) -> ValidationVerdict:
-    """Gate requiring at least one FN and one TN so that 0 < p < 1.
+    """Gate requiring at least one FN and one TN, and a rate that does not round to 0 or 1, so that 0 < p < 1.
 
     Degenerate matrices still yield a rate from false_omission_rate, but the
     deviation bounds are undefined for p in {0, 1}; this verdict is how the
@@ -366,4 +374,6 @@ def validate_assumptions(counts: ConfusionCounts) -> ValidationVerdict:
         violations.append("no false negatives: p = 0, bounds undefined")
     if counts.tn_count < 1:
         violations.append("no true negatives: p = 1, bounds undefined")
+    if not violations and (p := false_omission_rate(counts)) in (0.0, 1.0):
+        violations.append(f"p = FN / (FN + TN) rounds to {p}, bounds undefined")
     return ValidationVerdict(ok=not violations, violations=tuple(violations))

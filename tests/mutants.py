@@ -121,6 +121,13 @@ MUTANTS = [
            ["tests/test_ingest.py::test_block_reader_matches_text_mode_at_chunk_and_block_edges"]),
     Mutant("byte-order-mark-kept", _INGEST, 'b""), "utf-8-sig")', 'b""), "utf-8")',
            ["tests/test_ingest.py::test_byte_order_mark_is_skipped"]),
+    Mutant("first-block-not-cut", _INGEST, 'text.find("\\n", text.find("\\n") + 1) + 1', "0",
+           ["tests/test_ingest.py::test_plain_records_bypass_csv"]),
+    Mutant("open-line-unbounded", _INGEST, "(start := len(text) - window) >= 0", "False",
+           ["tests/test_ingest.py::test_open_line_is_rejected_in_bounded_memory"]),
+    Mutant("rounded-rate-passes-gate", _INGEST,
+           "if not violations and (p := false_omission_rate(counts)) in (0.0, 1.0):", "if False:",
+           ["tests/test_ingest.py::test_gate_refuses_a_rate_that_rounds_to_zero_or_one"]),
     Mutant("nul-check-dropped", _INGEST, 'if "\\0" in line:', "if False:",
            ["tests/test_ingest.py::test_nul_is_a_parse_error_on_every_python"]),
     Mutant("unreadable-input-not-mapped", "src/sdpbounds/cli.py", "except (OSError, UnicodeDecodeError) as exc:",

@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -140,6 +142,19 @@ def test_validate_assumptions_gate() -> None:
     p_one = validate_assumptions(ConfusionCounts(50, 0))
     assert not p_one.ok
     assert any("p = 1" in v for v in p_one.violations)
+
+
+def test_gate_refuses_a_rate_that_rounds_to_zero_or_one(tmp_path, capsys) -> None:
+    path = tmp_path / "confusion.json"
+    for fn, tn, p in [(10**20, 1, "1.0"), (1, 10**400, "0.0")]:
+        violation = f"p = FN / (FN + TN) rounds to {p}, bounds undefined"
+        assert validate_assumptions(ConfusionCounts(fn, tn)).violations == (violation,)
+        assert main(["for", "--fn", str(fn), "--tn", str(tn)]) == 1
+        assert f"\np={p}\nverdict: violated\n  violation: {violation}\n" in capsys.readouterr().out
+        path.write_text(json.dumps({"fn": fn, "tn": tn}), encoding="utf-8")
+        assert main(["analyze", "--confusion", str(path), *_SHAPE_ARGS]) == 1
+        assert capsys.readouterr().err == f"error: {violation}\n"
+    assert validate_assumptions(ConfusionCounts(1, 2**60)).ok
 
 
 def test_counts_validation() -> None:
@@ -325,6 +340,69 @@ def test_nul_is_a_parse_error_on_every_python(tmp_path, capsys) -> None:
     assert capsys.readouterr().err == "error: row 2: malformed CSV: line contains NUL\n"
 
 
+# A small parent for the measured run: Linux carries a parent's peak RSS over into its child's ru_maxrss.
+_PEAK_RSS = """
+import json, os, subprocess, sys
+run = "import sys; from sdpbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+child = subprocess.Popen([sys.executable, "-c", run, "for", "--records", sys.argv[1]],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+err = child.stderr.read()
+_, status, usage = os.wait4(child.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), err, usage.ru_maxrss]))
+"""
+
+
+def _peak_rss_run(path):
+    """(exit status, stderr, peak RSS in KiB) of ``for --records path`` in a child process of its own."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ingest.__file__))}
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(path)], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    return tuple(json.loads(result.stdout))
+
+
+def test_open_line_is_rejected_in_bounded_memory(tmp_path) -> None:
+    head = "module_id,predicted,actual\nm1,clean,defective\n"
+    two_rows = tmp_path / "two.csv"
+    two_rows.write_text(head + "m2,clean,clean\n", encoding="utf-8")
+    code, err, two_rows_peak = _peak_rss_run(two_rows)
+    assert (code, err) == (0, "")
+    open_line = tmp_path / "open.csv"
+    with open(open_line, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for _ in range(60):  # 60 MB with no comma and no line end
+            fh.write("x" * 1_000_000)
+    try:
+        code, err, peak = _peak_rss_run(open_line)
+    finally:
+        open_line.unlink()
+    assert (code, err) == (2, f"error: row 3: malformed CSV: field larger than field limit ({csv.field_size_limit()})\n")
+    assert peak <= 2 * two_rows_peak, (peak, two_rows_peak)
+    # A long line of short fields is held whole, and csv names its full count.
+    text = head + ",".join(["x"] * 2_000_001) + "\n"
+    with pytest.raises(ParseError, match="^row 3: expected 2 or 3 columns, got 2000001$"):
+        tally_records(text)
+    path = tmp_path / "fields.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(load_record_tally, path) == ("ParseError", "row 3: expected 2 or 3 columns, got 2000001", 3)
+
+
+def test_open_line_is_rejected_before_a_later_fault_on_it(tmp_path) -> None:
+    # csv rejects the line once it passes twice the field limit, so a NUL or a bad byte after that goes unread.
+    head = b"module_id,predicted,actual\nm1,clean,defective\n"
+    limit = csv.field_size_limit()
+    too_long = ("ParseError", f"row 3: malformed CSV: field larger than field limit ({limit})", 3)
+    path = tmp_path / "records.csv"
+    for fault in (b"\0", b"\xff"):
+        data = head + b"x" * 4 * limit + fault + b",clean,clean\n"
+        path.write_bytes(data)
+        assert _outcome(load_record_tally, path) == too_long
+        if fault == b"\0":
+            assert _outcome(tally_records, data.decode("utf-8")) == too_long
+    # A NUL that comes first is named as before.
+    path.write_bytes(head + b"x\0" + b"x" * 4 * limit + b",clean,clean\n")
+    assert _outcome(load_record_tally, path) == ("ParseError", "row 3: malformed CSV: line contains NUL", 3)
+
+
 def test_non_utf8_input_is_a_read_error(tmp_path, capsys) -> None:
     records = tmp_path / "records.csv"
     records.write_bytes(b"m1,cl\xffean,clean\n")
@@ -436,12 +514,21 @@ def _ingest_corpus():
         for name, edit, at in placed:
             lines = base if at > _GROUP + 3 else base[:_GROUP + 8]
             cases.append((f"{arity} cols, {name} at line {at + 1}", lines[:at] + [edit(lines[at])] + lines[at + 1:]))
-        # The block of the first record goes through csv up to that record and is scanned past it.
+        # csv reads the header and the first record as a block of their own; the next block is scanned.
         head = [header] + base[:300]
         placed = [(name, edit, at) for name, edit in at_boundaries.items() for at in (1, 2, 200)]
         placed += [(name, edit, 2) for name, edit in inside.items()]
         for name, edit, at in placed:
             cases.append((f"{arity} cols, header, {name} at line {at + 1}", head[:at] + [edit(head[at])] + head[at + 1:]))
+        # csv reads the first two lines alone, unless they run past the first piece.
+        cases += [(f"{arity} cols, header only", [header]),
+                  (f"{arity} cols, header then a blank line", [header, "\n"]),
+                  (f"{arity} cols, no header", base[:300]),
+                  (f"{arity} cols, CRLF header and records", [header[:-1] + "\r\n"] + crlf[:300])]
+        for length in (9000, 70_000):  # past one 8,192-byte chunk, and past one 65,536-character piece
+            long_first = ["i" * length + base[0]] + base[1:300]
+            cases += [(f"{arity} cols, header, a {length}-character first record", [header] + long_first),
+                      (f"{arity} cols, no header, a {length}-character first record", long_first)]
         cases += [(f"{arity} cols, header and one record", head[:2]),
                   (f"{arity} cols, header, blank lines, then records", head[:1] + ["\n", " \n", "\n"] + head[1:]),
                   (f"{arity} cols, padded mixed-case header", [odd_header.replace("\r", "")] + head[1:]),
@@ -507,6 +594,13 @@ def _edge_cases():
         for at in range(block - 20, block + 4, 3):
             filler = "p" * (at - len(head) - 13) + ",clean,clean\n"
             cases.append((f"{name} at character {at}", (head + filler + edit + text[len(head):]).encode("ascii")))
+    # The first two lines end around the first chunk's last byte, so the first block is those lines or a long one.
+    rest = "".join(f"a{i},clean,defective\r\n" for i in range(900))
+    for name, first in (("header", "module_id,predicted,actual\r\n"), ("record", "h,clean,clean\r\n")):
+        for end in range(chunk - 3, chunk + 3):
+            second = "p" * (end - len(first) - 14) + ",clean,clean\r\n"
+            assert len(first + second) == end
+            cases.append((f"{name}, then a line ending at byte {end}", (first + second + rest).encode("ascii")))
     crlf = text.replace("\n", "\r\n")
     for at in (block + 999, 2 * block + 999):  # inside the second and third blocks
         start = crlf.index("\n", at) + 1
@@ -584,9 +678,11 @@ def test_plain_records_bypass_csv(tmp_path, monkeypatch) -> None:
 
     monkeypatch.setattr(ingest.csv, "reader", counting_reader)
     path = tmp_path / "records.csv"
-    for eol in ("\n", "\r\n"):
-        rows_through_csv = 0
-        path.write_text("module_id,predicted,actual" + eol + "".join(_plain(random.Random(23), 3, 100_000, eol)),
-                        encoding="utf-8", newline="")
-        assert load_record_tally(path).n_total == 100_000
-        assert rows_through_csv == 2, (eol, rows_through_csv)  # the header and the first record
+    for header in ("module_id,predicted,actual", ""):
+        for eol in ("\n", "\r\n"):
+            rows_through_csv = 0
+            path.write_text(header + eol * bool(header) + "".join(_plain(random.Random(23), 3, 100_000, eol)),
+                            encoding="utf-8", newline="")
+            assert load_record_tally(path).n_total == 100_000
+            # The header and the first record, or the first two records.
+            assert rows_through_csv == 2, (header, eol, rows_through_csv)
