@@ -185,8 +185,7 @@ def hazard_shortfall_bound(
     exp(-(l*p - B + 2*A)**2 / (2*mu)), by the exponent rule of all three bounds.
     A 2*mu beyond double range, which would read inf/inf, is a domain error.
     """
-    residual_hazard = weibull_hazard(residual, t)
-    return _bound_report(_hazard_fields(pop.l * pop.p, weibull_hazard(manual, t), residual_hazard, t))
+    return _bound_report(_hazard_fields(pop.l * pop.p, weibull_hazard(manual, t), weibull_hazard(residual, t), t))
 
 
 def _reliability_fields(threshold: float, mu: float, mode: str) -> Dict[str, object]:

@@ -49,14 +49,14 @@ def binomial_cdf_below(pop: FailurePopulation, threshold: float) -> float:
 
     The deviation-bound events downstream are strict, so an integer threshold
     excludes the threshold value itself: Pr[X < 3] sums k in {0, 1, 2}.
-    Returns 0.0 for threshold <= 0 (X is non-negative) and 1.0 for
-    threshold > l.  Otherwise, with k the largest integer below the threshold,
-    Pr[X <= k] = 1 - I_p(k + 1, l - k), the complemented regularized
-    incomplete beta (DiDonato & Morris, ACM TOMS Alg. 708).  Evaluating the
-    complement at p, rather than I_{1-p}(l - k, k + 1), avoids rounding 1 - p,
-    which costs relative accuracy when p is tiny and l is large.
+    Returns 0.0 for threshold <= 0 (X is non-negative) or NaN (no count lies
+    below it) and 1.0 for threshold > l.  Otherwise, with k the largest integer
+    below the threshold, Pr[X <= k] = 1 - I_p(k + 1, l - k), the complemented
+    regularized incomplete beta (DiDonato & Morris, ACM TOMS Alg. 708).
+    Evaluating the complement at p, rather than I_{1-p}(l - k, k + 1), avoids
+    rounding 1 - p, which costs relative accuracy when p is tiny and l is large.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         return 0.0
     if threshold > pop.l:
         return 1.0

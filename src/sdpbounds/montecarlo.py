@@ -8,19 +8,19 @@ blocks' defect counts are merged with integer counts into one histogram, the
 distinct values drawn and their multiplicities.  Results are therefore
 bit-identical for any worker count and across runs.  The sampling contract
 (samples, seed, workers, l < 2**63) is stated here once, one message per
-fault, for these estimators and report's analyze and sweep alike.
+fault; the estimators, analyze and sweep check it once, before any draw.
 
-The defect count depends on the population (l, p) alone, so a report draws
-one stream per population, once, at derive_population_seed of the base seed,
-l and p, as its histogram, the kernel of every estimate here: it builds the
-fields of a tail (X < c) or a mean (of the SDP reliability, which depends on
-the residual hazard and t but not on the manual hazard) through
-MonteCarloEstimate and its checks, afresh on every call.  The public
-estimators wrap those fields.  The hazard and reliability tails and the
+The defect count depends on the population (l, p) alone, so a report draws one
+stream per population, once, at derive_population_seed of the base seed, l and
+p, as its histogram, the kernel of every estimate here: it builds a tail
+(X < c) or a mean (of the SDP reliability, which depends on the residual hazard
+and t but not on the manual hazard) as a MonteCarloEstimate, whose checks run
+then, afresh on every call.  The public estimators return that estimate, and a
+report records its fields.  The hazard and reliability tails and the
 reliability mean of all the population's points come from the same draws, so
 their checks are not independent.  The tail intervals are Wilson score
-intervals; the mean's is an empirical Bernstein bound, which stays valid
-for a bounded variable whose mean sits in a tail the draws rarely reach.
+intervals; the mean's is an empirical Bernstein bound, which stays valid for a
+bounded variable whose mean sits in a tail the draws rarely reach.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
     """95% Wilson score interval for a binomial proportion; robust near 0 and 1."""
     if n <= 0:
         raise ValueError("n must be positive")
+    if not 0 <= successes <= n:
+        raise ValueError(f"successes must be >= 0 and <= n={n}, got {successes}")
     p_hat = successes / n
     denom = 1.0 + _Z95 * _Z95 / n
     center = (p_hat + _Z95 * _Z95 / (2.0 * n)) / denom
@@ -167,9 +169,10 @@ def _draw_block(pop: FailurePopulation, seed: int, block_index: int, size: int) 
 def _map_blocks(n: int, workers: int, block_fn: Callable[[int, int], object]) -> List[object]:
     """Apply block_fn(block_index, size) to every block, results in index order, in at most one thread a CPU."""
     sizes = _block_sizes(n)
-    if workers <= 1 or len(sizes) <= 1:
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    if threads <= 1:
         return [block_fn(i, s) for i, s in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=min(workers, len(sizes), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(block_fn, range(len(sizes)), sizes))
 
 
@@ -178,7 +181,7 @@ class _Draws:
     """A seed's n draws as a histogram, the kernel of the Monte Carlo estimates.
 
     ``values`` holds the distinct defect counts, ascending, and ``counts`` their multiplicities.  Each call
-    builds an estimate's fields through MonteCarloEstimate, whose checks run then.
+    builds and returns a MonteCarloEstimate, whose checks run then.
     """
 
     values: np.ndarray
@@ -186,22 +189,22 @@ class _Draws:
     n: int
     seed: int
 
-    def tail(self, threshold: float) -> Dict[str, object]:
-        """The fields of the hit rate of X < threshold with its Wilson interval, with the cutoff as given.
+    def tail(self, threshold: float) -> MonteCarloEstimate:
+        """The hit rate of X < threshold with its Wilson interval, with the cutoff as given.
 
         A cutoff <= 0 is the impossible event, counted without the draws; a NaN cutoff is never hit.
         """
         n, seed = self.n, self.seed
         if threshold <= 0.0:
-            return vars(MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold))
+            return MonteCarloEstimate(0.0, 0.0, 0.0, 0.0, n, seed, event_threshold=threshold)
         count = int(np.sum(self.counts[self.values < threshold]))
         p_hat = count / n
         ci_low, ci_high = wilson_interval(count, n)
         std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-        return vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))
+        return MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)
 
-    def mean(self, model: CombinedHazardModel, t: float) -> Dict[str, object]:
-        """The fields of the mean SDP reliability r of the model at t over the draws, with a two-sided
+    def mean(self, model: CombinedHazardModel, t: float) -> MonteCarloEstimate:
+        """The mean SDP reliability r of the model at t over the draws, with a two-sided
         empirical Bernstein interval for r in [0, bound], bound = weibull_reliability(residual, t).
 
         Maurer & Pontil (2009), Thm 4, with delta = 0.05 split across the two
@@ -230,12 +233,11 @@ class _Draws:
         # Rounding can leave the mean of equal draws an ulp outside [0, bound].
         ci_low = min(max(0.0, mean - half), mean)
         ci_high = max(min(bound, mean + half), mean)
-        return vars(MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, self.seed))
+        return MonteCarloEstimate(mean, std_error, ci_low, ci_high, n, self.seed)
 
 
 def _draw(pop: FailurePopulation, n: int, seed: int, workers: int) -> _Draws:
-    """The seed's stream, block by block, merged into one histogram."""
-    _validate_sampling_args(pop, n, seed, workers)
+    """The seed's stream, block by block, merged into one histogram; the caller has checked the sampling contract."""
     blocks = _map_blocks(
         n, workers, lambda i, size: np.unique(_draw_block(pop, seed, i, size), return_counts=True))
     values, where = np.unique(np.concatenate([b[0] for b in blocks]), return_inverse=True)
@@ -257,10 +259,8 @@ def estimate_tail_probability(
     degenerate zero estimate without a draw; a NaN cutoff is drawn.  Like
     every estimator here it rejects ``workers`` < 1.
     """
-    if threshold <= 0.0:
-        _validate_sampling_args(pop, n, seed, workers)
-        return MonteCarloEstimate(**_Draws((), (), n, seed).tail(threshold))
-    return MonteCarloEstimate(**_draw(pop, n, seed, workers).tail(threshold))
+    _validate_sampling_args(pop, n, seed, workers)
+    return (_Draws((), (), n, seed) if threshold <= 0.0 else _draw(pop, n, seed, workers)).tail(threshold)
 
 
 def estimate_expected_reliability(
@@ -277,7 +277,8 @@ def estimate_expected_reliability(
     standard error.  At a population's seed this is the estimate that
     report.analyze reports, from the same draws as the tail counts.
     """
-    return MonteCarloEstimate(**_draw(model.population, n, seed, workers).mean(model, t))
+    _validate_sampling_args(model.population, n, seed, workers)
+    return _draw(model.population, n, seed, workers).mean(model, t)
 
 
 def estimate_reliability_exceedance(
@@ -322,7 +323,7 @@ def _audit_fields(threshold: float, bound: float, exact: float) -> Dict[str, obj
             raise ValueError(f"event mismatch: cutoff {threshold} makes the event "
                              f"impossible but the exact probability is {value}")
         return {"verdict": VERDICT_EXACT_ZERO, "bound_value": bound, "empirical_value": 0.0, "margin": bound}
-    verdict = VERDICT_VIOLATED if value > bound else VERDICT_HOLDS
+    verdict = VERDICT_HOLDS if value <= bound else VERDICT_VIOLATED
     return {"verdict": verdict, "bound_value": bound, "empirical_value": value, "margin": bound - value}
 
 

@@ -113,8 +113,8 @@ class SweepGrid:
 
 
 def _population(pop: FailurePopulation, grid: SweepGrid, workers: int) -> Tuple[Callable, Callable]:
-    """The population's draws (None with sampling off) and the caches its points share, which keep no raise:
-    tail(cutoff) gives (exact tail, Monte Carlo tail or None), mean(residual, t) the Monte Carlo mean or None."""
+    """The population's draws (None with sampling off; grid and sweep checked its contract) and the caches its points
+    share, which keep no raise: tail(cutoff) gives (exact, MC tail or None), mean(residual, t) the MC mean or None."""
     draws = _draw(pop, grid.samples, derive_population_seed(grid.seed, pop.l, pop.p), workers) if grid.samples else None
     tail = functools.cache(lambda cutoff: (binomial_cdf_below(pop, cutoff), draws and draws.tail(cutoff)))
     mean = functools.cache(lambda residual, t: draws and draws.mean(CombinedHazardModel(residual, pop), t))
@@ -138,7 +138,7 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     def audited(record: Dict[str, object]) -> Tuple[float, Dict[str, object], Optional[Dict[str, object]]]:
         threshold = record["event_threshold"]
         exact, mc = tail(threshold)
-        return exact, _audit_fields(threshold, record["bound"], exact), mc and dict(mc)
+        return exact, _audit_fields(threshold, record["bound"], exact), mc and dict(vars(mc))
 
     model = CombinedHazardModel(residual, pop)
     coord = (pop.l, pop.p, manual.scale_k, manual.shape_m, residual.scale_k, residual.shape_m, t)
@@ -180,7 +180,7 @@ def _point(pop: FailurePopulation, manual: WeibullParams, residual: WeibullParam
     point["reference_audit"] = audited(reference)[1]
 
     mc = mean(residual, t)
-    point["expected_reliability_mc"] = mc and dict(mc)
+    point["expected_reliability_mc"] = mc and dict(vars(mc))
     return point
 
 

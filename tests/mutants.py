@@ -40,15 +40,19 @@ _BOUNDS = "src/sdpbounds/bounds.py"
 _INGEST = "src/sdpbounds/ingest.py"
 _CUTOFF_EXPONENT = ("return _gap_exponent(gap, mu) if gap < math.inf else "
                     "4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)")
-_TAIL_RECORD = "vars(MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold))"
+_TAIL_RECORD = "MonteCarloEstimate(p_hat, std_error, ci_low, ci_high, n, seed, event_threshold=threshold)"
+_TAIL_ESTIMATE = "(_Draws((), (), n, seed) if threshold <= 0.0 else _draw(pop, n, seed, workers)).tail(threshold)"
+_HAZARD_BOUND = "_hazard_fields(pop.l * pop.p, weibull_hazard(manual, t), weibull_hazard(residual, t), t)"
 _RELIABILITY_TAIL = 'point["reliability_exact_tail"], audit, mc = audited(record)'
 
 MUTANTS = [
     Mutant("tail-record-built-directly", _MC, _TAIL_RECORD,
-           '{"estimate": p_hat, "std_error": std_error, "ci_low": ci_low, "ci_high": ci_high, "n_samples": n, '
-           '"seed": seed, "event_threshold": threshold}',
+           '__import__("types").SimpleNamespace(estimate=p_hat, std_error=std_error, ci_low=ci_low, ci_high=ci_high, '
+           'n_samples=n, seed=seed, event_threshold=threshold)',
            ["tests/test_montecarlo.py::test_sweep_estimates_pass_the_estimate_checks"]),
-    Mutant("point-shares-kept-record", _REPORT, "exact), mc and dict(mc)", "exact), mc",
+    Mutant("estimator-rebuilds-estimate", _MC, _TAIL_ESTIMATE, f"MonteCarloEstimate(**vars({_TAIL_ESTIMATE}))",
+           ["tests/test_montecarlo.py::test_each_estimator_builds_its_estimate_once"]),
+    Mutant("point-shares-kept-record", _REPORT, "exact), mc and dict(vars(mc))", "exact), mc and vars(mc)",
            ["tests/test_report_cli.py::test_sampled_sweep_report_is_a_tree"]),
     Mutant("reference-audit-reads-hazard-bound", _REPORT, "audited(reference)[1]", "audited(hazard)[1]",
            ["tests/test_acceptance.py::test_criterion7_audit_integrity",
@@ -59,8 +63,8 @@ MUTANTS = [
     Mutant("mean-keyed-without-t", _REPORT, "mc = mean(residual, t)", "mc = mean(residual, 1.0)",
            ["tests/test_montecarlo.py::test_one_reliability_mean_per_population_residual_and_t",
             "tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis"]),
-    Mutant("point-shares-kept-mean", _REPORT, 'point["expected_reliability_mc"] = mc and dict(mc)',
-           'point["expected_reliability_mc"] = mc',
+    Mutant("point-shares-kept-mean", _REPORT, 'point["expected_reliability_mc"] = mc and dict(vars(mc))',
+           'point["expected_reliability_mc"] = mc and vars(mc)',
            ["tests/test_montecarlo.py::test_kept_reliability_means_match_single_point_analysis",
             "tests/test_report_cli.py::test_sampled_sweep_report_is_a_tree"]),
     Mutant("caches-shared-across-populations", _REPORT, "caches = _population(pop, grid, workers)",
@@ -85,14 +89,28 @@ MUTANTS = [
            ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point"]),
     Mutant("block-count-overflow-not-mapped", _MC, "if full > sys.maxsize:", "if False:",
            ["tests/test_montecarlo.py::test_each_sampling_fault_has_one_message_at_every_entry_point"]),
-    Mutant("thread-cap-dropped", _MC, "max_workers=min(workers, len(sizes), os.cpu_count() or 1)",
-           "max_workers=workers", ["tests/test_montecarlo.py::test_block_pool_opens_no_more_threads_than_cpus"]),
+    Mutant("thread-cap-dropped", _MC, "threads = min(workers, len(sizes), os.cpu_count() or 1)",
+           "threads = min(workers, len(sizes))",
+           ["tests/test_montecarlo.py::test_block_pool_opens_no_more_threads_than_cpus"]),
+    Mutant("one-thread-pool", _MC, "if threads <= 1:", "if workers <= 1 or len(sizes) <= 1:",
+           ["tests/test_montecarlo.py::test_block_pool_is_not_opened_for_one_thread"]),
+    Mutant("wilson-counts-unchecked", _MC, "if not 0 <= successes <= n:", "if False:",
+           ["tests/test_montecarlo.py::test_library_input_checks_name_what_they_reject"]),
+    Mutant("nan-bound-holds", _MC, "VERDICT_HOLDS if value <= bound else VERDICT_VIOLATED",
+           "VERDICT_VIOLATED if value > bound else VERDICT_HOLDS",
+           ["tests/test_montecarlo.py::test_no_audit_holds_at_a_nan"]),
     Mutant("draws-at-inflated-p", _MC, "rng.binomial(pop.l, pop.p, size=size)",
            "rng.binomial(pop.l, min(1.0, 1.02 * pop.p), size=size)",
            ["tests/test_montecarlo.py::test_tail_estimate_covers_exact_cdf"]),
+    Mutant("nan-cutoff-crashes-oracle", "src/sdpbounds/failures.py", "if not threshold > 0.0:", "if threshold <= 0.0:",
+           ["tests/test_montecarlo.py::test_no_audit_holds_at_a_nan"]),
     Mutant("oracle-as-lower-incomplete-beta", "src/sdpbounds/failures.py", "special.betaincc(k + 1, pop.l - k, pop.p)",
            "special.betainc(pop.l - k, k + 1, 1.0 - pop.p)",
            ["tests/test_failures.py::test_cdf_accuracy_large_l", "tests/test_failures.py::test_cdf_matches_pmf_sum"]),
+    Mutant("hazard-bound-residual-first", _BOUNDS, _HAZARD_BOUND,
+           f"(lambda residual_hazard: {_HAZARD_BOUND.replace('weibull_hazard(residual, t)', 'residual_hazard')})"
+           "(weibull_hazard(residual, t))",
+           ["tests/test_report_cli.py::test_hazard_bound_names_the_fault_a_report_names"]),
     Mutant("half-gap-on-every-call", _BOUNDS, _CUTOFF_EXPONENT,
            "return 4.0 * _gap_exponent(0.5 * mu - 0.5 * threshold, mu)",
            ["tests/test_bounds.py::test_comparison_bound_exponents_match_mpmath"]),

@@ -97,6 +97,8 @@ def test_library_input_checks_name_what_they_reject() -> None:
         (lambda: reliability_excess_bound(FailurePopulation(10, 0.1), flat, flat, 1.0, mode="bogus"),
          "unknown mode 'bogus'"),
         (lambda: wilson_interval(0, 0), "n must be positive"),
+        (lambda: wilson_interval(11, 10), "successes must be >= 0 and <= n=10, got 11"),
+        (lambda: wilson_interval(-1, 10), "successes must be >= 0 and <= n=10, got -1"),
         (lambda: MonteCarloEstimate(0.5, 0.1, 0.6, 0.7, 1000, 0), "interval [0.6, 0.7] does not contain estimate 0.5"),
         (lambda: MonteCarloEstimate(0.5, -1.0, 0.4, 0.6, 1000, 0), "std_error must be >= 0, got -1.0"),
         (lambda: parse_confusion("[1]"), "confusion input must be a JSON object"),
@@ -159,6 +161,18 @@ def test_block_pool_opens_no_more_threads_than_cpus(monkeypatch) -> None:
     blocks = mc._map_blocks(3 * mc.BLOCK_SIZE, 10**6, lambda i, size: threads.add(threading.get_ident()) or (i, size))
     assert blocks == [(i, mc.BLOCK_SIZE) for i in range(3)]
     assert pools == [2] and len(threads) <= 2
+
+
+def test_block_pool_is_not_opened_for_one_thread(monkeypatch) -> None:
+    # On one CPU a pool would hold one thread, slower than the serial loop: the blocks are drawn in place, in order.
+    def no_pool(max_workers: int) -> None:
+        raise AssertionError(f"a pool of {max_workers} thread(s) was opened")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    blocks = mc._map_blocks(3 * mc.BLOCK_SIZE, 4, lambda i, size: (i, size, threading.get_ident()))
+    assert blocks == [(i, mc.BLOCK_SIZE, threading.get_ident()) for i in range(3)]
+
 
 def test_wilson_coverage_across_seeds() -> None:
     # 95% nominal interval; demand >= 93/100 coverage (binomial slack).
@@ -355,6 +369,37 @@ def test_audit_exact_zero_event() -> None:
         audit_bound(report, 0.25)
 
 
+def test_no_audit_holds_at_a_nan() -> None:
+    # No count lies below a NaN cutoff, so the exact tail is 0.0, as the estimators count it
+    # (test_tail_estimates_keep_their_stream); a NaN bound, or a NaN exact value, proves nothing: violated.
+    pop = FailurePopulation(10, 0.1)
+    assert binomial_cdf_below(pop, math.nan) == 0.0
+    nan_bound = reference_chernoff_bound(pop, math.nan)
+    assert math.isnan(nan_bound.bound)
+    assert audit_bound(nan_bound, binomial_cdf_below(pop, math.nan)).verdict == "violated"
+    assert audit_bound(nan_bound, 0.5).verdict == "violated"
+    assert audit_bound(reference_chernoff_bound(pop, 0.5), math.nan).verdict == "violated"
+
+
+def test_each_estimator_builds_its_estimate_once(monkeypatch) -> None:
+    # The estimators return the estimate the kernel built and checked, so its checks run once a call.
+    built = []
+    checks = MonteCarloEstimate.__post_init__
+    monkeypatch.setattr(MonteCarloEstimate, "__post_init__", lambda self: built.append(self) or checks(self))
+    pop = FailurePopulation(100, 0.1)
+    model = CombinedHazardModel(WeibullParams(1.0, 0.5), pop)
+    runs = [
+        partial(estimate_tail_probability, pop, 8.0, 1000, 5),
+        partial(estimate_tail_probability, pop, -1.0, 1000, 5),
+        partial(estimate_expected_reliability, model, 1.5, 1000, 5),
+        partial(estimate_reliability_exceedance, model, WeibullParams(2.0, 0.5), 1.5, 1000, 5),
+    ]
+    for run in runs:
+        built.clear()
+        estimate = run()
+        assert len(built) == 1 and built[0] is estimate
+
+
 def test_shared_tail_pass_equals_single_cutoff_calls() -> None:
     # Cutoffs <= 0, a repeat and an unsorted order, over several blocks.
     pop = FailurePopulation(100, 0.1)
@@ -367,7 +412,7 @@ def test_shared_tail_pass_equals_single_cutoff_calls() -> None:
     # The kernel's records are the public estimates' fields, in field order, which is the report's key order.
     for workers in (1, 4):
         draws = mc._draw(pop, n, 77, workers)
-        assert [list(draws.tail(c).items()) for c in thresholds] == [
+        assert [list(vars(draws.tail(c)).items()) for c in thresholds] == [
             list(dataclasses.asdict(single).items()) for single in singles]
 
 

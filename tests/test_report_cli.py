@@ -776,6 +776,22 @@ def test_cli_hazard_bound_overflow_is_one_line_error(capsys) -> None:
                                        "hazard bound 2 * (K_hat * t**m_hat + l*p) overflows at time t=1.0\n")
 
 
+def test_hazard_bound_names_the_fault_a_report_names(capsys) -> None:
+    # Both hazards overflow, with either shape the larger: the library bound evaluates the manual hazard first, as a
+    # report's point does, so its message is the text after the point in analyze's and sweep's error line.
+    pop = FailurePopulation(10, 0.1)
+    for m, m_hat in ((2.0, 3.0), (3.0, 2.0)):
+        with pytest.raises(ValueError) as info:
+            hazard_shortfall_bound(pop, WeibullParams(1e300, m), WeibullParams(1e300, m_hat), 1e10)
+        assert str(info.value) == f"scale_k * t**{m} overflows at time t=10000000000.0 (shape_m={m})"
+        point = ["--l", "10", "--p", "0.1", "--K", "1e300", "--m", str(m), "--K-hat", "1e300", "--m-hat", str(m_hat),
+                 "--t", "1e10", "--samples", "0"]
+        for command in ("analyze", "sweep"):
+            assert main([command, *point]) == 1
+            assert capsys.readouterr().err == (f"error: l=10, p=0.1, K=1e+300, m={m}, K_hat=1e+300, m_hat={m_hat}, "
+                                               f"t=10000000000.0: {info.value}\n")
+
+
 def test_analyze_and_sweep_of_one_point_end_in_the_same_error_line(capsys) -> None:
     # analyze is the one-population sweep: each fault of one point gives both commands one identical line.
     point = {"--l": "10", "--p": "0.1", "--K": "1", "--m": "0", "--K-hat": "1", "--m-hat": "0", "--t": "1",
